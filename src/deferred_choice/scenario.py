@@ -5,16 +5,21 @@ choices with their event sets and oracle bindings, and a timeline of
 actions: external-variable updates, activations, triggers, and messages.
 Replaying a scenario drives a fresh chain plus providers step by step and
 then reports, per choice, the on-chain winner next to the ground-truth
-winner computed by the continual reference executor over the environment
-trace induced from the timeline (timestamps from step indices, valuations
-piecewise-constant between updates).
+winner of the continual semantics over the environment induced from the
+timeline (timestamps from step indices, valuations piecewise-constant
+between updates). The ground truth is computed once per scenario from the
+change points of each variable (``ground_truth``); the tests check it
+against the dense continual executor ``run_continual`` run over the full
+trace that ``induced_trace`` builds.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
+from heapq import heapify, heappop, heappush
 from typing import Any
 
 from . import expr as exprlang
@@ -36,7 +41,7 @@ from .semantics import (
     Message,
     RelativeTimer,
     check_events,
-    run_continual,
+    pick_winner,
 )
 
 SIM_ACCOUNT = "sim"
@@ -104,8 +109,10 @@ class Scenario:
                         )
         last_step = 0
         update_seen: dict[int, int] = {}
+        first_update: dict[int, int] = {}
         choice_tx_seen: set[tuple[int, int]] = set()
-        activated: set[int] = set()
+        activation_step: dict[int, int] = {}
+        first_message: dict[int, int] = {}
         for action in self.timeline:
             if action.step < 1:
                 raise ScenarioError("timeline steps start at 1")
@@ -122,6 +129,7 @@ class Scenario:
                         f"oracle {action.oracle} updated twice at step {action.step}"
                     )
                 update_seen[action.oracle] = action.step
+                first_update.setdefault(action.oracle, action.step)
             elif action.kind in ("activate", "trigger", "message"):
                 if action.choice is None or not 0 <= action.choice < len(self.choices):
                     raise ScenarioError(f"unknown choice {action.choice}")
@@ -135,9 +143,15 @@ class Scenario:
                 choice_tx_seen.add(key)
                 events = self.choices[action.choice].events
                 if action.kind == "activate":
-                    if action.choice in activated:
+                    if action.choice in activation_step:
                         raise ScenarioError(f"choice {action.choice} activated twice")
-                    activated.add(action.choice)
+                    activation_step[action.choice] = action.step
+                    if action.choice in first_message:
+                        raise ScenarioError(
+                            f"choice {action.choice} has a message at step "
+                            f"{first_message[action.choice]}, before its activation "
+                            f"at step {action.step}"
+                        )
                 if action.kind == "message":
                     if action.event is None or action.event >= len(events):
                         raise ScenarioError("message action needs a valid event id")
@@ -145,27 +159,20 @@ class Scenario:
                         raise ScenarioError(
                             f"event {action.event} is not a message event"
                         )
+                    first_message.setdefault(action.choice, action.step)
                 if action.preferred is not None and action.preferred >= len(events):
                     raise ScenarioError(f"unknown preferred event {action.preferred}")
             else:
                 raise ScenarioError(f"unknown action kind {action.kind!r}")
         # conditional oracles must be defined before the binding choice activates
         for index, decl in enumerate(self.choices):
-            activation = next(
-                (a.step for a in self.timeline
-                 if a.kind == "activate" and a.choice == index),
-                None,
-            )
+            activation = activation_step.get(index)
             if activation is None:
                 continue
             for event in decl.events:
                 if isinstance(event.kind, Conditional):
                     oracle = decl.oracle_for_event[event.id]
-                    first = min(
-                        (a.step for a in self.timeline
-                         if a.kind == "update" and a.oracle == oracle),
-                        default=None,
-                    )
+                    first = first_update.get(oracle)
                     if first is None or first > activation:
                         raise ScenarioError(
                             f"oracle {oracle} has no update at or before activation"
@@ -300,30 +307,93 @@ def induced_trace(scenario: Scenario, start: int, end: int) -> EnvironmentTrace:
     return EnvironmentTrace(states)
 
 
+def ground_truth(scenario: Scenario) -> list[tuple[int | None, int | None]]:
+    """(winner, observed timestamp) of every choice per the continual semantics.
+
+    Gives the result of ``run_continual`` over the trace ``induced_trace``
+    builds from the activation to the last step, without building it: one
+    pass over the timeline collects the change points of each variable and
+    the activation and messages of each choice, and each event's first
+    detection follows in closed form. A conditional event is evaluated at
+    activation and then at its variable's later change points in time
+    order, never past the earliest detection found, so it is evaluated at
+    no more states than the dense executor visits. Expects a validated
+    scenario; an unactivated choice yields ``(None, None)``.
+    """
+    change_steps: dict[str, list[int]] = {}
+    change_values: dict[str, list[int]] = {}
+    activations: dict[int, Action] = {}
+    messages: dict[int, list[Action]] = {}
+    end = 0
+    for action in scenario.timeline:
+        end = max(end, action.step)
+        if action.kind == "update":
+            name = scenario.oracles[action.oracle].variable
+            steps = change_steps.setdefault(name, [])
+            values = change_values.setdefault(name, [])
+            if steps and steps[-1] == action.step:
+                values[-1] = action.value  # the last update at a step wins
+            else:
+                steps.append(action.step)
+                values.append(action.value)
+        elif action.kind == "activate":
+            activations.setdefault(action.choice, action)
+        elif action.kind == "message":
+            messages.setdefault(action.choice, []).append(action)
+
+    results: list[tuple[int | None, int | None]] = []
+    for index, decl in enumerate(scenario.choices):
+        activation = activations.get(index)
+        if activation is None:
+            results.append((None, None))
+            continue
+        start = activation.step
+        detected: dict[int, int] = {}
+        message_event_at: dict[int, int] = {}
+        for message in messages.get(index, ()):
+            detected.setdefault(message.event, message.step)
+            message_event_at[message.step] = message.event
+        pending = []  # (next change step, event id, change index, condition, variable)
+        for event in decl.events:
+            kind = event.kind
+            if isinstance(kind, (AbsoluteTimer, RelativeTimer)):
+                fire = kind.deadline if isinstance(kind, AbsoluteTimer) else start + kind.delta
+                if max(fire, start) <= end:  # a timer already past fires at activation
+                    detected[event.id] = max(fire, start)
+            elif isinstance(kind, Conditional):
+                name = scenario.oracles[decl.oracle_for_event[event.id]].variable
+                steps = change_steps.get(name, [])
+                current = bisect_right(steps, start) - 1
+                value = change_values[name][current] if current >= 0 else 0
+                if exprlang.evaluate(kind.condition, {name: value}):
+                    detected[event.id] = start
+                elif current + 1 < len(steps):
+                    pending.append((steps[current + 1], event.id, current + 1, kind.condition, name))
+        horizon = min(detected.values(), default=end)
+        heapify(pending)
+        while pending and pending[0][0] <= horizon:
+            step, event_id, change, condition, name = heappop(pending)
+            if exprlang.evaluate(condition, {name: change_values[name][change]}):
+                detected[event_id] = step
+                horizon = step  # events detected at this same step still join the pool
+            elif change + 1 < len(change_steps[name]):
+                change += 1
+                heappush(pending, (change_steps[name][change], event_id, change, condition, name))
+        if not detected:
+            results.append((None, end))
+            continue
+        first = min(detected.values())
+        preferred = activation.preferred if first == start else None
+        if preferred is None:
+            preferred = message_event_at.get(first)
+        pool = {event_id for event_id, at in detected.items() if at == first}
+        results.append((pick_winner(pool, preferred), first))
+    return results
+
+
 def ground_truth_winner(scenario: Scenario, choice_index: int) -> tuple[int | None, int | None]:
-    """(winner, observed timestamp) per the continual reference executor."""
-    activation = next(
-        (a for a in scenario.timeline if a.kind == "activate" and a.choice == choice_index),
-        None,
-    )
-    if activation is None:
-        return None, None
-    end = max(a.step for a in scenario.timeline)
-    trace = induced_trace(scenario, activation.step, end)
-    messages = [
-        (a.event, a.step)
-        for a in scenario.timeline
-        if a.kind == "message" and a.choice == choice_index
-    ]
-    preferred_by_time = {at: event for event, at in messages}
-    final = run_continual(
-        scenario.choices[choice_index].events,
-        trace,
-        messages,
-        activation_preferred=activation.preferred,
-        preferred_by_time=preferred_by_time,
-    )
-    return final.winner, final.observed.t
+    """(winner, observed timestamp) of one choice per the continual semantics."""
+    return ground_truth(scenario)[choice_index]
 
 
 # --- replay -----------------------------------------------------------------
@@ -431,8 +501,7 @@ def run(scenario: Scenario, schedule: GasSchedule | None = None) -> ExperimentRe
             provider.after_block(receipts, chain.height)
 
     outcomes = []
-    for index, contract in enumerate(choice_contracts):
-        truth, _ = ground_truth_winner(scenario, index)
+    for index, (contract, (truth, _)) in enumerate(zip(choice_contracts, ground_truth(scenario))):
         outcomes.append(
             ChoiceOutcome(
                 choice=index,

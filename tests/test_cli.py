@@ -37,6 +37,15 @@ def test_run_missing_file(tmp_path):
     assert main(["run", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")]) != 0
 
 
+def test_run_message_before_activation_exits_2(tmp_path, capsys):
+    obj = json.loads(TABLE1.read_text())
+    obj["timeline"].insert(0, {"step": 72, "action": "message", "choice": 0, "event": 3})
+    scenario = tmp_path / "early.json"
+    scenario.write_text(json.dumps(obj))
+    assert main(["run", str(scenario), "--out", str(tmp_path / "out")]) == 2
+    assert "before its activation" in capsys.readouterr().err
+
+
 def test_run_empty_timeline(tmp_path):
     scenario = tmp_path / "empty.json"
     scenario.write_text(

@@ -1,8 +1,13 @@
 import json
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from deferred_choice import expr as exprlang
+from deferred_choice.choice import SemanticsKind
 from deferred_choice.experiments import (
     BASELINE_VARIANTS,
     TRANSACTION_DRIVEN_VARIANTS,
@@ -12,13 +17,23 @@ from deferred_choice.experiments import (
 from deferred_choice.oracles import ALL_VARIANTS, OracleVariant
 from deferred_choice.scenario import (
     Action,
+    ChoiceDecl,
+    OracleDecl,
     Scenario,
     ScenarioError,
+    ground_truth,
     ground_truth_winner,
     induced_trace,
     run,
 )
-from deferred_choice.semantics import Message
+from deferred_choice.semantics import (
+    AbsoluteTimer,
+    Conditional,
+    EventSpec,
+    Message,
+    RelativeTimer,
+    run_continual,
+)
 
 TABLE1 = Path(__file__).resolve().parent.parent / "scenarios" / "table1.json"
 
@@ -76,6 +91,156 @@ def test_ground_truth_matches_continual_trace():
     assert observed == 76
 
 
+def dense_ground_truth(scenario, choice_index):
+    """The reference: the continual executor over the dense induced trace."""
+    activation = next(
+        (a for a in scenario.timeline if a.kind == "activate" and a.choice == choice_index),
+        None,
+    )
+    if activation is None:
+        return None, None
+    end = max(a.step for a in scenario.timeline)
+    trace = induced_trace(scenario, activation.step, end)
+    messages = [
+        (a.event, a.step)
+        for a in scenario.timeline
+        if a.kind == "message" and a.choice == choice_index
+    ]
+    final = run_continual(
+        scenario.choices[choice_index].events,
+        trace,
+        messages,
+        activation_preferred=activation.preferred,
+        preferred_by_time={at: event for event, at in messages},
+    )
+    return final.winner, final.observed.t
+
+
+LAST_STEP = 10
+VALUE_MAX = 4
+
+
+def race_scenario(names, choices, timeline):
+    return Scenario(
+        scenario_id="race",
+        variant=OracleVariant.parse("onchain-history"),
+        semantics=SemanticsKind.TRANSACTION_DRIVEN,
+        oracles=tuple(OracleDecl(name) for name in names),
+        choices=tuple(choices),
+        timeline=tuple(sorted(timeline, key=lambda a: (a.step, a.kind != "update"))),
+    )
+
+
+def conditions(variable):
+    comparison = st.builds(
+        exprlang.Comparison,
+        st.just(variable),
+        st.sampled_from(exprlang.COMPARISON_OPS),
+        st.integers(0, VALUE_MAX),
+    )
+    return st.recursive(
+        comparison,
+        lambda inner: st.one_of(
+            st.builds(exprlang.And, inner, inner),
+            st.builds(exprlang.Or, inner, inner),
+            st.builds(exprlang.Not, inner),
+        ),
+        max_leaves=3,
+    )
+
+
+@st.composite
+def races(draw):
+    """Small dense races: shared and same-named oracles, same-step ties.
+
+    Values and constants share a small range, so conditions often hold at
+    activation; absolute deadlines may predate activation; some choices
+    never activate and some never decide. A message may be mined at its
+    choice's activation step, which ``Scenario.validate`` forbids but the
+    reference executor defines, so these scenarios are not validated.
+    """
+    names = draw(st.lists(st.sampled_from(("x", "y")), min_size=1, max_size=3))
+    timeline = [
+        Action(step=step, kind="update", oracle=oracle, value=draw(st.integers(0, VALUE_MAX)))
+        for oracle in range(len(names))
+        for step in sorted(draw(st.sets(st.integers(1, LAST_STEP), max_size=LAST_STEP)))
+    ]
+    choices = []
+    for index in range(draw(st.integers(1, 3))):
+        events, bindings = [], {}
+        for event_id in range(draw(st.integers(1, 4))):
+            kind = draw(st.sampled_from(("message", "absolute", "relative", "conditional")))
+            if kind == "message":
+                events.append(EventSpec(event_id, Message()))
+            elif kind == "absolute":
+                events.append(EventSpec(event_id, AbsoluteTimer(draw(st.integers(0, LAST_STEP + 2)))))
+            elif kind == "relative":
+                events.append(EventSpec(event_id, RelativeTimer(draw(st.integers(0, LAST_STEP)))))
+            else:
+                oracle = draw(st.integers(0, len(names) - 1))
+                events.append(EventSpec(event_id, Conditional(draw(conditions(names[oracle])))))
+                bindings[event_id] = oracle
+        choices.append(ChoiceDecl(tuple(events), bindings))
+        preferred = st.none() | st.integers(0, len(events) - 1)
+        activation = draw(st.sampled_from((None, *range(1, LAST_STEP + 1))))
+        if activation is not None:
+            timeline.append(
+                Action(step=activation, kind="activate", choice=index, preferred=draw(preferred))
+            )
+        message_events = [e.id for e in events if isinstance(e.kind, Message)]
+        if message_events:
+            for step in sorted(draw(st.lists(st.integers(activation or 1, LAST_STEP), max_size=3))):
+                timeline.append(
+                    Action(step=step, kind="message", choice=index,
+                           event=draw(st.sampled_from(message_events)), preferred=draw(preferred))
+                )
+    return race_scenario(names, choices, timeline)
+
+
+X_AT_LEAST_2 = Conditional(exprlang.parse("x >= 2"))
+
+
+@settings(max_examples=400, deadline=None)
+@given(races())
+@example(  # a message at activation names the winner of a tie with two timers
+    race_scenario(
+        ["x"],
+        [ChoiceDecl((EventSpec(0, AbsoluteTimer(1)), EventSpec(1, RelativeTimer(0)),
+                     EventSpec(2, Message())))],
+        [Action(step=3, kind="activate", choice=0),
+         Action(step=3, kind="message", choice=0, event=2)],
+    )
+)
+@example(  # two oracles named x update at one step: the later one is in force
+    race_scenario(
+        ["x", "x"],
+        [ChoiceDecl((EventSpec(0, X_AT_LEAST_2), EventSpec(1, AbsoluteTimer(9))), {0: 0})],
+        [Action(step=1, kind="update", oracle=0, value=0),
+         Action(step=2, kind="activate", choice=0),
+         Action(step=4, kind="update", oracle=0, value=3),
+         Action(step=4, kind="update", oracle=1, value=1),
+         Action(step=6, kind="update", oracle=1, value=2)],
+    )
+)
+@example(  # one choice never activates, the other never decides
+    race_scenario(
+        ["x"],
+        [ChoiceDecl((EventSpec(0, X_AT_LEAST_2),), {0: 0}),
+         ChoiceDecl((EventSpec(0, X_AT_LEAST_2), EventSpec(1, RelativeTimer(5))), {0: 0})],
+        [Action(step=1, kind="update", oracle=0, value=1),
+         Action(step=2, kind="activate", choice=1, preferred=1)],
+    )
+)
+def test_ground_truth_matches_dense_continual_executor(scenario):
+    with mock.patch.object(exprlang, "evaluate", wraps=exprlang.evaluate) as evaluate:
+        expected = [dense_ground_truth(scenario, i) for i in range(len(scenario.choices))]
+        dense_evaluations = evaluate.call_count
+        evaluate.reset_mock()
+        assert ground_truth(scenario) == expected
+    # change points visit a subset of the states the dense executor visits
+    assert evaluate.call_count <= dense_evaluations
+
+
 # --- validation ----------------------------------------------------------------
 
 
@@ -126,6 +291,18 @@ def test_two_choice_transactions_in_one_step_rejected():
         ),
     )
     with pytest.raises(ScenarioError):
+        broken.validate()
+
+
+def test_message_before_activation_rejected():
+    scenario = table1("onchain-history")
+    from dataclasses import replace
+
+    broken = replace(
+        scenario,
+        timeline=(Action(step=72, kind="message", choice=0, event=3),) + scenario.timeline,
+    )
+    with pytest.raises(ScenarioError, match="before its activation"):
         broken.validate()
 
 
