@@ -29,13 +29,13 @@ from .ledger import (
 from .oracles import (
     ALL_VARIANTS,
     Architecture,
+    History,
     HistoryEntry,
     OracleProvider,
     OracleQuery,
     OracleVariant,
     Subscription,
     earliest_satisfied,
-    history_slice,
     make_oracle_contract,
 )
 from .scenario import (

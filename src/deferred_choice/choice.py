@@ -25,13 +25,7 @@ from enum import Enum
 from . import expr as exprlang
 from . import wordcodec
 from .ledger import Contract, ExecutionContext, Revert
-from .oracles import (
-    Architecture,
-    AsyncOracle,
-    OracleVariant,
-    SyncOracle,
-    slice_first_satisfied,
-)
+from .oracles import Architecture, AsyncOracle, OracleVariant, SyncOracle
 from .semantics import (
     NEVER,
     AbsoluteTimer,
@@ -72,6 +66,27 @@ def encode_trigger(preferred: int | None, message_event: int | None) -> bytes:
         NIL if preferred is None else preferred,
         NIL if message_event is None else message_event,
     )
+
+
+def resume_slice_scan(
+    payload: bytes, index: int, skip: int, condition: exprlang.Expr, variable: str
+) -> tuple[int, int]:
+    """First change point satisfying ``condition`` in the encoded history
+    slice at word ``index`` of ``payload``.
+
+    The first ``skip`` pairs are taken as unsatisfied: a scan of an earlier
+    slice that this one extends tested them. Returns the hit's timestamp, or
+    NEVER, and the number of leading pairs now known to be unsatisfied.
+    Values are decoded first and a timestamp only for the hit.
+    """
+    count = wordcodec.decode_word(payload, index)
+    if len(payload) < (index + 1 + 2 * count) * wordcodec.WORD_SIZE:
+        raise wordcodec.CodecError(f"truncated history slice of {count} pairs")
+    for pair in range(skip, count):
+        value = wordcodec.decode_word(payload, index + 2 + 2 * pair)
+        if exprlang.evaluate(condition, {variable: value}):
+            return wordcodec.decode_word(payload, index + 1 + 2 * pair), pair
+    return NEVER, count
 
 
 @dataclass
@@ -128,6 +143,9 @@ class DeferredChoiceContract(Contract):
         self.message_detections: dict[int, int] = {}
         self._cond_found: dict[int, int] = {}
         self._cond_clear: dict[int, int] = {}
+        # host-side only: leading pairs of the event's history slice known
+        # not to satisfy its condition (regular history variants)
+        self._cond_unsatisfied: dict[int, int] = {}
         self._pending: dict[int, int] = {}
         self._inflight: _InFlight | None = None
         self._callback_values: dict[int, int | bool] = {}
@@ -276,6 +294,20 @@ class DeferredChoiceContract(Contract):
                 ctx, preferred, now, self._cond_found, self._cond_clear, floor, now
             )
 
+    def _scan_slice(self, eid: int, payload: bytes, index: int) -> int:
+        """Earliest change point satisfying event ``eid`` in a history slice.
+
+        Slices are always taken from activation, so each one extends the
+        last and only the pairs appended since need testing."""
+        at, self._cond_unsatisfied[eid] = resume_slice_scan(
+            payload,
+            index,
+            self._cond_unsatisfied.get(eid, 0),
+            self._condition(eid),
+            self.oracles[eid].variable,
+        )
+        return at
+
     # -- synchronous resolution ------------------------------------------------
 
     def _sync_current(self, ctx: ExecutionContext, eid: int) -> int | bool:
@@ -300,13 +332,9 @@ class DeferredChoiceContract(Contract):
                 )
                 at = wordcodec.decode_word(oracle.query(ctx, params), 0)
             else:
-                pairs = wordcodec.decode_pairs(
-                    oracle.query(ctx, wordcodec.encode_word(from_ts))
+                at = self._scan_slice(
+                    eid, oracle.query(ctx, wordcodec.encode_word(from_ts)), 0
                 )
-                hit = slice_first_satisfied(
-                    pairs, self._condition(eid), oracle.variable
-                )
-                at = NEVER if hit is None else hit
             if at == NEVER:
                 clear[eid] = now
             else:
@@ -362,11 +390,7 @@ class DeferredChoiceContract(Contract):
             if self.variant.conditional:
                 at = wordcodec.decode_word(payload, 1)
             else:
-                pairs = wordcodec.decode_pairs(payload, 1)
-                hit = slice_first_satisfied(
-                    pairs, self._condition(eid), self.oracles[eid].variable
-                )
-                at = NEVER if hit is None else hit
+                at = self._scan_slice(eid, payload, 1)
             if at == NEVER:
                 self._cond_clear[eid] = max(
                     self._cond_clear.get(eid, 0), inflight.horizon

@@ -83,6 +83,9 @@ class Scenario:
     choices: tuple[ChoiceDecl, ...]
     timeline: tuple[Action, ...]
     seed: int = 0
+    # set by a passing ``validate``; not a field, so copies made with
+    # ``dataclasses.replace`` start unvalidated
+    _validated = False
 
     def validate(self) -> None:
         if not valid_combination(self.variant, self.semantics):
@@ -177,6 +180,7 @@ class Scenario:
                         raise ScenarioError(
                             f"oracle {oracle} has no update at or before activation"
                         )
+        object.__setattr__(self, "_validated", True)
 
     def with_variant(self, variant: OracleVariant) -> "Scenario":
         semantics = (
@@ -446,7 +450,8 @@ class ExperimentReport:
 
 def run(scenario: Scenario, schedule: GasSchedule | None = None) -> ExperimentReport:
     """Replay the scenario on a fresh chain; deterministic for a given input."""
-    scenario.validate()
+    if not scenario._validated:
+        scenario.validate()
     chain = Chain(schedule or GasSchedule())
     oracle_contracts = []
     for decl in scenario.oracles:

@@ -5,20 +5,23 @@ step 73, 1 at 74, and 2 at 77.
 """
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from deferred_choice import wordcodec as wc
-from deferred_choice.expr import parse
+from deferred_choice.choice import resume_slice_scan
+from deferred_choice.expr import evaluate, parse
 from deferred_choice.ledger import Chain, Contract, GasSchedule
 from deferred_choice.oracles import (
     Architecture,
     AsyncOracle,
+    History,
     OracleError,
     OracleProvider,
     OracleQuery,
     OracleVariant,
     SyncOracle,
     earliest_satisfied,
-    history_slice,
     make_oracle_contract,
     HistoryEntry,
 )
@@ -300,13 +303,12 @@ def test_history_equivalence_on_and_off_chain():
             mine(chain_on, prov_on)
             prov_off.on_external_update(value, at)
         from_ts = rng.randint(0, updates[0][0])
-        condition = parse(f"d_w >= {rng.randint(1, 5)}")
-        assert [(e.at, e.value) for e in history_slice(on.entries, from_ts)] == [
-            (e.at, e.value) for e in history_slice(prov_off.state.history, from_ts)
-        ]
+        text = f"d_w >= {rng.randint(1, 5)}"
+        condition = parse(text)
+        assert on.history.since(from_ts) == prov_off.state.changes.since(from_ts)
         assert (
-            earliest_satisfied(on.entries, from_ts, condition, "d_w")[0]
-            == earliest_satisfied(prov_off.state.history, from_ts, condition, "d_w")[0]
+            on.history.earliest(from_ts, text, condition)[0]
+            == prov_off.state.changes.earliest(from_ts, text, condition)[0]
         )
 
 
@@ -316,21 +318,36 @@ def test_conditional_agrees_with_scan_over_regular_slice():
     rng = random.Random(9)
     for _ in range(50):
         updates = random_updates(rng, rng.randint(1, 12))
-        entries = []
-        last = None
+        history = History("d_w")
         for at, value in updates:
-            if value != last:
-                entries.append(HistoryEntry(at, value))
-                last = value
+            if not history.values or value != history.values[-1]:
+                history.append(at, value)
         from_ts = rng.randint(0, updates[0][0])  # at or before the first entry
-        condition = parse(f"d_w >= {rng.randint(1, 5)}")
-        found, _ = earliest_satisfied(entries, from_ts, condition, "d_w")
-        from deferred_choice.oracles import slice_first_satisfied
+        text = f"d_w >= {rng.randint(1, 5)}"
+        condition = parse(text)
+        found, _ = history.earliest(from_ts, text, condition)
+        hit, _ = resume_slice_scan(history.since(from_ts), 0, 0, condition, "d_w")
+        assert found == hit
 
-        hit = slice_first_satisfied(
-            [(e.at, e.value) for e in history_slice(entries, from_ts)], condition, "d_w"
-        )
-        assert found == (NEVER if hit is None else hit)
+
+def test_onchain_conditional_scan_charges_history_prefix_not_window():
+    """Pins a known defect: the on-chain conditional history charges the
+    first ``visited`` entries of the whole history as its scan, not the
+    ``visited`` entries it examined from the window start."""
+    chain, oracle, provider, _ = make_rig("onchain-history-cond")
+    for at, value in ((1, 0), (5, 7), (9, 3)):
+        advance_to(chain, provider, at - 1)
+        provider.on_external_update(value, at)
+        mine(chain, provider)
+    params = wc.encode_word(6) + wc.encode_text("d_w >= 7")
+    ctx = ctx_for(chain)
+    result = oracle.query(ctx, params)
+    assert wc.decode_word(result) == 6
+    assert earliest_satisfied(oracle.entries, 6, parse("d_w >= 7"), "d_w") == (6, 1)
+    byte_cost = chain.schedule.byte_cost
+    charged_scan = ctx.surcharge - byte_cost(params) - byte_cost(result)
+    assert charged_scan == byte_cost(wc.encode_pairs([(1, 0)]))  # examined: (5, 7)
+    assert charged_scan != byte_cost(wc.encode_pairs([(5, 7)]))
 
 
 def test_pubsub_completeness_one_push_per_change():
@@ -366,3 +383,123 @@ def test_storage_oracle_is_memoryless():
         mine(chain, provider)
     assert wc.decode_word(oracle.query(ctx_for(chain), b"")) == 1
     assert "at:0" not in oracle.storage
+
+
+# --- history: differential against a stateless reference ---------------------------
+
+CONDITION_TEXTS = (
+    "d_w < 3",
+    "d_w <= 2",
+    "d_w == 4",
+    "d_w != 0",
+    "d_w >= 5",
+    "d_w > 1",
+    "d_w >= 2 && d_w < 5",
+    "d_w == 0 || d_w > 4",
+    "!(d_w == 3)",
+)
+
+
+def reference_earliest(pairs, from_ts, condition):
+    """The per-query walk from the first change point, with no cursor."""
+    visited = 0
+    for i, (at, value) in enumerate(pairs):
+        if i + 1 < len(pairs) and pairs[i + 1][0] <= from_ts:
+            continue  # interval entirely before the window
+        visited += 1
+        if evaluate(condition, {"d_w": value}):
+            return max(at, from_ts), visited
+    return NEVER, visited
+
+
+def reference_slice_hit(payload, index, condition):
+    """First satisfying change point of a fully decoded slice, or NEVER."""
+    for at, value in wc.decode_pairs(payload, index):
+        if evaluate(condition, {"d_w": value}):
+            return at
+    return NEVER
+
+
+@st.composite
+def history_runs(draw):
+    """A few (from_ts, condition) questions and an interleaving of appends
+    (time gap, value) and repeated asks of those questions."""
+    questions = draw(
+        st.lists(
+            st.tuples(st.integers(0, 20), st.sampled_from(CONDITION_TEXTS)),
+            min_size=1,
+            max_size=4,
+            unique=True,
+        )
+    )
+    ops = draw(
+        st.lists(
+            st.one_of(
+                st.tuples(st.just("append"), st.integers(1, 6), st.integers(0, 6)),
+                st.tuples(st.just("ask"), st.integers(0, len(questions) - 1)),
+            ),
+            max_size=30,
+        )
+    )
+    return questions, ops
+
+
+@settings(max_examples=400, deadline=None)
+@given(history_runs())
+@example(([(3, "d_w >= 0")], [("ask", 0)]))  # empty history
+@example(  # from_ts equal to a change point
+    ([(5, "d_w == 4")], [("append", 2, 4), ("append", 4, 0), ("ask", 0)])
+)
+@example(  # an append at or before from_ts moves the window start
+    (
+        [(6, "d_w >= 7")],
+        [("append", 2, 0), ("ask", 0), ("append", 3, 7), ("ask", 0), ("append", 5, 3), ("ask", 0)],
+    )
+)
+@example(  # a hit asked again after later appends
+    (
+        [(0, "d_w > 1"), (2, "d_w < 3")],
+        [("append", 1, 2), ("ask", 0), ("ask", 1), ("append", 2, 5), ("ask", 0), ("ask", 1)],
+    )
+)
+def test_history_matches_stateless_reference(run):
+    questions, ops = run
+    history = History("d_w")
+    pairs = []
+    skips = [0] * len(questions)
+    for op in ops:
+        if op[0] == "append":
+            at = (pairs[-1][0] if pairs else -1) + op[1]
+            history.append(at, op[2])
+            pairs.append((at, op[2]))
+            continue
+        number = op[1]
+        from_ts, text = questions[number]
+        condition = parse(text)
+        found, visited = history.earliest(from_ts, text, condition)
+        assert (found, visited) == reference_earliest(pairs, from_ts, condition)
+        assert history.prefix(visited) == wc.encode_pairs(pairs[:visited])
+        window = history.since(from_ts)
+        assert window == wc.encode_pairs([p for p in pairs if p[0] >= from_ts])
+        # the consumer reads slices at word 0 (on-chain) or after a
+        # correlation word (callback), always from the same from_ts
+        index = number % 2
+        payload = wc.encode_word(number) * index + window
+        hit, skips[number] = resume_slice_scan(
+            payload, index, skips[number], condition, "d_w"
+        )
+        assert hit == reference_slice_hit(payload, index, condition)
+    assert history.entries == [HistoryEntry(at, value) for at, value in pairs]
+
+
+def test_history_rejects_non_increasing_append():
+    history = History("d_w")
+    history.append(4, 1)
+    with pytest.raises(OracleError):
+        history.append(4, 2)
+
+
+def test_resume_slice_scan_rejects_truncated_slice():
+    payload = wc.encode_pairs([(1, 0), (2, 5)])[: -wc.WORD_SIZE]
+    with pytest.raises(wc.CodecError):
+        resume_slice_scan(payload, 0, 0, parse("d_w > 9"), "d_w")

@@ -315,6 +315,29 @@ def test_conditional_oracle_needs_update_before_activation():
         broken.validate()
 
 
+def test_run_rejects_invalid_directly_built_scenario():
+    scenario = table1("onchain-history")
+    broken = Scenario(
+        scenario.scenario_id,
+        scenario.variant,
+        scenario.semantics,
+        scenario.oracles,
+        scenario.choices,
+        scenario.timeline[1:],  # drop the 0@73 update
+    )
+    with pytest.raises(ScenarioError):
+        run(broken)
+
+
+def test_run_validates_a_json_scenario_once():
+    text = TABLE1.read_text()
+    with mock.patch.object(
+        Scenario, "validate", autospec=True, side_effect=Scenario.validate
+    ) as validate:
+        run(Scenario.from_json(text))
+    assert validate.call_count == 1
+
+
 def test_json_round_trip():
     scenario = table1("pubsub-cond")
     again = Scenario.from_json(scenario.to_json())
