@@ -1,7 +1,7 @@
 """Deterministic simulator for the deferred-choice pattern on
 transaction-driven ledgers."""
 
-from .choice import DeferredChoiceContract, SemanticsKind, valid_combination
+from .choice import DeferredChoiceContract
 from .expr import (
     And,
     Comparison,
@@ -28,12 +28,15 @@ from .ledger import (
 )
 from .oracles import (
     ALL_VARIANTS,
+    Answer,
     Architecture,
+    Delivery,
     History,
     HistoryEntry,
     OracleProvider,
     OracleQuery,
     OracleVariant,
+    SemanticsKind,
     Subscription,
     earliest_satisfied,
     make_oracle_contract,

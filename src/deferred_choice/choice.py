@@ -1,31 +1,38 @@
 """Deferred-choice consumer contracts.
 
-A choice contract races its events on-chain. Two semantics are available:
+A choice contract races its events on-chain. What it can do follows from
+the two axes of its oracle architecture (see ``oracles``):
 
-* ``transaction-driven`` contracts rank events by the earliest timestamp
-  each could have been detected, reconstructed from history oracles or
-  pub/sub deliveries, and therefore pick the true first event even when
-  transactions arrive late;
-* ``continual`` contracts are the naive baseline: at every waking
-  transaction they look only at the current state of the world, which is
-  exactly what plain storage / request-response oracles support.
-
-Sync-bound contracts resolve conditions inline and can finalize within the
-waking transaction. Async-bound contracts issue correlated queries and
-finish the evaluation once every callback has arrived; pub/sub contracts
-accumulate pushed change points instead of querying.
+* the answer fixes the semantics. With a history since activation
+  (on-chain or off-chain history, pub/sub) a ``transaction-driven``
+  contract ranks events by the earliest timestamp each could have been
+  detected, and therefore picks the true first event even when
+  transactions arrive late. With only the current value (storage,
+  request-response) a ``continual`` contract is the naive baseline: at
+  every waking transaction it looks only at the current state of the world;
+* the delivery fixes how an evaluation runs. A sync contract reads its
+  oracles inline and can finalize within the waking transaction; a
+  callback contract issues correlated queries and finishes the evaluation
+  once every callback has arrived; a push contract accumulates pushed
+  change points instead of querying.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from enum import Enum
 
 from . import expr as exprlang
 from . import wordcodec
 from .ledger import Contract, ExecutionContext, Revert
-from .oracles import Architecture, AsyncOracle, OracleVariant, SyncOracle
+from .oracles import (  # SemanticsKind is re-exported for existing importers
+    Answer,
+    AsyncOracle,
+    Delivery,
+    OracleVariant,
+    SemanticsKind,
+    SyncOracle,
+)
 from .semantics import (
     NEVER,
     AbsoluteTimer,
@@ -34,19 +41,8 @@ from .semantics import (
     Message,
     RelativeTimer,
     check_events,
+    pick_winner,
 )
-
-
-class SemanticsKind(str, Enum):
-    CONTINUAL = "continual"
-    TRANSACTION_DRIVEN = "transaction-driven"
-
-
-def valid_combination(variant: OracleVariant, semantics: SemanticsKind) -> bool:
-    """Baselines run on plain oracles; ranking needs history or pub/sub."""
-    if semantics is SemanticsKind.CONTINUAL:
-        return variant.baseline
-    return not variant.baseline
 
 
 NIL = NEVER  # wire encoding of "no event" in activate/trigger payloads
@@ -103,18 +99,17 @@ class DeferredChoiceContract(Contract):
         self,
         events: Sequence[EventSpec],
         variant: OracleVariant,
-        semantics: SemanticsKind,
         oracles: Mapping[int, SyncOracle | AsyncOracle],
     ):
         super().__init__()
         check_events(events)
-        if not valid_combination(variant, semantics):
-            raise ValueError(f"{variant.id} cannot implement {semantics.value} semantics")
         self.events = tuple(events)
         self.variant = variant
-        self.semantics = semantics
         self.kind = f"{variant.id}-choice"
         self.oracles = dict(oracles)
+        # the architecture's row, resolved once per contract
+        self.ranks = variant.architecture.answer is Answer.HISTORY
+        self.delivery = variant.architecture.delivery
         self.cond_ids = tuple(
             e.id for e in self.events if isinstance(e.kind, Conditional)
         )
@@ -128,7 +123,7 @@ class DeferredChoiceContract(Contract):
                     f"event {eid} references {sorted(referenced)}, oracle provides "
                     f"{oracle.variable!r}"
                 )
-        if variant.architecture is Architecture.PUBSUB:
+        if self.delivery is Delivery.PUSH:
             bound = [self.oracles[eid].address for eid in self.cond_ids]
             if len(bound) != len(set(bound)):
                 raise ValueError("pub/sub allows one subscription per oracle")
@@ -143,12 +138,14 @@ class DeferredChoiceContract(Contract):
         self.message_detections: dict[int, int] = {}
         self._cond_found: dict[int, int] = {}
         self._cond_clear: dict[int, int] = {}
-        # host-side only: leading pairs of the event's history slice known
-        # not to satisfy its condition (regular history variants)
+        self._cond_truth: dict[int, bool] = {}  # current-value answers
+        # host-side only: the query parameters of each event, and the leading
+        # pairs of its history slice known not to satisfy its condition
+        # (regular history variants)
+        self._params_of: dict[int, bytes] = {}
         self._cond_unsatisfied: dict[int, int] = {}
         self._pending: dict[int, int] = {}
         self._inflight: _InFlight | None = None
-        self._callback_values: dict[int, int | bool] = {}
         self._corr_seq = 0
         self.queries_issued = 0
         self.callbacks_received = 0
@@ -182,11 +179,67 @@ class DeferredChoiceContract(Contract):
         ctx.write(self.storage, "winner", winner)
         ctx.write(self.storage, "winner_detection_ts", detected_at)
         ctx.log(self.address, "winner", wordcodec.encode_words(winner, detected_at))
-        if self.variant.architecture is Architecture.PUBSUB:
+        if self.delivery is Delivery.PUSH:
             for eid in self.cond_ids:
                 oracle = self.oracles[eid]
                 if oracle.is_subscribed(self.address):
                     oracle.unsubscribe(ctx, self.address)
+
+    def _params(self, eid: int) -> bytes:
+        """Query or subscription parameters of event ``eid``, built once: the
+        activation time when the contract queries a history, then the
+        condition text of a conditional variant. A subscription names no
+        time; it starts when it is made."""
+        params = self._params_of.get(eid)
+        if params is None:
+            params = b""
+            if self.ranks and self.delivery is not Delivery.PUSH:
+                params = wordcodec.encode_word(self.activation_ts)
+            if self.variant.conditional:
+                params += wordcodec.encode_text(exprlang.render(self._condition(eid)))
+            self._params_of[eid] = params
+        return params
+
+    def _read(self, eid: int, payload: bytes, index: int) -> int | bool:
+        """The oracle's answer for event ``eid`` at word ``index`` of
+        ``payload``: from a history, the earliest detection since activation
+        or NEVER; from the current value, whether the condition holds."""
+        if self.variant.conditional:
+            if self.ranks:
+                return wordcodec.decode_word(payload, index)
+            return wordcodec.decode_bool(payload, index)
+        if not self.ranks:
+            value = wordcodec.decode_word(payload, index)
+            return exprlang.evaluate(self._condition(eid), {self.oracles[eid].variable: value})
+        # slices are always taken from activation, so each one extends the
+        # last and only the pairs appended since need testing
+        at, self._cond_unsatisfied[eid] = resume_slice_scan(
+            payload,
+            index,
+            self._cond_unsatisfied.get(eid, 0),
+            self._condition(eid),
+            self.oracles[eid].variable,
+        )
+        return at
+
+    def _note(self, ctx: ExecutionContext, eid: int, answer: int | bool, horizon: int) -> None:
+        """Record event ``eid``'s answer, which holds through ``horizon``.
+
+        Answers that arrive in their own transaction (callbacks, pushes) are
+        kept in contract storage; a synchronous read is used within the
+        transaction that made it."""
+        if not self.ranks:
+            self._cond_truth[eid] = answer
+            return
+        persist = self.delivery is not Delivery.SYNC
+        if answer == NEVER:
+            self._cond_clear[eid] = max(self._cond_clear.get(eid, 0), horizon)
+            if persist:
+                ctx.write(self.storage, f"clear:{eid}", self._cond_clear[eid])
+        else:
+            self._cond_found[eid] = answer
+            if persist:
+                ctx.write(self.storage, f"cond:{eid}", answer)
 
     # -- dispatch ------------------------------------------------------------
 
@@ -217,14 +270,9 @@ class DeferredChoiceContract(Contract):
         for eid in self.cond_ids:
             self._cond_clear[eid] = now - 1
             ctx.write(self.storage, f"clear:{eid}", now - 1)
-        if self.variant.architecture is Architecture.PUBSUB:
+        if self.delivery is Delivery.PUSH:
             for eid in self.cond_ids:
-                params = b""
-                if self.variant.conditional:
-                    params = wordcodec.encode_text(
-                        exprlang.render(self._condition(eid))
-                    )
-                self.oracles[eid].subscribe(ctx, self.address, params)
+                self.oracles[eid].subscribe(ctx, self.address, self._params(eid))
         self._evaluate(ctx, preferred, None, now)
 
     def _try_trigger(self, ctx: ExecutionContext, payload: bytes) -> None:
@@ -244,7 +292,7 @@ class DeferredChoiceContract(Contract):
             raise Revert("evaluation in progress")
         if (
             message_event is not None
-            and self.semantics is SemanticsKind.TRANSACTION_DRIVEN
+            and self.ranks
             and message_event not in self.message_detections
         ):
             self.message_detections[message_event] = ctx.block_time
@@ -258,88 +306,37 @@ class DeferredChoiceContract(Contract):
         message_event: int | None,
         now: int,
     ) -> None:
-        arch = self.variant.architecture
-        if self.semantics is SemanticsKind.CONTINUAL:
-            if arch is Architecture.STORAGE:
-                values = {
-                    eid: self._sync_current(ctx, eid) for eid in self.cond_ids
-                }
-                detected = self._detected_now(message_event, now, values)
-                self._conclude_baseline(ctx, detected, preferred, now)
-            else:  # request-response
-                if self.cond_ids:
-                    self._issue_queries(ctx, self.cond_ids, preferred, message_event, now)
-                else:
-                    detected = self._detected_now(message_event, now, {})
-                    self._conclude_baseline(ctx, detected, preferred, now)
-            return
-        if arch is Architecture.ONCHAIN_HISTORY:
-            found, clear = self._resolve_sync(ctx, now)
-            self._rank(ctx, preferred, now, found, clear, None, now)
-        elif arch is Architecture.OFFCHAIN_HISTORY:
+        clear_floor = None
+        if self.delivery is Delivery.SYNC:
+            for eid in self.cond_ids:
+                answer = self._read(eid, self.oracles[eid].query(ctx, self._params(eid)), 0)
+                self._note(ctx, eid, answer, now)
+        elif self.delivery is Delivery.CALLBACK:
             needed = tuple(eid for eid in self.cond_ids if eid not in self._cond_found)
             if needed:
                 self._issue_queries(ctx, needed, preferred, message_event, now)
-            else:
-                self._rank(
-                    ctx, preferred, now, self._cond_found, self._cond_clear, None, now
-                )
-        else:  # pub/sub: change points arrive by push; triggers only rank.
-            # After the activation block every change up to "now" has been
-            # delivered before this transaction, so silence certifies
+                return
+        elif now > self.activation_ts:
+            # push: after the activation block every change up to "now" has
+            # been delivered before this transaction, so silence certifies
             # "unsatisfied through now". In the activation block itself the
             # catch-up push is still in flight and certifies nothing.
-            floor = now if now > self.activation_ts else None
-            self._rank(
-                ctx, preferred, now, self._cond_found, self._cond_clear, floor, now
-            )
+            clear_floor = now
+        self._conclude(ctx, preferred, message_event, now, clear_floor)
 
-    def _scan_slice(self, eid: int, payload: bytes, index: int) -> int:
-        """Earliest change point satisfying event ``eid`` in a history slice.
-
-        Slices are always taken from activation, so each one extends the
-        last and only the pairs appended since need testing."""
-        at, self._cond_unsatisfied[eid] = resume_slice_scan(
-            payload,
-            index,
-            self._cond_unsatisfied.get(eid, 0),
-            self._condition(eid),
-            self.oracles[eid].variable,
-        )
-        return at
-
-    # -- synchronous resolution ------------------------------------------------
-
-    def _sync_current(self, ctx: ExecutionContext, eid: int) -> int | bool:
-        oracle = self.oracles[eid]
-        if self.variant.conditional:
-            params = wordcodec.encode_text(exprlang.render(self._condition(eid)))
-            return wordcodec.decode_bool(oracle.query(ctx, params))
-        value = wordcodec.decode_word(oracle.query(ctx, b""), 0)
-        return value
-
-    def _resolve_sync(
-        self, ctx: ExecutionContext, now: int
-    ) -> tuple[dict[int, int], dict[int, int]]:
-        found: dict[int, int] = {}
-        clear: dict[int, int] = {}
-        from_ts = self.activation_ts
-        for eid in self.cond_ids:
-            oracle = self.oracles[eid]
-            if self.variant.conditional:
-                params = wordcodec.encode_word(from_ts) + wordcodec.encode_text(
-                    exprlang.render(self._condition(eid))
-                )
-                at = wordcodec.decode_word(oracle.query(ctx, params), 0)
-            else:
-                at = self._scan_slice(
-                    eid, oracle.query(ctx, wordcodec.encode_word(from_ts)), 0
-                )
-            if at == NEVER:
-                clear[eid] = now
-            else:
-                found[eid] = at
-        return found, clear
+    def _conclude(
+        self,
+        ctx: ExecutionContext,
+        preferred: int | None,
+        message_event: int | None,
+        horizon: int,
+        clear_floor: int | None = None,
+    ) -> None:
+        """Rank on a history answer; conclude the baseline on a current value."""
+        if self.ranks:
+            self._rank(ctx, preferred, horizon, clear_floor)
+        else:
+            self._conclude_baseline(ctx, preferred, message_event, horizon)
 
     # -- asynchronous resolution -------------------------------------------------
 
@@ -353,26 +350,13 @@ class DeferredChoiceContract(Contract):
     ) -> None:
         self._inflight = _InFlight(preferred, message_event, now)
         ctx.write(self.storage, "inflight_horizon", now)
-        self._callback_values = {}
         for eid in event_ids:
             self._corr_seq += 1
             corr = self._corr_seq
             ctx.write(self.storage, "corr_seq", corr)
             self._pending[corr] = eid
             ctx.write(self.storage, f"pending:{corr}", eid)
-            if self.semantics is SemanticsKind.TRANSACTION_DRIVEN:
-                params = wordcodec.encode_word(self.activation_ts)
-                if self.variant.conditional:
-                    params += wordcodec.encode_text(
-                        exprlang.render(self._condition(eid))
-                    )
-            else:
-                params = b""
-                if self.variant.conditional:
-                    params = wordcodec.encode_text(
-                        exprlang.render(self._condition(eid))
-                    )
-            self.oracles[eid].request(ctx, self.address, corr, params)
+            self.oracles[eid].request(ctx, self.address, corr, self._params(eid))
             self.queries_issued += 1
         self._observe(ctx, now)
 
@@ -386,53 +370,12 @@ class DeferredChoiceContract(Contract):
         ctx.write(self.storage, f"pending:{corr}", 0)
         self.callbacks_received += 1
         inflight = self._inflight
-        if self.semantics is SemanticsKind.TRANSACTION_DRIVEN:
-            if self.variant.conditional:
-                at = wordcodec.decode_word(payload, 1)
-            else:
-                at = self._scan_slice(eid, payload, 1)
-            if at == NEVER:
-                self._cond_clear[eid] = max(
-                    self._cond_clear.get(eid, 0), inflight.horizon
-                )
-                ctx.write(self.storage, f"clear:{eid}", self._cond_clear[eid])
-            else:
-                self._cond_found[eid] = at
-                ctx.write(self.storage, f"cond:{eid}", at)
-        else:
-            if self.variant.conditional:
-                self._callback_values[eid] = wordcodec.decode_bool(payload, 1)
-            else:
-                self._callback_values[eid] = wordcodec.decode_word(payload, 1)
+        self._note(ctx, eid, self._read(eid, payload, 1), inflight.horizon)
         if self._pending:
             return
         self._inflight = None
         ctx.write(self.storage, "inflight_horizon", 0)
-        if self.semantics is SemanticsKind.TRANSACTION_DRIVEN:
-            self._rank(
-                ctx,
-                inflight.preferred,
-                inflight.horizon,
-                self._cond_found,
-                self._cond_clear,
-                None,
-                inflight.horizon,
-            )
-        else:
-            values = {
-                eid: (
-                    value
-                    if self.variant.conditional
-                    else exprlang.evaluate(
-                        self._condition(eid), {self.oracles[eid].variable: value}
-                    )
-                )
-                for eid, value in self._callback_values.items()
-            }
-            detected = self._detected_now(
-                inflight.message_event, inflight.horizon, values
-            )
-            self._conclude_baseline(ctx, detected, inflight.preferred, inflight.horizon)
+        self._conclude(ctx, inflight.preferred, inflight.message_event, inflight.horizon)
 
     # -- pub/sub deliveries ----------------------------------------------------------
 
@@ -446,30 +389,20 @@ class DeferredChoiceContract(Contract):
             raise Revert(f"push from unbound oracle {oracle_address}")
         eid = self._oracle_event[oracle_address]
         at = wordcodec.decode_word(payload, 1)
-        if self.variant.conditional:
-            if eid not in self._cond_found:
-                self._cond_found[eid] = at
-                ctx.write(self.storage, f"cond:{eid}", at)
-        else:
-            value = wordcodec.decode_word(payload, 2)
-            if eid not in self._cond_found:
-                oracle = self.oracles[eid]
-                if exprlang.evaluate(
-                    self._condition(eid), {oracle.variable: value}
-                ):
-                    self._cond_found[eid] = at
-                    ctx.write(self.storage, f"cond:{eid}", at)
-                else:
-                    self._cond_clear[eid] = max(self._cond_clear.get(eid, 0), at)
-                    ctx.write(self.storage, f"clear:{eid}", self._cond_clear[eid])
+        if eid not in self._cond_found:
+            # a conditional push signals the condition; a regular one carries
+            # the new value
+            holds = self.variant.conditional or exprlang.evaluate(
+                self._condition(eid),
+                {self.oracles[eid].variable: wordcodec.decode_word(payload, 2)},
+            )
+            self._note(ctx, eid, at if holds else NEVER, at)
         # other oracles and message transactions may still land in this very
         # block, so a push only certifies the world through the previous step
         self._rank(
             ctx,
             None,
             at,
-            self._cond_found,
-            self._cond_clear,
             ctx.block_time - 1,
             ctx.block_time,
             message_cap=ctx.block_time - 1,
@@ -482,12 +415,13 @@ class DeferredChoiceContract(Contract):
         ctx: ExecutionContext,
         preferred: int | None,
         horizon: int,
-        found: Mapping[int, int],
-        clear: Mapping[int, int],
-        clear_floor: int | None,
-        timer_now: int,
+        clear_floor: int | None = None,
+        timer_now: int | None = None,
         message_cap: int | None = None,
     ) -> None:
+        if timer_now is None:
+            timer_now = horizon
+        found = self._cond_found
         detections: dict[int, int] = {}
         undelivered_message = False
         for event in self.events:
@@ -507,7 +441,7 @@ class DeferredChoiceContract(Contract):
         for eid in self.cond_ids:
             if eid in found:
                 continue
-            known_clear = clear.get(eid, self.activation_ts - 1)
+            known_clear = self._cond_clear.get(eid, self.activation_ts - 1)
             if clear_floor is not None:
                 known_clear = max(known_clear, clear_floor)
             blocker = min(blocker, known_clear)
@@ -523,46 +457,32 @@ class DeferredChoiceContract(Contract):
             self._observe(ctx, horizon)
             return
         pool = {eid for eid, at in detections.items() if at == best}
-        winner = preferred if preferred in pool else min(pool)
-        self._finalize(ctx, winner, best, horizon)
+        self._finalize(ctx, pick_winner(pool, preferred), best, horizon)
 
     # -- continual baseline ------------------------------------------------------
 
-    def _detected_now(
+    def _conclude_baseline(
         self,
+        ctx: ExecutionContext,
+        preferred: int | None,
         message_event: int | None,
-        now: int,
-        cond_truth: Mapping[int, int | bool],
-    ) -> set[int]:
+        horizon: int,
+    ) -> None:
+        """Decide on what holds at ``horizon`` alone: the waking message, the
+        timers already fired and the conditions the oracles say hold now."""
         detected: set[int] = set()
         for event in self.events:
             if isinstance(event.kind, Message):
                 if event.id == message_event:
                     detected.add(event.id)
             elif isinstance(event.kind, Conditional):
-                truth = cond_truth.get(event.id, False)
-                if not isinstance(truth, bool):
-                    truth = exprlang.evaluate(
-                        self._condition(event.id),
-                        {self.oracles[event.id].variable: truth},
-                    )
-                if truth:
+                if self._cond_truth.get(event.id, False):
                     detected.add(event.id)
             else:
                 fire = self._fire_time(event)
-                if fire is not None and fire <= now:
+                if fire is not None and fire <= horizon:
                     detected.add(event.id)
-        return detected
-
-    def _conclude_baseline(
-        self,
-        ctx: ExecutionContext,
-        detected: set[int],
-        preferred: int | None,
-        horizon: int,
-    ) -> None:
         if not detected:
             self._observe(ctx, horizon)
             return
-        winner = preferred if preferred in detected else min(detected)
-        self._finalize(ctx, winner, horizon, horizon)
+        self._finalize(ctx, pick_winner(detected, preferred), horizon, horizon)

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import expr as exprlang
-from .choice import SemanticsKind
 from .ledger import GasSchedule, receipt_record
 from .oracles import ALL_VARIANTS, Architecture, OracleVariant
 from .scenario import (
@@ -62,12 +61,6 @@ def _kind_name(event: EventSpec) -> str:
     if isinstance(kind, RelativeTimer):
         return "relative-timer"
     return "conditional"
-
-
-def _semantics_for(variant: OracleVariant) -> SemanticsKind:
-    return (
-        SemanticsKind.CONTINUAL if variant.baseline else SemanticsKind.TRANSACTION_DRIVEN
-    )
 
 
 # --- correctness experiment ---------------------------------------------------
@@ -124,7 +117,7 @@ def gen_correctness(n: int, k: int, variant: OracleVariant, seed: int) -> list[S
             Scenario(
                 scenario_id=f"corr-k{k}-{index:04d}",
                 variant=variant,
-                semantics=_semantics_for(variant),
+                semantics=variant.semantics,
                 oracles=tuple(oracles),
                 choices=(ChoiceDecl(tuple(events), bindings),),
                 timeline=tuple(actions),
@@ -193,20 +186,11 @@ class CorrectnessRow:
         return 100.0 * self.conditional_correct / max(self.conditional_total, 1)
 
 
-_TABLE_ORDER = (
-    (SemanticsKind.CONTINUAL, Architecture.STORAGE),
-    (SemanticsKind.CONTINUAL, Architecture.REQUEST_RESPONSE),
-    (SemanticsKind.TRANSACTION_DRIVEN, Architecture.ONCHAIN_HISTORY),
-    (SemanticsKind.TRANSACTION_DRIVEN, Architecture.OFFCHAIN_HISTORY),
-    (SemanticsKind.TRANSACTION_DRIVEN, Architecture.PUBSUB),
-)
-
-
 def correctness_rows(
     results: dict[str, list[CorrectnessRecord]]
 ) -> list[CorrectnessRow]:
     rows = []
-    for semantics, architecture in _TABLE_ORDER:
+    for architecture in Architecture:
         cells = {}
         for conditional in (False, True):
             records = results.get(OracleVariant(architecture, conditional).id, [])
@@ -218,7 +202,7 @@ def correctness_rows(
             continue
         rows.append(
             CorrectnessRow(
-                semantics=semantics.value,
+                semantics=OracleVariant(architecture).semantics.value,
                 architecture=architecture.value,
                 regular_correct=cells[False][0],
                 regular_total=cells[False][1],
@@ -261,7 +245,7 @@ def gen_cost(c: int, u: int, variant: OracleVariant) -> Scenario:
     return Scenario(
         scenario_id=f"cost-{variant.id}-c{c}-u{u}",
         variant=variant,
-        semantics=_semantics_for(variant),
+        semantics=variant.semantics,
         oracles=(OracleDecl("x"),),
         choices=choices,
         timeline=tuple(actions),
@@ -396,7 +380,7 @@ def gen_random_scenarios(
             Scenario(
                 scenario_id=f"rand-{index:04d}",
                 variant=base_variant,
-                semantics=SemanticsKind.TRANSACTION_DRIVEN,
+                semantics=base_variant.semantics,
                 oracles=tuple(oracles),
                 choices=(ChoiceDecl(tuple(events), bindings),),
                 timeline=tuple(actions),
@@ -429,7 +413,7 @@ def report_rows(reports: Iterable[ExperimentReport]) -> list[ReportRow]:
         ReportRow(
             scenario_id=r.scenario_id,
             variant=r.variant.id,
-            semantics=r.semantics.value,
+            semantics=r.variant.semantics.value,
             c=r.consumers,
             u=r.updates,
             winner=r.winner,

@@ -1,16 +1,29 @@
 """Oracle architectures bridging external variables onto the ledger.
 
 Each oracle serves one external variable and comes in two halves: an
-on-chain contract and an off-chain provider. Five architectures are
-implemented, each in a regular and a conditional variant:
+on-chain contract and an off-chain provider. The architectures differ on
+two axes, and ``Architecture`` holds one row per architecture:
 
-* storage          — current value kept on-chain, synchronous reads
-* request-response — value kept off-chain, query event + callback
-* onchain-history  — change points appended on-chain, synchronous slices
-* offchain-history — change points kept off-chain, slices via callback
-* pubsub           — provider pushes every change to subscribers
+==================  ========================  ========
+architecture        answer                    delivery
+==================  ========================  ========
+storage             current value             sync
+request-response    current value             callback
+onchain-history     history since activation  sync
+offchain-history    history since activation  callback
+pubsub              history since activation  push
+==================  ========================  ========
 
-Regular variants hand values (or value histories) to the consumer, which
+The answer is what the oracle can tell a sleeping contract: only the value
+in force now, or every change point since the contract activated. Only a
+history answer lets a contract rank events by the time they happened, so
+the answer axis fixes the ``SemanticsKind``. The delivery is how the answer
+reaches the contract: a read within the calling transaction, a query event
+answered by a callback transaction, or a push on every change. Every other
+difference between the architectures is read from these two fields.
+
+Each architecture comes in a regular and a conditional variant. Regular
+variants hand values (or value histories) to the consumer, which
 evaluates its condition locally. Conditional variants accept a rendered
 condition expression and answer with a boolean, an earliest-satisfied
 timestamp, or a push signal at the first time the condition holds.
@@ -47,12 +60,45 @@ class OracleError(Exception):
     """Misuse of an oracle interface (e.g. synchronous query on an async one)."""
 
 
+class Answer(str, Enum):
+    """What an oracle can tell a sleeping contract."""
+
+    CURRENT = "current value"
+    HISTORY = "history since activation"
+
+
+class Delivery(str, Enum):
+    """How an oracle's answer reaches the contract."""
+
+    SYNC = "sync"
+    CALLBACK = "callback"
+    PUSH = "push"
+
+
+class SemanticsKind(str, Enum):
+    CONTINUAL = "continual"
+    TRANSACTION_DRIVEN = "transaction-driven"
+
+
 class Architecture(str, Enum):
-    STORAGE = "storage"
-    REQUEST_RESPONSE = "request-response"
-    ONCHAIN_HISTORY = "onchain-history"
-    OFFCHAIN_HISTORY = "offchain-history"
-    PUBSUB = "pubsub"
+    """One row per architecture: its wire name, what it answers and how the
+    answer is delivered."""
+
+    answer: Answer
+    delivery: Delivery
+
+    def __new__(cls, value: str, answer: Answer, delivery: Delivery) -> "Architecture":
+        member = str.__new__(cls, value)
+        member._value_ = value
+        member.answer = answer
+        member.delivery = delivery
+        return member
+
+    STORAGE = "storage", Answer.CURRENT, Delivery.SYNC
+    REQUEST_RESPONSE = "request-response", Answer.CURRENT, Delivery.CALLBACK
+    ONCHAIN_HISTORY = "onchain-history", Answer.HISTORY, Delivery.SYNC
+    OFFCHAIN_HISTORY = "offchain-history", Answer.HISTORY, Delivery.CALLBACK
+    PUBSUB = "pubsub", Answer.HISTORY, Delivery.PUSH
 
 
 @dataclass(frozen=True)
@@ -66,12 +112,21 @@ class OracleVariant:
 
     @property
     def synchronous(self) -> bool:
-        return self.architecture in (Architecture.STORAGE, Architecture.ONCHAIN_HISTORY)
+        return self.architecture.delivery is Delivery.SYNC
 
     @property
     def baseline(self) -> bool:
-        """True for the architectures that cannot rank detections in time."""
-        return self.architecture in (Architecture.STORAGE, Architecture.REQUEST_RESPONSE)
+        """True for the architectures that cannot rank detections in time:
+        they answer only the current value."""
+        return self.architecture.answer is Answer.CURRENT
+
+    @property
+    def semantics(self) -> SemanticsKind:
+        """Ranking needs a history answer; a current value supports only the
+        continual baseline."""
+        if self.baseline:
+            return SemanticsKind.CONTINUAL
+        return SemanticsKind.TRANSACTION_DRIVEN
 
     @classmethod
     def parse(cls, text: str) -> "OracleVariant":
@@ -242,6 +297,38 @@ class History:
         return NEVER, visited
 
 
+def answer_query(
+    known: int | History,
+    params: bytes,
+    conditional: bool,
+    conditions: _ConditionCache,
+    variable: str,
+) -> tuple[bytes, bytes]:
+    """Answer a query on the current value ``known`` or on a history.
+
+    Returns the result and the bytes scanned to produce it. A history query
+    names the ``from_ts`` word first; a conditional query then names its
+    condition text, and the result is a boolean for the current value and
+    the earliest satisfying timestamp (or NEVER) for a history.
+    """
+    if isinstance(known, History):
+        from_ts = wordcodec.decode_word(params, 0)
+        if not conditional:
+            result = known.since(from_ts)
+            return result, result
+        text = wordcodec.decode_text(params, 1)
+        found, visited = known.earliest(from_ts, text, conditions[text])
+        # known defect, kept so that gas does not shift: this charges the
+        # first ``visited`` entries of the whole history, not the
+        # ``visited`` entries examined from the window start
+        return wordcodec.encode_word(found), known.prefix(visited)
+    scan = wordcodec.encode_word(known)
+    if not conditional:
+        return scan, scan
+    condition = conditions[wordcodec.decode_text(params, 0)]
+    return wordcodec.encode_bool(exprlang.evaluate(condition, {variable: known})), scan
+
+
 # --- on-chain halves --------------------------------------------------------
 
 
@@ -261,7 +348,7 @@ class SyncOracle(Contract):
         self.variable = variable
         self.kind = f"{variant.id}-oracle"
         self.history = History(variable)
-        self.current: HistoryEntry | None = None  # storage architecture only
+        self.keeps_history = variant.architecture.answer is Answer.HISTORY
         self.conditions = _ConditionCache()
 
     @property
@@ -277,8 +364,7 @@ class SyncOracle(Contract):
     def set(self, ctx: ExecutionContext, payload: bytes) -> None:
         value = wordcodec.decode_word(payload, 0)
         at = ctx.block_time
-        if self.variant.architecture is Architecture.STORAGE:
-            self.current = HistoryEntry(at, value)
+        if not self.keeps_history:
             ctx.write(self.storage, "value", value)
             return
         history = self.history
@@ -291,30 +377,10 @@ class SyncOracle(Contract):
 
     def query(self, ctx: ExecutionContext, params: bytes) -> bytes:
         ctx.charge_bytes(params)
-        if self.variant.architecture is Architecture.STORAGE:
-            value = self.current.value if self.current else 0
-            scan = wordcodec.encode_word(value)
-            if self.variant.conditional:
-                condition = self.conditions[wordcodec.decode_text(params, 0)]
-                result = wordcodec.encode_bool(
-                    exprlang.evaluate(condition, {self.variable: value})
-                )
-            else:
-                result = wordcodec.encode_word(value)
-            ctx.charge_bytes(scan)
-            ctx.charge_bytes(result)
-            return result
-        from_ts = wordcodec.decode_word(params, 0)
-        if self.variant.conditional:
-            text = wordcodec.decode_text(params, 1)
-            found, visited = self.history.earliest(from_ts, text, self.conditions[text])
-            # known defect, kept so that gas does not shift: this charges the
-            # first ``visited`` entries of the whole history, not the
-            # ``visited`` entries examined from the window start
-            scan = self.history.prefix(visited)
-            result = wordcodec.encode_word(found)
-        else:
-            scan = result = self.history.since(from_ts)
+        known = self.history if self.keeps_history else self.storage.get("value", 0)
+        result, scan = answer_query(
+            known, params, self.variant.conditional, self.conditions, self.variable
+        )
         ctx.charge_bytes(scan)
         ctx.charge_bytes(result)
         return result
@@ -333,17 +399,18 @@ class AsyncOracle(Contract):
         self.variant = variant
         self.variable = variable
         self.kind = f"{variant.id}-oracle"
+        self.pushes = variant.architecture.delivery is Delivery.PUSH
 
     def query(self, ctx: ExecutionContext, params: bytes) -> bytes:
         raise OracleError("synchronous query on an asynchronous oracle")
 
     def request(self, ctx: ExecutionContext, consumer: int, corr: int, params: bytes) -> None:
-        if self.variant.architecture is Architecture.PUBSUB:
+        if self.pushes:
             raise OracleError("pub/sub oracles are driven by subscriptions, not queries")
         ctx.log(self.address, "query", wordcodec.encode_words(corr, consumer) + params)
 
     def subscribe(self, ctx: ExecutionContext, subscriber: int, params: bytes) -> None:
-        if self.variant.architecture is not Architecture.PUBSUB:
+        if not self.pushes:
             raise OracleError("only pub/sub oracles accept subscriptions")
         key = f"sub:{subscriber}"
         if self.storage.get(key) == 1:
@@ -371,16 +438,6 @@ def make_oracle_contract(variant: OracleVariant, variable: str) -> Contract:
 # --- off-chain half ---------------------------------------------------------
 
 
-@dataclass
-class _ProviderState:
-    changes: History
-    current: HistoryEntry | None = None  # the latest update, changed or not
-
-    @property
-    def history(self) -> list[HistoryEntry]:
-        return self.changes.entries
-
-
 class OracleProvider:
     """Deterministic off-chain reactor for one oracle contract.
 
@@ -395,31 +452,30 @@ class OracleProvider:
         self.variant: OracleVariant = oracle.variant
         self.variable: str = oracle.variable
         self.account = f"provider-{oracle.address}"
-        self.state = _ProviderState(History(self.variable))
+        self.history = History(self.variable)
+        self.current: HistoryEntry | None = None  # the latest update, changed or not
         self.subscriptions: dict[int, Subscription] = {}
         self.conditions = _ConditionCache()
+        self.keeps_history = self.variant.architecture.answer is Answer.HISTORY
+        self.delivery = self.variant.architecture.delivery
 
     # -- data updates --------------------------------------------------------
 
     def on_external_update(self, value: int, at: int) -> None:
-        previous = self.state.current
+        previous = self.current
         if previous is not None and at <= previous.at:
             raise OracleError(
                 f"non-monotone update: {at} after {previous.at} on {self.variable}"
             )
-        changed = previous is None or previous.value != value
-        self.state.current = HistoryEntry(at, value)
-        if changed:
-            self.state.changes.append(at, value)
-        arch = self.variant.architecture
-        if arch is Architecture.STORAGE:
+        self.current = HistoryEntry(at, value)
+        if previous is None or previous.value != value:
+            self.history.append(at, value)
+        elif self.keeps_history:
+            return  # a history records change points only
+        if self.delivery is Delivery.SYNC:
             self._submit_set(value)
-        elif arch is Architecture.ONCHAIN_HISTORY:
-            if changed:
-                self._submit_set(value)
-        elif arch is Architecture.PUBSUB:
-            if changed:
-                self._push_change(value, at)
+        elif self.delivery is Delivery.PUSH:
+            self._push_change(value, at)
 
     def _submit_set(self, value: int) -> None:
         self.chain.submit(
@@ -483,7 +539,7 @@ class OracleProvider:
                         self.subscriptions[subscriber].active = False
 
     def _register_subscription(self, subscriber: int, params: bytes, block_ts: int) -> None:
-        if self.state.current is None:
+        if self.current is None:
             raise OracleError(
                 f"subscription before any update of {self.variable!r}"
             )
@@ -495,42 +551,29 @@ class OracleProvider:
         # push the current knowledge immediately so the subscriber has no gap
         if self.variant.conditional:
             sub.satisfied = exprlang.evaluate(
-                condition, {self.variable: self.state.current.value}
+                condition, {self.variable: self.current.value}
             )
             if sub.satisfied:
                 sub.signaled = True
                 self.chain.submit_deferred(self._push_tx(subscriber, block_ts, None))
         else:
             self.chain.submit_deferred(
-                self._push_tx(subscriber, block_ts, self.state.current.value)
+                self._push_tx(subscriber, block_ts, self.current.value)
             )
 
     # -- query answers -----------------------------------------------------------
 
     def respond(self, query: OracleQuery) -> Transaction:
         """Build the callback transaction answering an asynchronous query."""
-        arch = self.variant.architecture
-        if arch is Architecture.REQUEST_RESPONSE:
-            current = self.state.current.value if self.state.current else 0
-            if self.variant.conditional:
-                condition = self.conditions[wordcodec.decode_text(query.params, 0)]
-                result = wordcodec.encode_bool(
-                    exprlang.evaluate(condition, {self.variable: current})
-                )
-            else:
-                result = wordcodec.encode_word(current)
-        elif arch is Architecture.OFFCHAIN_HISTORY:
-            from_ts = wordcodec.decode_word(query.params, 0)
-            if self.variant.conditional:
-                text = wordcodec.decode_text(query.params, 1)
-                found, _ = self.state.changes.earliest(
-                    from_ts, text, self.conditions[text]
-                )
-                result = wordcodec.encode_word(found)
-            else:
-                result = self.state.changes.since(from_ts)
-        else:
+        if self.delivery is not Delivery.CALLBACK:
             raise OracleError(f"{self.variant.id} does not answer queries")
+        if self.keeps_history:
+            known = self.history
+        else:
+            known = self.current.value if self.current else 0
+        result, _ = answer_query(
+            known, query.params, self.variant.conditional, self.conditions, self.variable
+        )
         return Transaction(
             self.account,
             query.consumer,

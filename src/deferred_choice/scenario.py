@@ -23,18 +23,21 @@ from heapq import heapify, heappop, heappush
 from typing import Any
 
 from . import expr as exprlang
-from .choice import (
-    DeferredChoiceContract,
-    SemanticsKind,
-    encode_activate,
-    encode_trigger,
-    valid_combination,
-)
+from .choice import DeferredChoiceContract, encode_activate, encode_trigger
 from .ledger import Chain, GasSchedule, Receipt, Transaction
-from .oracles import OracleProvider, OracleVariant, make_oracle_contract
+from .oracles import (
+    Delivery,
+    OracleError,
+    OracleProvider,
+    OracleVariant,
+    SemanticsKind,
+    make_oracle_contract,
+)
 from .semantics import (
+    DATA_MAX,
     AbsoluteTimer,
     Conditional,
+    ContractViolation,
     EnvironmentState,
     EnvironmentTrace,
     EventSpec,
@@ -50,6 +53,11 @@ SETTLE_STEPS = 2  # extra empty blocks so trailing callbacks get mined
 
 class ScenarioError(ValueError):
     """Scenario failed validation or deserialization."""
+
+
+def _in_range(value: Any, stop: int) -> bool:
+    """Whether ``value`` is an int, not a bool, in ``range(stop)``."""
+    return type(value) is int and 0 <= value < stop
 
 
 @dataclass(frozen=True)
@@ -88,21 +96,41 @@ class Scenario:
     _validated = False
 
     def validate(self) -> None:
-        if not valid_combination(self.variant, self.semantics):
+        if self.semantics != self.variant.semantics:
             raise ScenarioError(
                 f"{self.variant.id} cannot run under {self.semantics.value} semantics"
             )
+        # the ground truth keys change points by variable name
+        names = {o.variable for o in self.oracles if isinstance(o.variable, str)}
+        if len(names) != len(self.oracles):
+            raise ScenarioError("oracle variables must be distinct names")
+        one_subscription = self.variant.architecture.delivery is Delivery.PUSH
         for decl in self.choices:
-            check_events(decl.events)
+            try:
+                check_events(decl.events)
+            except ContractViolation as error:
+                raise ScenarioError(str(error)) from None
+            bound: set[int] = set()
             for event in decl.events:
-                if isinstance(event.kind, Conditional):
+                kind = event.kind
+                if isinstance(kind, AbsoluteTimer) and not _in_range(kind.deadline, DATA_MAX + 1):
+                    raise ScenarioError(f"event {event.id}: bad deadline {kind.deadline!r}")
+                if isinstance(kind, RelativeTimer) and not _in_range(kind.delta, DATA_MAX + 1):
+                    raise ScenarioError(f"event {event.id}: bad delta {kind.delta!r}")
+                if isinstance(kind, Conditional):
                     if event.id not in decl.oracle_for_event:
                         raise ScenarioError(
                             f"conditional event {event.id} lacks an oracle binding"
                         )
                     index = decl.oracle_for_event[event.id]
-                    if not 0 <= index < len(self.oracles):
-                        raise ScenarioError(f"oracle index {index} out of range")
+                    if not _in_range(index, len(self.oracles)):
+                        raise ScenarioError(f"oracle index {index!r} out of range")
+                    if one_subscription and index in bound:
+                        raise ScenarioError(
+                            f"{self.variant.id} allows one subscription per oracle, "
+                            f"but oracle {index} binds two events"
+                        )
+                    bound.add(index)
                     referenced = exprlang.variables(event.kind.condition)
                     provided = {self.oracles[index].variable}
                     if referenced != provided:
@@ -117,16 +145,16 @@ class Scenario:
         activation_step: dict[int, int] = {}
         first_message: dict[int, int] = {}
         for action in self.timeline:
-            if action.step < 1:
-                raise ScenarioError("timeline steps start at 1")
+            if type(action.step) is not int or action.step < 1:
+                raise ScenarioError(f"bad step {action.step!r}: steps are integers from 1")
             if action.step < last_step:
                 raise ScenarioError("timeline steps must be non-decreasing")
             last_step = action.step
             if action.kind == "update":
-                if action.oracle is None or action.value is None:
-                    raise ScenarioError("update action needs oracle and value")
-                if not 0 <= action.oracle < len(self.oracles):
-                    raise ScenarioError(f"unknown oracle {action.oracle}")
+                if not _in_range(action.oracle, len(self.oracles)):
+                    raise ScenarioError(f"unknown oracle {action.oracle!r}")
+                if not _in_range(action.value, DATA_MAX + 1):
+                    raise ScenarioError(f"bad value {action.value!r}: values are 64-bit words")
                 if update_seen.get(action.oracle) == action.step:
                     raise ScenarioError(
                         f"oracle {action.oracle} updated twice at step {action.step}"
@@ -134,8 +162,8 @@ class Scenario:
                 update_seen[action.oracle] = action.step
                 first_update.setdefault(action.oracle, action.step)
             elif action.kind in ("activate", "trigger", "message"):
-                if action.choice is None or not 0 <= action.choice < len(self.choices):
-                    raise ScenarioError(f"unknown choice {action.choice}")
+                if not _in_range(action.choice, len(self.choices)):
+                    raise ScenarioError(f"unknown choice {action.choice!r}")
                 # one transaction per choice per block keeps tie-breaking
                 # well-defined (the block's preferred event is unambiguous)
                 key = (action.choice, action.step)
@@ -156,15 +184,15 @@ class Scenario:
                             f"at step {action.step}"
                         )
                 if action.kind == "message":
-                    if action.event is None or action.event >= len(events):
+                    if not _in_range(action.event, len(events)):
                         raise ScenarioError("message action needs a valid event id")
                     if not isinstance(events[action.event].kind, Message):
                         raise ScenarioError(
                             f"event {action.event} is not a message event"
                         )
                     first_message.setdefault(action.choice, action.step)
-                if action.preferred is not None and action.preferred >= len(events):
-                    raise ScenarioError(f"unknown preferred event {action.preferred}")
+                if action.preferred is not None and not _in_range(action.preferred, len(events)):
+                    raise ScenarioError(f"unknown preferred event {action.preferred!r}")
             else:
                 raise ScenarioError(f"unknown action kind {action.kind!r}")
         # conditional oracles must be defined before the binding choice activates
@@ -183,11 +211,7 @@ class Scenario:
         object.__setattr__(self, "_validated", True)
 
     def with_variant(self, variant: OracleVariant) -> "Scenario":
-        semantics = (
-            SemanticsKind.CONTINUAL if variant.baseline
-            else SemanticsKind.TRANSACTION_DRIVEN
-        )
-        return replace(self, variant=variant, semantics=semantics)
+        return replace(self, variant=variant, semantics=variant.semantics)
 
     # -- serialization -------------------------------------------------------
 
@@ -253,19 +277,19 @@ class Scenario:
                     if kind_name == "message":
                         kind: Any = Message()
                     elif kind_name == "absolute-timer":
-                        kind = AbsoluteTimer(int(event_obj["deadline"]))
+                        kind = AbsoluteTimer(event_obj["deadline"])
                     elif kind_name == "relative-timer":
-                        kind = RelativeTimer(int(event_obj["delta"]))
+                        kind = RelativeTimer(event_obj["delta"])
                     elif kind_name == "conditional":
                         kind = Conditional(exprlang.parse(event_obj["expr"]))
-                        bindings[eid] = int(event_obj["oracle"])
+                        bindings[eid] = event_obj["oracle"]
                     else:
                         raise ScenarioError(f"unknown event kind {kind_name!r}")
                     events.append(EventSpec(eid, kind))
                 choices.append(ChoiceDecl(tuple(events), bindings))
             timeline = tuple(
                 Action(
-                    step=int(a["step"]),
+                    step=a["step"],
                     kind=a["action"],
                     oracle=a.get("oracle"),
                     value=a.get("value"),
@@ -286,7 +310,7 @@ class Scenario:
             )
         except ScenarioError:
             raise
-        except (KeyError, TypeError, ValueError, exprlang.ExprError) as error:
+        except (AttributeError, KeyError, TypeError, ValueError, OracleError) as error:
             raise ScenarioError(f"malformed scenario: {error}") from None
         scenario.validate()
         return scenario
@@ -419,7 +443,6 @@ class ChoiceOutcome:
 class ExperimentReport:
     scenario_id: str
     variant: OracleVariant
-    semantics: SemanticsKind
     consumers: int
     updates: int
     outcomes: list[ChoiceOutcome]
@@ -465,9 +488,7 @@ def run(scenario: Scenario, schedule: GasSchedule | None = None) -> ExperimentRe
             eid: oracle_contracts[index]
             for eid, index in decl.oracle_for_event.items()
         }
-        contract = DeferredChoiceContract(
-            decl.events, scenario.variant, scenario.semantics, bindings
-        )
+        contract = DeferredChoiceContract(decl.events, scenario.variant, bindings)
         chain.deploy(contract)
         choice_contracts.append(contract)
 
@@ -527,7 +548,6 @@ def run(scenario: Scenario, schedule: GasSchedule | None = None) -> ExperimentRe
     return ExperimentReport(
         scenario_id=scenario.scenario_id,
         variant=scenario.variant,
-        semantics=scenario.semantics,
         consumers=len(scenario.choices),
         updates=sum(
             1

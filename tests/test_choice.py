@@ -13,11 +13,17 @@ from deferred_choice.choice import (
     SemanticsKind,
     encode_activate,
     encode_trigger,
-    valid_combination,
 )
 from deferred_choice.expr import parse
 from deferred_choice.ledger import Chain, Transaction
-from deferred_choice.oracles import ALL_VARIANTS, OracleVariant, make_oracle_contract
+from deferred_choice.oracles import (
+    ALL_VARIANTS,
+    Answer,
+    Architecture,
+    Delivery,
+    OracleVariant,
+    make_oracle_contract,
+)
 from deferred_choice.scenario import Action, ChoiceDecl, Scenario, run
 from deferred_choice.semantics import Conditional, EventSpec, Message, RelativeTimer
 
@@ -31,12 +37,20 @@ def table1_scenario(variant_id="onchain-history"):
     return scenario.with_variant(OracleVariant.parse(variant_id))
 
 
-def test_valid_combinations():
+def test_architecture_table():
+    rows = {arch: (arch.answer, arch.delivery) for arch in Architecture}
+    assert rows == {
+        Architecture.STORAGE: (Answer.CURRENT, Delivery.SYNC),
+        Architecture.REQUEST_RESPONSE: (Answer.CURRENT, Delivery.CALLBACK),
+        Architecture.ONCHAIN_HISTORY: (Answer.HISTORY, Delivery.SYNC),
+        Architecture.OFFCHAIN_HISTORY: (Answer.HISTORY, Delivery.CALLBACK),
+        Architecture.PUBSUB: (Answer.HISTORY, Delivery.PUSH),
+    }
     for variant in ALL_VARIANTS:
-        assert valid_combination(variant, SemanticsKind.CONTINUAL) == variant.baseline
-        assert valid_combination(
-            variant, SemanticsKind.TRANSACTION_DRIVEN
-        ) == (not variant.baseline)
+        continual = variant.semantics is SemanticsKind.CONTINUAL
+        assert continual == (variant.architecture.answer is Answer.CURRENT)
+        assert continual == variant.baseline
+        assert variant.synchronous == (variant.architecture.delivery is Delivery.SYNC)
 
 
 # --- activate ------------------------------------------------------------------
@@ -110,7 +124,6 @@ def test_double_activation_reverts():
     contract = DeferredChoiceContract(
         scenario.choices[0].events,
         scenario.variant,
-        scenario.semantics,
         {E_W: oracle},
     )
     chain.deploy(contract)
@@ -163,7 +176,7 @@ def test_trigger_with_non_message_event_reverts():
     chain.deploy(oracle)
     scenario = table1_scenario()
     contract = DeferredChoiceContract(
-        scenario.choices[0].events, scenario.variant, scenario.semantics, {E_W: oracle}
+        scenario.choices[0].events, scenario.variant, {E_W: oracle}
     )
     chain.deploy(contract)
     chain.submit(Transaction("sim", contract.address, "activate", encode_activate(None), 0))
@@ -245,7 +258,7 @@ def test_unknown_correlation_id_reverts():
     chain.deploy(oracle)
     scenario = table1_scenario("offchain-history")
     contract = DeferredChoiceContract(
-        scenario.choices[0].events, scenario.variant, scenario.semantics, {E_W: oracle}
+        scenario.choices[0].events, scenario.variant, {E_W: oracle}
     )
     chain.deploy(contract)
     chain.submit(Transaction("sim", contract.address, "activate", encode_activate(None), 0))
@@ -270,7 +283,7 @@ def test_callback_after_winner_is_ignored():
     oracle = make_oracle_contract(scenario.variant, "d_w")
     chain.deploy(oracle)
     contract = DeferredChoiceContract(
-        scenario.choices[0].events, scenario.variant, scenario.semantics, {E_W: oracle}
+        scenario.choices[0].events, scenario.variant, {E_W: oracle}
     )
     chain.deploy(contract)
     contract.winner = E_D
@@ -382,7 +395,6 @@ def test_conditional_event_requires_binding():
         DeferredChoiceContract(
             events,
             OracleVariant.parse("onchain-history"),
-            SemanticsKind.TRANSACTION_DRIVEN,
             {},
         )
 
@@ -394,7 +406,6 @@ def test_expression_variables_must_match_oracle():
         DeferredChoiceContract(
             events,
             OracleVariant.parse("onchain-history"),
-            SemanticsKind.TRANSACTION_DRIVEN,
             {0: oracle},
         )
 
@@ -402,13 +413,10 @@ def test_expression_variables_must_match_oracle():
 def test_timer_only_choice_finalizes_in_trigger_transaction():
     for variant_id in ("offchain-history", "pubsub", "request-response"):
         variant = OracleVariant.parse(variant_id)
-        semantics = (
-            SemanticsKind.CONTINUAL if variant.baseline else SemanticsKind.TRANSACTION_DRIVEN
-        )
         scenario = Scenario(
             scenario_id="timer-only",
             variant=variant,
-            semantics=semantics,
+            semantics=variant.semantics,
             oracles=(),
             choices=(
                 ChoiceDecl(

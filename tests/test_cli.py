@@ -9,6 +9,7 @@ from deferred_choice.experiments import (
     read_heatmap_csv,
     read_report_csv,
 )
+from deferred_choice.scenario import Scenario, ScenarioError
 
 TABLE1 = Path(__file__).resolve().parent.parent / "scenarios" / "table1.json"
 
@@ -44,6 +45,55 @@ def test_run_message_before_activation_exits_2(tmp_path, capsys):
     scenario.write_text(json.dumps(obj))
     assert main(["run", str(scenario), "--out", str(tmp_path / "out")]) == 2
     assert "before its activation" in capsys.readouterr().err
+
+
+def _set(path, value):
+    """An edit of the table1 JSON: set the item at ``path`` to ``value``."""
+
+    def edit(obj):
+        *parents, last = path
+        for key in parents:
+            obj = obj[key]
+        obj[last] = value
+
+    return edit
+
+
+def _pubsub_two_events_one_oracle(obj):
+    obj["variant"] = "pubsub"
+    second = {"kind": "conditional", "expr": "d_w >= 5", "oracle": 0}
+    obj["choices"][0]["events"].append(second)
+
+
+MALFORMED = {
+    "value-2**64": _set(("timeline", 0, "value"), 2**64),
+    "value-negative": _set(("timeline", 0, "value"), -1),
+    "value-true": _set(("timeline", 0, "value"), True),
+    "value-string": _set(("timeline", 2, "value"), "4"),
+    "step-float": _set(("timeline", 4, "step"), 78.5),
+    "deadline-negative": _set(("choices", 0, "events", 0, "deadline"), -1),
+    "preferred-negative": _set(("timeline", 1, "preferred"), -1),
+    "message-event-negative": _set(("timeline", 4, "event"), -1),
+    "update-oracle-string": _set(("timeline", 0, "oracle"), "0"),
+    "choice-string": _set(("timeline", 1, "choice"), "0"),
+    "no-events": _set(("choices", 0, "events"), []),
+    "unknown-variant": _set(("variant",), "carrier-pigeon"),
+    "variant-number": _set(("variant",), 5),
+    "pubsub-two-events-one-oracle": _pubsub_two_events_one_oracle,
+    "variable-twice": _set(("oracles",), [{"variable": "d_w"}, {"variable": "d_w"}]),
+    "variable-list": _set(("oracles", 0, "variable"), ["d_w"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_scenario_rejected_and_run_exits_2(tmp_path, case):
+    obj = json.loads(TABLE1.read_text())
+    MALFORMED[case](obj)
+    with pytest.raises(ScenarioError):
+        Scenario.from_obj(obj)
+    scenario = tmp_path / "bad.json"
+    scenario.write_text(json.dumps(obj))
+    assert main(["run", str(scenario), "--out", str(tmp_path / "out")]) == 2
 
 
 def test_run_empty_timeline(tmp_path):

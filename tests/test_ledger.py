@@ -97,7 +97,7 @@ def test_deploy_charges_configured_oracle_constant():
 
 
 def test_deploy_charges_configured_choice_constant():
-    from deferred_choice.choice import DeferredChoiceContract, SemanticsKind
+    from deferred_choice.choice import DeferredChoiceContract
     from deferred_choice.expr import parse as parse_expr
     from deferred_choice.oracles import OracleVariant, make_oracle_contract
     from deferred_choice.semantics import Conditional, EventSpec
@@ -109,7 +109,6 @@ def test_deploy_charges_configured_choice_constant():
     contract = DeferredChoiceContract(
         (EventSpec(0, Conditional(parse_expr("x >= 1"))),),
         variant,
-        SemanticsKind.TRANSACTION_DRIVEN,
         {0: oracle},
     )
     address = chain.deploy(contract)

@@ -126,7 +126,7 @@ def test_offchain_history_update_produces_no_transactions():
     advance_to(chain, provider, 72)
     provider.on_external_update(0, 73)
     assert mine(chain, provider) == []
-    assert provider.state.history == [HistoryEntry(73, 0)]
+    assert provider.history.entries == [HistoryEntry(73, 0)]
 
 
 def test_nonmonotone_update_rejected():
@@ -305,10 +305,10 @@ def test_history_equivalence_on_and_off_chain():
         from_ts = rng.randint(0, updates[0][0])
         text = f"d_w >= {rng.randint(1, 5)}"
         condition = parse(text)
-        assert on.history.since(from_ts) == prov_off.state.changes.since(from_ts)
+        assert on.history.since(from_ts) == prov_off.history.since(from_ts)
         assert (
             on.history.earliest(from_ts, text, condition)[0]
-            == prov_off.state.changes.earliest(from_ts, text, condition)[0]
+            == prov_off.history.earliest(from_ts, text, condition)[0]
         )
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 from unittest import mock
@@ -13,6 +14,7 @@ from deferred_choice.experiments import (
     TRANSACTION_DRIVEN_VARIANTS,
     gen_correctness,
     gen_cost,
+    write_receipts_log,
 )
 from deferred_choice.oracles import ALL_VARIANTS, OracleVariant
 from deferred_choice.scenario import (
@@ -449,3 +451,42 @@ def test_empty_timeline_reports_nil_winner():
     assert report.winner is None
     assert report.truth is None
     assert report.correct is True
+
+
+# --- pinned outputs ---------------------------------------------------------------
+
+# (variant, input) -> (gas_total, sha256 of write_receipts_log); "table1" is
+# scenarios/table1.json and "cost" is gen_cost(5, 10, variant). A refactor
+# that keeps outputs byte-identical keeps every pair.
+PINNED_OUTPUTS = {
+    ("storage", "table1"): (1977335, "8962a5e7facb9143d1c37a74cdece3c9daf96b06c8b290f97983e580e3bd3881"),
+    ("storage", "cost"): (8736643, "479151724257a9c39d9676b09e0bba3315172a1cdd809c2b3592db87ea51bc01"),
+    ("storage-cond", "table1"): (2088063, "5319cf546e821fd545c101c0902a845539495ce5e2a5d58f973343bbad684299"),
+    ("storage-cond", "cost"): (8771863, "2db270106d3bd878889c33b40d139d9eaa92fd6f968b65b8349ca90259c3abf3"),
+    ("request-response", "table1"): (2117713, "ce2310b7166c709bebaecfc6a5a32ffeaa301f6c5b119915caa88343fa2e9c4a"),
+    ("request-response", "cost"): (9937480, "77cb8eac2e3ece64f6b01ab7755819700b0f638f0e23c9892333f2ca4c53c14d"),
+    ("request-response-cond", "table1"): (2098737, "5c457d9828fd0647f5ac99a9ba347e267dc68a3a7e8310225049cfe06872f1a3"),
+    ("request-response-cond", "cost"): (9845100, "9b6399bb961ca4bc9ebebaabd7b74f81849ef56fce264c55bdd3d6db5bc99bac"),
+    ("onchain-history", "table1"): (2369831, "7c9d249486514a5523715af863d1bd465ac54e51be65df0b4b0181f3fec00161"),
+    ("onchain-history", "cost"): (9790743, "1f462c007820d512ba2df6e923c65f7bdf304309825d58371858b0500b90c0da"),
+    ("onchain-history-cond", "table1"): (2319547, "6512530df0bca6be9088fec1997f6da978ff508b3b2701dd7ce6b8b8eaba3e1c"),
+    ("onchain-history-cond", "cost"): (9210003, "c5cbd438efd772f95d1c52ec9256071641a9c9c4ace2ff8d78d5330267a17c73"),
+    ("offchain-history", "table1"): (2254333, "795a5b4ed159cb0803027db61cde849ecd5c3d9afe405e808cf773355b60010c"),
+    ("offchain-history", "cost"): (10562320, "8b1aa32ac1047efee81b8f93c1d72cfe3ca215b98e4e39a78d8f09b376ef5c33"),
+    ("offchain-history-cond", "table1"): (2114345, "5e9ffe23ce0753e0f22959c195fb5d708e7d19f33927a461a649a9e51edbac99"),
+    ("offchain-history-cond", "cost"): (9849900, "13dec049f4c9552aaa6f078016ec9802acbfc0f682031de70be4e0b069a4ffc5"),
+    ("pubsub", "table1"): (2164276, "92c12ff958fa97ef58e831472f90ef2066b9cf7cb3d700b0530510f57a610291"),
+    ("pubsub", "cost"): (11091260, "0d6673e97302bf7392f833e378f1bdd6fbe110878f5aa38da931749178aecadf"),
+    ("pubsub-cond", "table1"): (2011820, "333602f3736f4771afb9d0378635e86edde5f7b07ef147ebe116864cee52850e"),
+    ("pubsub-cond", "cost"): (9072180, "77e831668a8e164ff2c3ba16bab693aebb07433f360cb186d4e786a5c38c3172"),
+}
+
+
+def test_outputs_pinned_for_every_variant(tmp_path):
+    path = tmp_path / "receipts.log"
+    for variant in ALL_VARIANTS:
+        for name, scenario in (("table1", table1(variant.id)), ("cost", gen_cost(5, 10, variant))):
+            report = run(scenario)
+            write_receipts_log(path, [report])
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            assert (report.gas_total, digest) == PINNED_OUTPUTS[variant.id, name], (variant.id, name)
