@@ -17,14 +17,13 @@ oracle-vs-reference equivalence suite.
 from __future__ import annotations
 
 import csv
-import json
 import random
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
 from . import expr as exprlang
-from .ledger import GasSchedule, receipt_record
+from .ledger import GasSchedule, receipt_line
 from .oracles import ALL_VARIANTS, Architecture, OracleVariant
 from .scenario import (
     Action,
@@ -565,5 +564,4 @@ def write_receipts_log(path: str | Path, reports: Iterable[ExperimentReport]) ->
     """Line-delimited JSON, one record per receipt."""
     with open(path, "w") as handle:
         for report in reports:
-            for receipt in report.receipts:
-                handle.write(json.dumps(receipt_record(receipt)) + "\n")
+            handle.writelines(map(receipt_line, report.receipts))

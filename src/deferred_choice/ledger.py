@@ -1,17 +1,22 @@
 """Deterministic transaction-driven runtime standing in for a blockchain.
 
-One block is mined per simulation step and the block timestamp equals the
-block height, which realizes the discrete time domain of the semantics
-layer directly on-chain. Gas covers the transaction base cost, calldata
-bytes, storage writes, log emission and any execution surcharge a contract
-adds (synchronous oracle reads are metered that way). There is no virtual
-machine: contracts are Python objects dispatching on a function selector.
+Block ``n`` is the block of simulation step ``n`` and its timestamp equals
+its height, which realizes the discrete time domain of the semantics layer
+directly on-chain. A block that would hold no transaction changes nothing
+but the height, so the chain can skip it (``Chain.skip_empty_blocks``).
+Gas covers the transaction base cost, calldata bytes, storage writes, log
+emission and any execution surcharge a contract adds (synchronous oracle
+reads are metered that way). There is no virtual machine: contracts are
+Python objects dispatching on a function selector. Transactions, logs and
+receipts are immutable named tuples.
 """
 
 from __future__ import annotations
 
+import json
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 from . import wordcodec
 
@@ -32,34 +37,55 @@ class Revert(Exception):
         self.reason = reason
 
 
-@dataclass(frozen=True)
-class Transaction:
+class _TransactionFields(NamedTuple):
     sender: str
     to: int
     function: str
     payload: bytes
     submitted_at: int
 
-    def __post_init__(self) -> None:
-        if not wordcodec.is_word_aligned(self.payload):
+
+class Transaction(_TransactionFields):
+    """An immutable transaction; its payload must be whole words."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls, sender: str, to: int, function: str, payload: bytes, submitted_at: int
+    ) -> "Transaction":
+        if len(payload) % wordcodec.WORD_SIZE:
             raise LedgerError(
-                f"payload length {len(self.payload)} is not a multiple of 32"
+                f"payload length {len(payload)} is not a multiple of 32"
             )
+        return tuple.__new__(cls, (sender, to, function, payload, submitted_at))
+
+    @classmethod
+    def _make(cls, iterable) -> "Transaction":
+        return cls(*iterable)  # so that ``_replace`` validates too
 
 
-@dataclass(frozen=True)
-class LogEntry:
+class _LogEntryFields(NamedTuple):
     source: int
     topic: str
     payload: bytes
 
-    def __post_init__(self) -> None:
-        if not wordcodec.is_word_aligned(self.payload):
+
+class LogEntry(_LogEntryFields):
+    """An immutable log record; its payload must be whole words."""
+
+    __slots__ = ()
+
+    def __new__(cls, source: int, topic: str, payload: bytes) -> "LogEntry":
+        if len(payload) % wordcodec.WORD_SIZE:
             raise LedgerError("log payload is not word aligned")
+        return tuple.__new__(cls, (source, topic, payload))
+
+    @classmethod
+    def _make(cls, iterable) -> "LogEntry":
+        return cls(*iterable)  # so that ``_replace`` validates too
 
 
-@dataclass(frozen=True)
-class Receipt:
+class Receipt(NamedTuple):
     tx: Transaction
     mined_at: int
     gas_used: int
@@ -152,7 +178,8 @@ def gas_cost(
     total = schedule.tx_base + schedule.byte_cost(tx.payload)
     total += storage_writes_new * schedule.storage_write_new
     total += storage_writes_update * schedule.storage_write_update
-    total += sum(schedule.log_cost(log) for log in logs)
+    for log in logs:
+        total += schedule.log_cost(log)
     return total
 
 
@@ -177,6 +204,8 @@ class ContractStorage:
 
 class ExecutionContext:
     """Per-transaction accounting: block time, writes, logs, surcharges."""
+
+    __slots__ = ("block_time", "schedule", "writes_new", "writes_update", "logs", "surcharge")
 
     def __init__(self, block_time: int, schedule: GasSchedule):
         self.block_time = block_time
@@ -250,6 +279,12 @@ class Chain:
         an error."""
         self._deferred.append(tx)
 
+    def skip_empty_blocks(self, height: int) -> None:
+        """Advance to ``height`` without mining, unless a transaction is
+        queued, in which case the next block is not empty."""
+        if not self._pending and not self._deferred and height > self.height:
+            self.height = height
+
     def step(self) -> list[Receipt]:
         """Mine one block: execute deferred reactions, then fresh submissions."""
         self.height += 1
@@ -283,18 +318,22 @@ class Chain:
         return Receipt(tx, block_time, gas, tuple(ctx.logs), "ok", None)
 
 
-def receipt_record(receipt: Receipt) -> dict:
-    """JSON-serializable record for the receipt dump (one line per receipt)."""
-    return {
-        "step": receipt.mined_at,
-        "from": receipt.tx.sender,
-        "to": receipt.tx.to,
-        "function": receipt.tx.function,
-        "payload_bytes": receipt.tx.payload.hex(),
-        "gas_used": receipt.gas_used,
-        "status": receipt.status,
-        "logs": [
-            {"source": log.source, "topic": log.topic, "payload": log.payload.hex()}
-            for log in receipt.logs
-        ],
-    }
+_quote = json.encoder.encode_basestring_ascii
+
+
+def receipt_line(receipt: Receipt) -> str:
+    """One line of the receipts log, newline included: the JSON object
+    ``json.dumps`` writes for the receipt, with ASCII-escaped strings and
+    its default separators, formatted directly."""
+    tx = receipt.tx
+    logs = ", ".join(
+        f'{{"source": {log.source}, "topic": {_quote(log.topic)}, '
+        f'"payload": "{log.payload.hex()}"}}'
+        for log in receipt.logs
+    )
+    return (
+        f'{{"step": {receipt.mined_at}, "from": {_quote(tx.sender)}, "to": {tx.to}, '
+        f'"function": {_quote(tx.function)}, "payload_bytes": "{tx.payload.hex()}", '
+        f'"gas_used": {receipt.gas_used}, "status": {_quote(receipt.status)}, '
+        f'"logs": [{logs}]}}\n'
+    )

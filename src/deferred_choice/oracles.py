@@ -49,6 +49,7 @@ import itertools
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from . import expr as exprlang
 from . import wordcodec
@@ -147,8 +148,7 @@ ALL_VARIANTS: tuple[OracleVariant, ...] = tuple(
 )
 
 
-@dataclass(frozen=True)
-class HistoryEntry:
+class HistoryEntry(NamedTuple):
     at: int
     value: int
 
@@ -303,30 +303,43 @@ def answer_query(
     conditional: bool,
     conditions: _ConditionCache,
     variable: str,
-) -> tuple[bytes, bytes]:
+    ctx: ExecutionContext | None = None,
+) -> bytes:
     """Answer a query on the current value ``known`` or on a history.
 
-    Returns the result and the bytes scanned to produce it. A history query
-    names the ``from_ts`` word first; a conditional query then names its
-    condition text, and the result is a boolean for the current value and
-    the earliest satisfying timestamp (or NEVER) for a history.
+    A history query names the ``from_ts`` word first; a conditional query
+    then names its condition text, and the result is a boolean for the
+    current value and the earliest satisfying timestamp (or NEVER) for a
+    history. An on-chain read passes its ``ctx``, which is charged for the
+    parameters, the bytes scanned to produce the answer and the result; an
+    off-chain answer passes none, and the scanned bytes are not built.
     """
+    scan = b""
     if isinstance(known, History):
         from_ts = wordcodec.decode_word(params, 0)
-        if not conditional:
-            result = known.since(from_ts)
-            return result, result
-        text = wordcodec.decode_text(params, 1)
-        found, visited = known.earliest(from_ts, text, conditions[text])
-        # known defect, kept so that gas does not shift: this charges the
-        # first ``visited`` entries of the whole history, not the
-        # ``visited`` entries examined from the window start
-        return wordcodec.encode_word(found), known.prefix(visited)
-    scan = wordcodec.encode_word(known)
-    if not conditional:
-        return scan, scan
-    condition = conditions[wordcodec.decode_text(params, 0)]
-    return wordcodec.encode_bool(exprlang.evaluate(condition, {variable: known})), scan
+        if conditional:
+            text = wordcodec.decode_text(params, 1)
+            found, visited = known.earliest(from_ts, text, conditions[text])
+            result = wordcodec.encode_word(found)
+            if ctx is not None:
+                # known defect, kept so that gas does not shift: this charges
+                # the first ``visited`` entries of the whole history, not the
+                # ``visited`` entries examined from the window start
+                scan = known.prefix(visited)
+        else:
+            result = scan = known.since(from_ts)
+    elif conditional:
+        condition = conditions[wordcodec.decode_text(params, 0)]
+        result = wordcodec.encode_bool(exprlang.evaluate(condition, {variable: known}))
+        if ctx is not None:
+            scan = wordcodec.encode_word(known)
+    else:
+        result = scan = wordcodec.encode_word(known)
+    if ctx is not None:
+        ctx.charge_bytes(params)
+        ctx.charge_bytes(scan)
+        ctx.charge_bytes(result)
+    return result
 
 
 # --- on-chain halves --------------------------------------------------------
@@ -376,14 +389,10 @@ class SyncOracle(Contract):
         ctx.write(self.storage, f"value:{index}", value)
 
     def query(self, ctx: ExecutionContext, params: bytes) -> bytes:
-        ctx.charge_bytes(params)
         known = self.history if self.keeps_history else self.storage.get("value", 0)
-        result, scan = answer_query(
-            known, params, self.variant.conditional, self.conditions, self.variable
+        return answer_query(
+            known, params, self.variant.conditional, self.conditions, self.variable, ctx
         )
-        ctx.charge_bytes(scan)
-        ctx.charge_bytes(result)
-        return result
 
 
 class AsyncOracle(Contract):
@@ -571,7 +580,7 @@ class OracleProvider:
             known = self.history
         else:
             known = self.current.value if self.current else 0
-        result, _ = answer_query(
+        result = answer_query(
             known, query.params, self.variant.conditional, self.conditions, self.variable
         )
         return Transaction(

@@ -3,11 +3,12 @@
 A scenario fixes the oracle variant, the execution semantics, the deferred
 choices with their event sets and oracle bindings, and a timeline of
 actions: external-variable updates, activations, triggers, and messages.
-Replaying a scenario drives a fresh chain plus providers step by step and
-then reports, per choice, the on-chain winner next to the ground-truth
-winner of the continual semantics over the environment induced from the
-timeline (timestamps from step indices, valuations piecewise-constant
-between updates). The ground truth is computed once per scenario from the
+Replaying a scenario drives a fresh chain plus providers step by step,
+mining only the blocks that hold a transaction, and then reports, per
+choice, the on-chain winner next to the ground-truth winner of the
+continual semantics over the environment induced from the timeline
+(timestamps from step indices, valuations piecewise-constant between
+updates). The ground truth is computed once per scenario from the
 change points of each variable (``ground_truth``); the tests check it
 against the dense continual executor ``run_continual`` run over the full
 trace that ``induced_trace`` builds.
@@ -20,7 +21,7 @@ from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from heapq import heapify, heappop, heappush
-from typing import Any
+from typing import Any, NamedTuple
 
 from . import expr as exprlang
 from .choice import DeferredChoiceContract, encode_activate, encode_trigger
@@ -48,7 +49,7 @@ from .semantics import (
 )
 
 SIM_ACCOUNT = "sim"
-SETTLE_STEPS = 2  # extra empty blocks so trailing callbacks get mined
+SETTLE_STEPS = 2  # blocks after the last action so trailing callbacks get mined
 
 
 class ScenarioError(ValueError):
@@ -71,8 +72,7 @@ class ChoiceDecl:
     oracle_for_event: dict[int, int] = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class Action:
+class Action(NamedTuple):
     step: int
     kind: str  # update | activate | trigger | message
     oracle: int | None = None
@@ -499,9 +499,17 @@ def run(scenario: Scenario, schedule: GasSchedule | None = None) -> ExperimentRe
         # within a block, data changes precede choice transactions; the
         # induced ground-truth trace assumes the same order
         actions.sort(key=lambda a: 0 if a.kind == "update" else 1)
-    last_step = max((a.step for a in scenario.timeline), default=0)
+    steps = iter(sorted(by_step))
+    next_step = next(steps, None)
+    end = max(by_step, default=0) + SETTLE_STEPS
 
-    for step in range(1, last_step + SETTLE_STEPS + 1):
+    while True:
+        # a block holding no transaction changes nothing: skip to the block
+        # before the next action, or to the end once none is left
+        chain.skip_empty_blocks(end if next_step is None else next_step - 1)
+        if chain.height >= end:
+            break
+        step = chain.height + 1
         for action in by_step.get(step, ()):
             if action.kind == "update":
                 providers[action.oracle].on_external_update(action.value, step)
@@ -522,9 +530,12 @@ def run(scenario: Scenario, schedule: GasSchedule | None = None) -> ExperimentRe
                 chain.submit(
                     Transaction(SIM_ACCOUNT, target.address, function, payload, chain.height)
                 )
+        if step == next_step:
+            next_step = next(steps, None)
         receipts = chain.step()
-        for provider in providers:
-            provider.after_block(receipts, chain.height)
+        if receipts:
+            for provider in providers:
+                provider.after_block(receipts, chain.height)
 
     outcomes = []
     for index, (contract, (truth, _)) in enumerate(zip(choice_contracts, ground_truth(scenario))):

@@ -42,10 +42,6 @@ def word_count(data: bytes) -> int:
     return len(data) // WORD_SIZE
 
 
-def is_word_aligned(data: bytes) -> bool:
-    return len(data) % WORD_SIZE == 0
-
-
 def encode_bool(flag: bool) -> bytes:
     return encode_word(1 if flag else 0)
 

@@ -1,15 +1,24 @@
+import json
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from deferred_choice.ledger import (
     Chain,
     Contract,
     GasSchedule,
+    LedgerError,
     LogEntry,
+    Receipt,
     Revert,
     Transaction,
     UnknownContractError,
     gas_cost,
+    receipt_line,
 )
+from deferred_choice.oracles import HistoryEntry
+from deferred_choice.scenario import Action
 
 
 class Probe(Contract):
@@ -258,3 +267,122 @@ def test_identical_runs_are_deterministic():
         return [(r.mined_at, r.gas_used, r.status) for r in chain.receipts]
 
     assert run_once() == run_once()
+
+
+# --- records ----------------------------------------------------------------
+
+# every field of each record, in declaration order, with a sample value
+RECORD_FIELDS = {
+    Action: {
+        "step": 3, "kind": "message", "oracle": None, "value": None,
+        "choice": 0, "preferred": 1, "event": 2,
+    },
+    Transaction: {
+        "sender": "sim", "to": 1, "function": "f", "payload": b"\x01" * 32, "submitted_at": 4,
+    },
+    LogEntry: {"source": 1, "topic": "t", "payload": b"\x00" * 64},
+    Receipt: {
+        "tx": Transaction("sim", 1, "f", b"", 0),
+        "mined_at": 1,
+        "gas_used": 21_000,
+        "logs": (LogEntry(1, "t", b""),),
+        "status": "reverted",
+        "revert_reason": "nope",
+    },
+    HistoryEntry: {"at": 5, "value": 7},
+}
+
+
+@pytest.mark.parametrize("cls", RECORD_FIELDS, ids=lambda cls: cls.__name__)
+def test_record_keyword_and_positional_construction_agree(cls):
+    fields = RECORD_FIELDS[cls]
+    record = cls(**fields)
+    assert record == cls(*fields.values())
+    assert {name: getattr(record, name) for name in fields} == fields
+
+
+@pytest.mark.parametrize("cls", RECORD_FIELDS, ids=lambda cls: cls.__name__)
+def test_record_fields_cannot_be_assigned(cls):
+    record = cls(**RECORD_FIELDS[cls])
+    for name, value in RECORD_FIELDS[cls].items():
+        with pytest.raises(AttributeError):
+            setattr(record, name, value)
+
+
+@pytest.mark.parametrize("payload", [b"\x00", b"\x01" * 31, b"\x00" * 33])
+def test_unaligned_record_payload_rejected(payload):
+    with pytest.raises(LedgerError):
+        Transaction("sim", 1, "f", payload, 0)
+    with pytest.raises(LedgerError):
+        Transaction(sender="sim", to=1, function="f", payload=payload, submitted_at=0)
+    with pytest.raises(LedgerError):
+        Transaction("sim", 1, "f", b"", 0)._replace(payload=payload)
+    with pytest.raises(LedgerError):
+        LogEntry(1, "t", payload)
+    with pytest.raises(LedgerError):
+        LogEntry(source=1, topic="t", payload=payload)
+
+
+def test_action_fields_default_to_none():
+    action = Action(step=1, kind="update")
+    assert (action.step, action.kind) == (1, "update")
+    assert [action.oracle, action.value, action.choice, action.preferred, action.event] == [None] * 5
+
+
+# --- receipts log line ------------------------------------------------------------
+
+
+def reference_line(receipt):
+    """The receipts-log line as ``json.dumps`` of the record dict."""
+    record = {
+        "step": receipt.mined_at,
+        "from": receipt.tx.sender,
+        "to": receipt.tx.to,
+        "function": receipt.tx.function,
+        "payload_bytes": receipt.tx.payload.hex(),
+        "gas_used": receipt.gas_used,
+        "status": receipt.status,
+        "logs": [
+            {"source": log.source, "topic": log.topic, "payload": log.payload.hex()}
+            for log in receipt.logs
+        ],
+    }
+    return json.dumps(record) + "\n"
+
+
+# quotes, backslashes, control characters, non-ASCII and lone surrogates
+texts = st.text(
+    st.one_of(
+        st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\xe9\u2028\ud800\U0001f600'),
+        st.characters(codec=None, categories=None),
+    )
+)
+ints = st.one_of(st.integers(min_value=0, max_value=2**64), st.integers(min_value=-(2**520), max_value=2**520))
+payloads = st.lists(st.binary(min_size=32, max_size=32), max_size=3).map(b"".join)
+log_entries = st.builds(LogEntry, ints, texts, payloads)
+receipts = st.builds(
+    Receipt,
+    st.builds(Transaction, texts, ints, texts, payloads, ints),
+    ints,
+    ints,
+    st.lists(log_entries, max_size=4).map(tuple),
+    st.sampled_from(["ok", "reverted"]),
+    st.one_of(st.none(), texts),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(receipts)
+@example(Receipt(Transaction("sim", 3, "activate", b"", 0), 73, 21_000, (), "ok"))
+@example(
+    Receipt(
+        Transaction('pro"vider\\-\x01', 2**256, "caf\xe9\u2028", b"\x00" * 31 + b"\xff", 9),
+        2**70,
+        -1,
+        (LogEntry(0, "", b""), LogEntry(2, "t\u00f6pic\n", b"\x01" * 64), LogEntry(3, "\ud83d", b"")),
+        "reverted",
+        "unknown contract",
+    )
+)
+def test_receipt_line_matches_json_dumps(receipt):
+    assert receipt_line(receipt) == reference_line(receipt)

@@ -16,6 +16,7 @@ from deferred_choice.experiments import (
     gen_cost,
     write_receipts_log,
 )
+from deferred_choice.ledger import Chain
 from deferred_choice.oracles import ALL_VARIANTS, OracleVariant
 from deferred_choice.scenario import (
     Action,
@@ -77,6 +78,29 @@ def test_run_is_reproducible():
         for r in second.receipts
     ]
     assert first.gas_total == second.gas_total
+
+
+def test_far_trigger_mines_only_blocks_with_transactions():
+    from dataclasses import replace
+
+    for variant in ALL_VARIANTS:
+        scenario = table1(variant.id)
+        last = scenario.timeline[-1].step
+
+        def with_trigger(step):
+            return replace(
+                scenario, timeline=scenario.timeline + (Action(step, "trigger", choice=0),)
+            )
+
+        near = run(with_trigger(last + 1))
+        with mock.patch.object(Chain, "step", autospec=True, side_effect=Chain.step) as step:
+            far = run(with_trigger(10**9))
+        assert step.call_count <= 12, variant.id
+        assert far.receipts[-1].mined_at == 10**9
+        assert [(o.winner, o.truth) for o in far.outcomes] == [
+            (o.winner, o.truth) for o in near.outcomes
+        ], variant.id
+        assert far.gas_total == near.gas_total, variant.id
 
 
 def test_induced_trace_is_piecewise_constant():
