@@ -38,7 +38,6 @@ from .oracles import (
     OracleVariant,
     SemanticsKind,
     Subscription,
-    earliest_satisfied,
     make_oracle_contract,
 )
 from .scenario import (
@@ -48,31 +47,19 @@ from .scenario import (
     OracleDecl,
     Scenario,
     ScenarioError,
-    ground_truth_winner,
-    induced_trace,
+    ground_truth,
     run,
 )
 from .semantics import (
     NEVER,
     AbsoluteTimer,
-    ChoiceState,
     Conditional,
     ContractViolation,
-    EnvironmentState,
-    EnvironmentTrace,
     EventSpec,
     Message,
     RelativeTimer,
-    TimestampOverflow,
-    continual_step,
-    detect,
-    detected_set,
-    earliest_any_detection,
-    earliest_detection,
-    initial_state,
-    run_continual,
-    successor,
-    transaction_step,
+    pick_winner,
+    timer_fire,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

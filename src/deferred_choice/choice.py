@@ -35,13 +35,12 @@ from .oracles import (  # SemanticsKind is re-exported for existing importers
 )
 from .semantics import (
     NEVER,
-    AbsoluteTimer,
     Conditional,
     EventSpec,
     Message,
-    RelativeTimer,
     check_events,
     pick_winner,
+    timer_fire,
 )
 
 
@@ -147,8 +146,6 @@ class DeferredChoiceContract(Contract):
         self._pending: dict[int, int] = {}
         self._inflight: _InFlight | None = None
         self._corr_seq = 0
-        self.queries_issued = 0
-        self.callbacks_received = 0
 
     # -- helpers -----------------------------------------------------------
 
@@ -156,13 +153,6 @@ class DeferredChoiceContract(Contract):
         kind = self.events[eid].kind
         assert isinstance(kind, Conditional)
         return kind.condition
-
-    def _fire_time(self, event: EventSpec) -> int | None:
-        if isinstance(event.kind, AbsoluteTimer):
-            return event.kind.deadline
-        if isinstance(event.kind, RelativeTimer):
-            return self.activation_ts + event.kind.delta
-        return None
 
     def _observe(self, ctx: ExecutionContext, horizon: int) -> None:
         if self.observed_ts is None or horizon > self.observed_ts:
@@ -357,7 +347,6 @@ class DeferredChoiceContract(Contract):
             self._pending[corr] = eid
             ctx.write(self.storage, f"pending:{corr}", eid)
             self.oracles[eid].request(ctx, self.address, corr, self._params(eid))
-            self.queries_issued += 1
         self._observe(ctx, now)
 
     def _oracle_callback(self, ctx: ExecutionContext, payload: bytes) -> None:
@@ -368,7 +357,6 @@ class DeferredChoiceContract(Contract):
             raise Revert(f"unknown correlation id {corr}")
         eid = self._pending.pop(corr)
         ctx.write(self.storage, f"pending:{corr}", 0)
-        self.callbacks_received += 1
         inflight = self._inflight
         self._note(ctx, eid, self._read(eid, payload, 1), inflight.horizon)
         if self._pending:
@@ -434,8 +422,8 @@ class DeferredChoiceContract(Contract):
                 if event.id in found:
                     detections[event.id] = found[event.id]
             else:
-                fire = self._fire_time(event)
-                if fire is not None and fire <= timer_now:
+                fire = timer_fire(event.kind, self.activation_ts)
+                if fire <= timer_now:
                     detections[event.id] = fire
         blocker = NEVER
         for eid in self.cond_ids:
@@ -478,10 +466,8 @@ class DeferredChoiceContract(Contract):
             elif isinstance(event.kind, Conditional):
                 if self._cond_truth.get(event.id, False):
                     detected.add(event.id)
-            else:
-                fire = self._fire_time(event)
-                if fire is not None and fire <= horizon:
-                    detected.add(event.id)
+            elif timer_fire(event.kind, self.activation_ts) <= horizon:
+                detected.add(event.id)
         if not detected:
             self._observe(ctx, horizon)
             return

@@ -19,7 +19,7 @@ from __future__ import annotations
 import csv
 import random
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from . import expr as exprlang
@@ -34,6 +34,7 @@ from .scenario import (
     run,
 )
 from .semantics import (
+    KIND_NAMES,
     AbsoluteTimer,
     Conditional,
     EventSpec,
@@ -49,17 +50,6 @@ BASELINE_VARIANTS: tuple[OracleVariant, ...] = tuple(
 )
 
 _EVENT_SPACING = 3  # steps between consecutive event occurrences
-
-
-def _kind_name(event: EventSpec) -> str:
-    kind = event.kind
-    if isinstance(kind, Message):
-        return "message"
-    if isinstance(kind, AbsoluteTimer):
-        return "absolute-timer"
-    if isinstance(kind, RelativeTimer):
-        return "relative-timer"
-    return "conditional"
 
 
 # --- correctness experiment ---------------------------------------------------
@@ -157,7 +147,7 @@ def run_correctness_experiment(
                     CorrectnessRecord(
                         scenario_id=f"{scenario.scenario_id}-{variant.id}",
                         k=k,
-                        first_event_kind=_kind_name(scenario.choices[0].events[0]),
+                        first_event_kind=KIND_NAMES[type(scenario.choices[0].events[0].kind)],
                         winner=report.winner,
                         truth=report.truth,
                         correct=report.correct,
@@ -426,138 +416,85 @@ def report_rows(reports: Iterable[ExperimentReport]) -> list[ReportRow]:
     ]
 
 
-_REPORT_FIELDS = (
-    "scenario_id",
-    "variant",
-    "semantics",
-    "c",
-    "u",
-    "winner",
-    "truth",
-    "correct",
-    "gas_deploy",
-    "gas_total",
-    "gas_per_consumer",
-)
+def _cell(row, column: str) -> object:
+    """The CSV cell of ``row``'s ``column``: an int or str as is, a float by
+    ``repr``, ``nil`` for None and ``true``/``false`` for a bool. A derived
+    ``*_pct`` column is written to one decimal, and empty when its total
+    is 0."""
+    value = getattr(row, column)
+    kind = type(value)
+    if kind is int or kind is str:
+        return value
+    if kind is float:
+        if column.endswith("_pct"):
+            return f"{value:.1f}" if getattr(row, column.replace("_pct", "_total")) else ""
+        return repr(value)
+    if value is None:
+        return "nil"
+    return "true" if value else "false"
 
 
-def _event_str(value: int | None) -> str:
-    return "nil" if value is None else str(value)
+def _columns(row_type: type) -> list[str]:
+    """A row dataclass's CSV columns: its fields, each ``*_total`` followed
+    by the derived ``*_pct`` where the class defines one."""
+    columns = []
+    for field in fields(row_type):
+        columns.append(field.name)
+        stem = field.name.removesuffix("_total")
+        if stem != field.name and hasattr(row_type, f"{stem}_pct"):
+            columns.append(f"{stem}_pct")
+    return columns
 
 
-def _event_parse(text: str) -> int | None:
-    return None if text == "nil" else int(text)
+# the reading of each field type's cells, the inverse of ``_cell``
+_PARSERS = {
+    "str": str,
+    "int": int,
+    "float": float,
+    "bool": "true".__eq__,
+    "int | None": lambda text: None if text == "nil" else int(text),
+}
+
+
+def _write_csv(path: str | Path, row_type: type, rows: Iterable) -> None:
+    columns = _columns(row_type)
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(columns)
+        writer.writerows([_cell(row, column) for column in columns] for row in rows)
+
+
+def _read_csv(path: str | Path, row_type: type) -> list:
+    parsers = [(f.name, _PARSERS[f.type]) for f in fields(row_type)]
+    with open(path, newline="") as handle:
+        return [
+            row_type(*[parse(row[name]) for name, parse in parsers])
+            for row in csv.DictReader(handle)
+        ]
 
 
 def write_report_csv(path: str | Path, rows: Iterable[ReportRow]) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(_REPORT_FIELDS)
-        for row in rows:
-            writer.writerow(
-                [
-                    row.scenario_id,
-                    row.variant,
-                    row.semantics,
-                    row.c,
-                    row.u,
-                    _event_str(row.winner),
-                    _event_str(row.truth),
-                    str(row.correct).lower(),
-                    row.gas_deploy,
-                    row.gas_total,
-                    repr(row.gas_per_consumer),
-                ]
-            )
+    _write_csv(path, ReportRow, rows)
 
 
 def read_report_csv(path: str | Path) -> list[ReportRow]:
-    with open(path, newline="") as handle:
-        reader = csv.DictReader(handle)
-        return [
-            ReportRow(
-                scenario_id=row["scenario_id"],
-                variant=row["variant"],
-                semantics=row["semantics"],
-                c=int(row["c"]),
-                u=int(row["u"]),
-                winner=_event_parse(row["winner"]),
-                truth=_event_parse(row["truth"]),
-                correct=row["correct"] == "true",
-                gas_deploy=int(row["gas_deploy"]),
-                gas_total=int(row["gas_total"]),
-                gas_per_consumer=float(row["gas_per_consumer"]),
-            )
-            for row in reader
-        ]
+    return _read_csv(path, ReportRow)
 
 
 def write_correctness_csv(path: str | Path, rows: Iterable[CorrectnessRow]) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(
-            [
-                "semantics",
-                "architecture",
-                "regular_correct",
-                "regular_total",
-                "regular_pct",
-                "conditional_correct",
-                "conditional_total",
-                "conditional_pct",
-            ]
-        )
-        for row in rows:
-            writer.writerow(
-                [
-                    row.semantics,
-                    row.architecture,
-                    row.regular_correct,
-                    row.regular_total,
-                    f"{row.regular_pct:.1f}" if row.regular_total else "",
-                    row.conditional_correct,
-                    row.conditional_total,
-                    f"{row.conditional_pct:.1f}" if row.conditional_total else "",
-                ]
-            )
+    _write_csv(path, CorrectnessRow, rows)
 
 
 def read_correctness_csv(path: str | Path) -> list[CorrectnessRow]:
-    with open(path, newline="") as handle:
-        reader = csv.DictReader(handle)
-        return [
-            CorrectnessRow(
-                semantics=row["semantics"],
-                architecture=row["architecture"],
-                regular_correct=int(row["regular_correct"]),
-                regular_total=int(row["regular_total"]),
-                conditional_correct=int(row["conditional_correct"]),
-                conditional_total=int(row["conditional_total"]),
-            )
-            for row in reader
-        ]
+    return _read_csv(path, CorrectnessRow)
 
 
 def write_heatmap_csv(path: str | Path, rows: Iterable[HeatmapRow]) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["variant", "c", "u", "normalized"])
-        for row in rows:
-            writer.writerow([row.variant, row.c, row.u, repr(row.normalized)])
+    _write_csv(path, HeatmapRow, rows)
 
 
 def read_heatmap_csv(path: str | Path) -> list[HeatmapRow]:
-    with open(path, newline="") as handle:
-        reader = csv.DictReader(handle)
-        return [
-            HeatmapRow(
-                variant=row["variant"],
-                c=int(row["c"]),
-                u=int(row["u"]),
-                normalized=float(row["normalized"]),
-            )
-            for row in reader
-        ]
+    return _read_csv(path, HeatmapRow)
 
 
 def write_receipts_log(path: str | Path, reports: Iterable[ExperimentReport]) -> None:

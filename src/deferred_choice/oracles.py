@@ -162,44 +162,9 @@ class OracleQuery:
 
 @dataclass
 class Subscription:
-    subscriber: int
     condition: exprlang.Expr | None
-    active: bool = True
     satisfied: bool = False
     signaled: bool = False
-
-
-def _first_satisfied(
-    values: list[int], start: int, stop: int, condition: exprlang.Expr, variable: str
-) -> int | None:
-    """Index of the first value in ``values[start:stop]`` satisfying the
-    condition, or None."""
-    for index in range(start, stop):
-        if exprlang.evaluate(condition, {variable: values[index]}):
-            return index
-    return None
-
-
-def earliest_satisfied(
-    entries: list[HistoryEntry],
-    from_ts: int,
-    condition: exprlang.Expr,
-    variable: str,
-) -> tuple[int, int]:
-    """Earliest timestamp >= from_ts at which the condition holds, or NEVER.
-
-    Walks the change points of the step-function variable, starting with the
-    one in force when the window opens. Returns ``(timestamp, visited)``
-    where ``visited`` counts the entries examined.
-    """
-    times = [entry.at for entry in entries]
-    start = max(bisect_right(times, from_ts) - 1, 0)
-    index = _first_satisfied(
-        [entry.value for entry in entries], start, len(entries), condition, variable
-    )
-    if index is None:
-        return NEVER, len(entries) - start
-    return max(times[index], from_ts), index - start + 1
 
 
 class _ConditionCache(dict):
@@ -238,10 +203,6 @@ class History:
         self._words = bytearray()  # encoded (at, value) pairs, oldest first
         self._cursors: dict[tuple[int, str], _Cursor] = {}
 
-    @property
-    def entries(self) -> list[HistoryEntry]:
-        return [HistoryEntry(at, value) for at, value in zip(self.times, self.values)]
-
     def append(self, at: int, value: int) -> None:
         if self.times and at <= self.times[-1]:
             raise OracleError(
@@ -275,22 +236,26 @@ class History:
     def earliest(
         self, from_ts: int, text: str, condition: exprlang.Expr
     ) -> tuple[int, int]:
-        """``earliest_satisfied`` over this history for ``condition``, whose
-        wire form is ``text``, resuming the previous scan of the same
-        question. The window starts at the change point in force at
-        ``from_ts``; an append at or before ``from_ts`` moves it, and the
-        scan then starts over."""
+        """Earliest timestamp at or after ``from_ts`` at which ``condition``,
+        whose wire form is ``text``, holds, or NEVER; and the number of
+        change points examined.
+
+        The window starts at the change point in force at ``from_ts``, and
+        a hit there counts from ``from_ts``. The scan resumes where the
+        previous scan of the same question stopped; an append at or before
+        ``from_ts`` moves the window start, and the scan then starts over."""
         start = max(bisect_right(self.times, from_ts) - 1, 0)
         key = (from_ts, text)
         cursor = self._cursors.get(key)
         if cursor is None or cursor.start != start:
             cursor = self._cursors[key] = _Cursor(start, start)
         if not cursor.hit:
-            index = _first_satisfied(
-                self.values, cursor.stop, len(self.values), condition, self.variable
-            )
-            cursor.hit = index is not None
-            cursor.stop = len(self.values) if index is None else index
+            values, variable = self.values, self.variable
+            stop = cursor.stop
+            while stop < len(values) and not exprlang.evaluate(condition, {variable: values[stop]}):
+                stop += 1
+            cursor.stop = stop
+            cursor.hit = stop < len(values)
         visited = cursor.stop - start + cursor.hit
         if cursor.hit:
             return max(self.times[cursor.stop], from_ts), visited
@@ -363,10 +328,6 @@ class SyncOracle(Contract):
         self.history = History(variable)
         self.keeps_history = variant.architecture.answer is Answer.HISTORY
         self.conditions = _ConditionCache()
-
-    @property
-    def entries(self) -> list[HistoryEntry]:
-        return self.history.entries
 
     def handle(self, ctx: ExecutionContext, function: str, payload: bytes) -> None:
         if function == "set":
@@ -542,10 +503,6 @@ class OracleProvider:
                     subscriber = wordcodec.decode_word(log.payload, 0)
                     params = log.payload[wordcodec.WORD_SIZE :]
                     self._register_subscription(subscriber, params, block_ts)
-                elif log.topic == "unsubscribe":
-                    subscriber = wordcodec.decode_word(log.payload, 0)
-                    if subscriber in self.subscriptions:
-                        self.subscriptions[subscriber].active = False
 
     def _register_subscription(self, subscriber: int, params: bytes, block_ts: int) -> None:
         if self.current is None:
@@ -555,7 +512,7 @@ class OracleProvider:
         condition = None
         if self.variant.conditional:
             condition = self.conditions[wordcodec.decode_text(params, 0)]
-        sub = Subscription(subscriber, condition)
+        sub = Subscription(condition)
         self.subscriptions[subscriber] = sub
         # push the current knowledge immediately so the subscriber has no gap
         if self.variant.conditional:

@@ -10,8 +10,8 @@ continual semantics over the environment induced from the timeline
 (timestamps from step indices, valuations piecewise-constant between
 updates). The ground truth is computed once per scenario from the
 change points of each variable (``ground_truth``); the tests check it
-against the dense continual executor ``run_continual`` run over the full
-trace that ``induced_trace`` builds.
+against a dense continual executor run state by state over the whole
+induced environment.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 from bisect import bisect_right
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from heapq import heapify, heappop, heappush
 from typing import Any, NamedTuple
 
@@ -36,20 +36,21 @@ from .oracles import (
 )
 from .semantics import (
     DATA_MAX,
+    KIND_NAMES,
     AbsoluteTimer,
     Conditional,
     ContractViolation,
-    EnvironmentState,
-    EnvironmentTrace,
     EventSpec,
     Message,
     RelativeTimer,
     check_events,
     pick_winner,
+    timer_fire,
 )
 
 SIM_ACCOUNT = "sim"
 SETTLE_STEPS = 2  # blocks after the last action so trailing callbacks get mined
+_KIND_TYPES = {name: kind for kind, name in KIND_NAMES.items()}
 
 
 class ScenarioError(ValueError):
@@ -221,17 +222,13 @@ class Scenario:
     def _to_obj(self) -> dict[str, Any]:
         def event_obj(event: EventSpec, decl: ChoiceDecl) -> dict[str, Any]:
             kind = event.kind
-            if isinstance(kind, Message):
-                return {"kind": "message"}
-            if isinstance(kind, AbsoluteTimer):
-                return {"kind": "absolute-timer", "deadline": kind.deadline}
-            if isinstance(kind, RelativeTimer):
-                return {"kind": "relative-timer", "delta": kind.delta}
-            return {
-                "kind": "conditional",
-                "expr": exprlang.render(kind.condition),
-                "oracle": decl.oracle_for_event[event.id],
-            }
+            obj: dict[str, Any] = {"kind": KIND_NAMES[type(kind)]}
+            if isinstance(kind, Conditional):
+                obj["expr"] = exprlang.render(kind.condition)
+                obj["oracle"] = decl.oracle_for_event[event.id]
+            else:
+                obj.update(vars(kind))  # a timer's deadline or delta
+            return obj
 
         def action_obj(action: Action) -> dict[str, Any]:
             obj: dict[str, Any] = {"step": action.step, "action": action.kind}
@@ -273,18 +270,14 @@ class Scenario:
                 events = []
                 bindings: dict[int, int] = {}
                 for eid, event_obj in enumerate(choice_obj["events"]):
-                    kind_name = event_obj["kind"]
-                    if kind_name == "message":
-                        kind: Any = Message()
-                    elif kind_name == "absolute-timer":
-                        kind = AbsoluteTimer(event_obj["deadline"])
-                    elif kind_name == "relative-timer":
-                        kind = RelativeTimer(event_obj["delta"])
-                    elif kind_name == "conditional":
-                        kind = Conditional(exprlang.parse(event_obj["expr"]))
+                    kind_type = _KIND_TYPES.get(event_obj["kind"])
+                    if kind_type is None:
+                        raise ScenarioError(f"unknown event kind {event_obj['kind']!r}")
+                    if kind_type is Conditional:
+                        kind: Any = Conditional(exprlang.parse(event_obj["expr"]))
                         bindings[eid] = event_obj["oracle"]
-                    else:
-                        raise ScenarioError(f"unknown event kind {kind_name!r}")
+                    else:  # a message has no field, a timer its deadline or delta
+                        kind = kind_type(*(event_obj[f.name] for f in fields(kind_type)))
                     events.append(EventSpec(eid, kind))
                 choices.append(ChoiceDecl(tuple(events), bindings))
             timeline = tuple(
@@ -319,34 +312,19 @@ class Scenario:
 # --- ground truth -----------------------------------------------------------
 
 
-def induced_trace(scenario: Scenario, start: int, end: int) -> EnvironmentTrace:
-    """Environment trace from the timeline: valuations change at update steps."""
-    updates: dict[int, list[tuple[int, int]]] = {}
-    for action in scenario.timeline:
-        if action.kind == "update":
-            updates.setdefault(action.step, []).append((action.oracle, action.value))
-    values = {decl.variable: 0 for decl in scenario.oracles}
-    states = []
-    for step in range(1, end + 1):
-        for oracle_index, value in updates.get(step, ()):
-            values[scenario.oracles[oracle_index].variable] = value
-        if step >= start:
-            states.append(EnvironmentState(step, dict(values)))
-    return EnvironmentTrace(states)
-
-
 def ground_truth(scenario: Scenario) -> list[tuple[int | None, int | None]]:
     """(winner, observed timestamp) of every choice per the continual semantics.
 
-    Gives the result of ``run_continual`` over the trace ``induced_trace``
-    builds from the activation to the last step, without building it: one
-    pass over the timeline collects the change points of each variable and
-    the activation and messages of each choice, and each event's first
-    detection follows in closed form. A conditional event is evaluated at
-    activation and then at its variable's later change points in time
-    order, never past the earliest detection found, so it is evaluated at
-    no more states than the dense executor visits. Expects a validated
-    scenario; an unactivated choice yields ``(None, None)``.
+    Gives the result of the continual semantics over the environment the
+    timeline induces from the activation to the last step, without building
+    that trace: one pass over the timeline collects the change points of
+    each variable and the activation and messages of each choice, and each
+    event's first detection follows in closed form (``timer_fire`` for a
+    timer). A conditional event is evaluated at activation and then at its
+    variable's later change points in time order, never past the earliest
+    detection found, so it is evaluated at no more states than the dense
+    executor visits. Expects a validated scenario; an unactivated choice
+    yields ``(None, None)``.
     """
     change_steps: dict[str, list[int]] = {}
     change_values: dict[str, list[int]] = {}
@@ -385,9 +363,9 @@ def ground_truth(scenario: Scenario) -> list[tuple[int | None, int | None]]:
         for event in decl.events:
             kind = event.kind
             if isinstance(kind, (AbsoluteTimer, RelativeTimer)):
-                fire = kind.deadline if isinstance(kind, AbsoluteTimer) else start + kind.delta
-                if max(fire, start) <= end:  # a timer already past fires at activation
-                    detected[event.id] = max(fire, start)
+                fire = timer_fire(kind, start)
+                if fire <= end:
+                    detected[event.id] = fire
             elif isinstance(kind, Conditional):
                 name = scenario.oracles[decl.oracle_for_event[event.id]].variable
                 steps = change_steps.get(name, [])
@@ -417,11 +395,6 @@ def ground_truth(scenario: Scenario) -> list[tuple[int | None, int | None]]:
         pool = {event_id for event_id, at in detected.items() if at == first}
         results.append((pick_winner(pool, preferred), first))
     return results
-
-
-def ground_truth_winner(scenario: Scenario, choice_index: int) -> tuple[int | None, int | None]:
-    """(winner, observed timestamp) of one choice per the continual semantics."""
-    return ground_truth(scenario)[choice_index]
 
 
 # --- replay -----------------------------------------------------------------

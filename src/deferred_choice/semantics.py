@@ -1,18 +1,13 @@
-"""Deferred-choice execution semantics over a discrete environment.
+"""The event model of a deferred choice and the rules every executor shares.
 
-The environment is a sequence of states, each a timestamp plus a valuation
-of external variables. A deferred choice races a set of external events:
-messages (explicit, delivered by transactions), absolute / relative timers,
-and conditional events over the valuation. Two executors are provided:
-
-* the continual semantics observes every successor state and picks a winner
-  the moment any event is detected;
-* the transaction-driven semantics tolerates observation gaps and picks the
-  winner by ranking events on the earliest timestamp each one could have
-  been detected within the observed window.
-
-The continual executor is the ground truth the rest of the package is
-tested against.
+A deferred choice races a set of external events: messages (explicit,
+delivered by transactions), absolute / relative timers, and conditional
+events over the valuation of external variables. An event is detected from
+the activation of its choice on. This module holds the event kinds, the
+tie-break rule (``pick_winner``) and the timer rule (``timer_fire``) that
+both the on-chain contracts and the ground truth call. The continual and
+transaction-driven executors over dense environment traces, against which
+the ground truth is tested, live with the tests as their reference.
 
 Timestamps and data values are unsigned 64-bit words. ``NEVER`` is the
 largest representable word and doubles as the "not detected" sentinel;
@@ -21,17 +16,14 @@ reachable timestamps are strictly below it.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Union
 
 from . import expr as exprlang
 
-WORD_BITS = 64
-NEVER = 2**WORD_BITS - 1
+NEVER = 2**64 - 1
 DATA_MAX = NEVER
-
-ExplicitLog = Sequence[tuple[int, int]]  # (event id, timestamp) per delivered message
 
 
 class SemanticsError(Exception):
@@ -40,67 +32,6 @@ class SemanticsError(Exception):
 
 class ContractViolation(SemanticsError):
     """An operation was called outside its precondition."""
-
-
-class TimestampOverflow(SemanticsError):
-    """Advancing time would leave the representable range; fatal."""
-
-
-@dataclass(frozen=True)
-class EnvironmentState:
-    """A timestamp plus the valuation of all external variables."""
-
-    t: int
-    nu: Mapping[str, int]
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.t < NEVER:
-            raise ContractViolation(f"timestamp out of range: {self.t}")
-
-
-def successor(state: EnvironmentState, nu_next: Mapping[str, int]) -> EnvironmentState:
-    """The state one time unit later, carrying the given valuation."""
-    if state.t + 1 >= NEVER:
-        raise TimestampOverflow("timestamp overflow while advancing the environment")
-    return EnvironmentState(state.t + 1, dict(nu_next))
-
-
-class EnvironmentTrace:
-    """A successor-chained run of environment states.
-
-    The first state is the activation state of the choice under
-    consideration; a single-state trace is legal.
-    """
-
-    def __init__(self, states: Iterable[EnvironmentState]):
-        self.states: tuple[EnvironmentState, ...] = tuple(states)
-        if not self.states:
-            raise ContractViolation("a trace needs at least one state")
-        for previous, current in zip(self.states, self.states[1:]):
-            if current.t != previous.t + 1:
-                raise ContractViolation(
-                    f"trace is not successor-chained at t={previous.t}"
-                )
-
-    @property
-    def start(self) -> EnvironmentState:
-        return self.states[0]
-
-    @property
-    def end(self) -> EnvironmentState:
-        return self.states[-1]
-
-    def state_at(self, t: int) -> EnvironmentState:
-        offset = t - self.start.t
-        if not 0 <= offset < len(self.states):
-            raise ContractViolation(f"timestamp {t} outside trace")
-        return self.states[offset]
-
-    def __len__(self) -> int:
-        return len(self.states)
-
-    def __iter__(self):
-        return iter(self.states)
 
 
 # --- events ---------------------------------------------------------------
@@ -128,6 +59,14 @@ class Conditional:
 
 EventKind = Union[Message, AbsoluteTimer, RelativeTimer, Conditional]
 
+# wire name of each event kind in scenario files and reports
+KIND_NAMES: dict[type, str] = {
+    Message: "message",
+    AbsoluteTimer: "absolute-timer",
+    RelativeTimer: "relative-timer",
+    Conditional: "conditional",
+}
+
 
 @dataclass(frozen=True)
 class EventSpec:
@@ -144,46 +83,16 @@ def check_events(events: Sequence[EventSpec]) -> None:
         raise ContractViolation(f"event ids must be 0..{len(events) - 1}, got {ids}")
 
 
-@dataclass(frozen=True)
-class ChoiceState:
-    """Activation state, last observed state, and the winner once decided."""
-
-    activation: EnvironmentState
-    observed: EnvironmentState
-    winner: int | None
-
-    def __post_init__(self) -> None:
-        if self.activation.t > self.observed.t:
-            raise ContractViolation("observed state precedes activation")
+# --- shared rules -----------------------------------------------------------
 
 
-# --- detection ------------------------------------------------------------
-
-
-def detect(
-    event: EventSpec,
-    activation: EnvironmentState,
-    state: EnvironmentState,
-    explicit_now: frozenset[int] | set[int],
-) -> bool:
-    """Whether the event can be detected in ``state`` given activation."""
-    kind = event.kind
-    if isinstance(kind, Message):
-        return event.id in explicit_now
+def timer_fire(kind: AbsoluteTimer | RelativeTimer, activation_t: int) -> int:
+    """When a timer of a choice activated at ``activation_t`` is detected:
+    its deadline, or ``activation_t + delta``. Events are detected from
+    activation on, so a deadline already past fires at activation."""
     if isinstance(kind, AbsoluteTimer):
-        return state.t >= kind.deadline
-    if isinstance(kind, RelativeTimer):
-        return state.t >= activation.t + kind.delta
-    return exprlang.evaluate(kind.condition, state.nu)
-
-
-def detected_set(
-    events: Sequence[EventSpec],
-    activation: EnvironmentState,
-    state: EnvironmentState,
-    explicit_now: frozenset[int] | set[int],
-) -> set[int]:
-    return {e.id for e in events if detect(e, activation, state, explicit_now)}
+        return max(kind.deadline, activation_t)
+    return activation_t + kind.delta
 
 
 def pick_winner(detected: set[int], preferred: int | None) -> int | None:
@@ -193,181 +102,3 @@ def pick_winner(detected: set[int], preferred: int | None) -> int | None:
     if preferred is not None and preferred in detected:
         return preferred
     return min(detected)
-
-
-def initial_state(
-    events: Sequence[EventSpec],
-    state: EnvironmentState,
-    explicit_now: frozenset[int] | set[int],
-    preferred: int | None = None,
-) -> ChoiceState:
-    """Activate the choice in ``state``; an immediate detection decides the race."""
-    winner = pick_winner(detected_set(events, state, state, explicit_now), preferred)
-    return ChoiceState(state, state, winner)
-
-
-def continual_step(
-    choice: ChoiceState,
-    events: Sequence[EventSpec],
-    s_next: EnvironmentState,
-    explicit_now: frozenset[int] | set[int],
-    preferred: int | None = None,
-) -> ChoiceState:
-    """Advance by exactly one environment state; no gaps allowed."""
-    if choice.winner is not None:
-        raise ContractViolation("choice already decided")
-    if s_next.t != choice.observed.t + 1:
-        raise ContractViolation(
-            f"continual step requires the direct successor of t={choice.observed.t}"
-        )
-    winner = pick_winner(
-        detected_set(events, choice.activation, s_next, explicit_now), preferred
-    )
-    return ChoiceState(choice.activation, s_next, winner)
-
-
-# --- timed detection ------------------------------------------------------
-
-
-def timer_detection_time(kind: AbsoluteTimer | RelativeTimer, activation_t: int, horizon: int) -> int:
-    """Closed-form earliest detection for timers, or NEVER past the horizon.
-
-    The absolute form reports the configured deadline even when the
-    deadline predates activation.
-    """
-    fire = kind.deadline if isinstance(kind, AbsoluteTimer) else activation_t + kind.delta
-    if fire >= NEVER:
-        return NEVER
-    return fire if fire <= horizon else NEVER
-
-
-def _message_log_times(event_id: int, log: ExplicitLog, activation_t: int) -> list[int]:
-    times = []
-    for logged_id, at in log:
-        if at < activation_t:
-            raise ContractViolation(
-                f"explicit event {logged_id} logged at {at}, before activation {activation_t}"
-            )
-        if logged_id == event_id:
-            times.append(at)
-    return times
-
-
-def earliest_detection(
-    event: EventSpec,
-    activation: EnvironmentState,
-    history: EnvironmentTrace,
-    explicit_log: ExplicitLog,
-) -> int:
-    """Earliest timestamp the event could have been detected in the window.
-
-    The window runs from the activation state (the first state of
-    ``history``) to its last state; NEVER means no detection in the window.
-    """
-    if history.start.t != activation.t:
-        raise ContractViolation("history must start at the activation state")
-    horizon = history.end.t
-    kind = event.kind
-    if isinstance(kind, Message):
-        times = [t for t in _message_log_times(event.id, explicit_log, activation.t) if t <= horizon]
-        return min(times) if times else NEVER
-    if isinstance(kind, (AbsoluteTimer, RelativeTimer)):
-        return timer_detection_time(kind, activation.t, horizon)
-    for state in history:
-        if exprlang.evaluate(kind.condition, state.nu):
-            return state.t
-    return NEVER
-
-
-def earliest_any_detection(
-    events: Sequence[EventSpec],
-    activation: EnvironmentState,
-    history: EnvironmentTrace,
-    explicit_log: ExplicitLog,
-) -> int:
-    """Minimum earliest detection over all events; NEVER when none detected."""
-    return min(
-        (earliest_detection(e, activation, history, explicit_log) for e in events),
-        default=NEVER,
-    )
-
-
-def transaction_step(
-    choice: ChoiceState,
-    events: Sequence[EventSpec],
-    s_now: EnvironmentState,
-    history: EnvironmentTrace,
-    explicit_log: ExplicitLog,
-    preferred: int | None = None,
-) -> ChoiceState:
-    """Advance across an observation gap, ranking events by earliest detection.
-
-    ``history`` must span activation up to ``s_now`` inclusive. The winner,
-    if any, minimizes the earliest detection time; ties go to the preferred
-    event, then the lowest event id.
-    """
-    if choice.winner is not None:
-        raise ContractViolation("choice already decided")
-    if s_now.t <= choice.observed.t:
-        raise ContractViolation(
-            f"transaction step must move forward (observed t={choice.observed.t})"
-        )
-    if history.start.t != choice.activation.t or history.end.t != s_now.t:
-        raise ContractViolation("history must span activation..s_now")
-    detections = {
-        e.id: earliest_detection(e, choice.activation, history, explicit_log)
-        for e in events
-    }
-    best = min(detections.values(), default=NEVER)
-    if best == NEVER:
-        return ChoiceState(choice.activation, s_now, None)
-    pool = {eid for eid, at in detections.items() if at == best}
-    return ChoiceState(choice.activation, s_now, pick_winner(pool, preferred))
-
-
-# --- reference executor ---------------------------------------------------
-
-
-def _explicit_by_time(log: ExplicitLog) -> dict[int, set[int]]:
-    by_time: dict[int, set[int]] = {}
-    for event_id, at in log:
-        by_time.setdefault(at, set()).add(event_id)
-    return by_time
-
-
-def run_continual(
-    events: Sequence[EventSpec],
-    trace: EnvironmentTrace,
-    explicit_log: ExplicitLog = (),
-    activation_preferred: int | None = None,
-    preferred_by_time: Mapping[int, int] | None = None,
-) -> ChoiceState:
-    """Execute the continual semantics over a full trace; stop at the winner.
-
-    ``preferred_by_time`` carries per-timestamp tie-break preferences (the
-    event named by a message transaction mined at that time).
-    """
-    check_events(events)
-    for _, at in explicit_log:
-        if at < trace.start.t:
-            raise ContractViolation(
-                f"explicit event logged at {at}, before activation {trace.start.t}"
-            )
-    preferred_by_time = dict(preferred_by_time or {})
-    by_time = _explicit_by_time(explicit_log)
-    start = trace.start
-    preferred = activation_preferred
-    if preferred is None:
-        preferred = preferred_by_time.get(start.t)
-    choice = initial_state(events, start, by_time.get(start.t, set()), preferred)
-    for state in trace.states[1:]:
-        if choice.winner is not None:
-            break
-        choice = continual_step(
-            choice,
-            events,
-            state,
-            by_time.get(state.t, set()),
-            preferred_by_time.get(state.t),
-        )
-    return choice

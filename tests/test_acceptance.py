@@ -26,14 +26,9 @@ from deferred_choice.experiments import (
     run_correctness_experiment,
     run_cost_experiment,
 )
-from deferred_choice.oracles import ALL_VARIANTS, HistoryEntry, OracleVariant, earliest_satisfied
-from deferred_choice.scenario import Scenario, ground_truth_winner, run
-from deferred_choice.semantics import (
-    NEVER,
-    AbsoluteTimer,
-    RelativeTimer,
-    timer_detection_time,
-)
+from deferred_choice.oracles import ALL_VARIANTS, History, OracleVariant
+from deferred_choice.scenario import Scenario, ground_truth, run
+from deferred_choice.semantics import NEVER, AbsoluteTimer, RelativeTimer, timer_fire
 
 TABLE1 = Path(__file__).resolve().parent.parent / "scenarios" / "table1.json"
 
@@ -47,7 +42,7 @@ def table1(variant_id):
 def test_criterion_1_table1_replay():
     started = time.monotonic()
     # (a) the continual reference executor stops at the timer detection
-    truth, observed = ground_truth_winner(table1("onchain-history"), 0)
+    truth, observed = ground_truth(table1("onchain-history"))[0]
     assert (truth, observed) == (0, 76)
     # (b) on-chain history finalizes the timer at the step-78 trigger
     history = run(table1("onchain-history")).outcomes[0]
@@ -115,17 +110,23 @@ def test_criterion_3_oracle_equivalence():
 
 def test_criterion_4_earliest_detection_against_brute_force():
     rng = random.Random(404)
+
+    def detected(fire, horizon):
+        """A timer's detection as the replay reads it: NEVER past the horizon."""
+        return fire if fire <= horizon else NEVER
+
     for _ in range(200):
         t_a = rng.randint(0, 1000)
         delta = rng.randint(0, 80)
         horizon = t_a + rng.randint(0, 100)
-        closed = timer_detection_time(RelativeTimer(delta), t_a, horizon)
+        closed = detected(timer_fire(RelativeTimer(delta), t_a), horizon)
         brute = next(
             (t for t in range(t_a, horizon + 1) if t >= t_a + delta), NEVER
         )
         assert closed == brute, (t_a, delta, horizon)
-        deadline = t_a + rng.randint(0, 80)
-        closed = timer_detection_time(AbsoluteTimer(deadline), t_a, horizon)
+        # deadlines may predate activation: the timer then fires at t_a
+        deadline = max(t_a + rng.randint(-80, 80), 0)
+        closed = detected(timer_fire(AbsoluteTimer(deadline), t_a), horizon)
         brute = next((t for t in range(t_a, horizon + 1) if t >= deadline), NEVER)
         assert closed == brute, (t_a, deadline, horizon)
     for _ in range(200):
@@ -133,18 +134,19 @@ def test_criterion_4_earliest_detection_against_brute_force():
         entries = []
         at = start
         for _ in range(rng.randint(1, 12)):
-            entries.append(HistoryEntry(at, rng.randint(0, 6)))
+            entries.append((at, rng.randint(0, 6)))
             at += rng.randint(1, 4)
         from_ts = rng.randint(start, start + 10)
         horizon = from_ts + rng.randint(0, 30)
-        known = [e for e in entries if e.at <= horizon]
-        if not known or known[0].at > from_ts:
+        known = [(at, value) for at, value in entries if at <= horizon]
+        if not known or known[0][0] > from_ts:
             continue
         op = rng.choice(["<", "<=", "==", "!=", ">=", ">"])
-        condition = parse(f"v {op} {rng.randint(0, 6)}")
+        text = f"v {op} {rng.randint(0, 6)}"
+        condition = parse(text)
 
         def value_at(t):
-            return max((e for e in known if e.at <= t), key=lambda e: e.at).value
+            return max(entry for entry in known if entry[0] <= t)[1]
 
         brute = next(
             (
@@ -154,7 +156,10 @@ def test_criterion_4_earliest_detection_against_brute_force():
             ),
             NEVER,
         )
-        found, _ = earliest_satisfied(known, from_ts, condition, "v")
+        history = History("v")
+        for at, value in known:
+            history.append(at, value)
+        found, _ = history.earliest(from_ts, text, condition)
         assert found == brute, (entries, from_ts, horizon, render(condition))
     print("\n[criterion 4] PASS - 200 timer and 200 step-function cases match brute force")
 

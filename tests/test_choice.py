@@ -24,8 +24,8 @@ from deferred_choice.oracles import (
     OracleVariant,
     make_oracle_contract,
 )
-from deferred_choice.scenario import Action, ChoiceDecl, Scenario, run
-from deferred_choice.semantics import Conditional, EventSpec, Message, RelativeTimer
+from deferred_choice.scenario import Action, ChoiceDecl, OracleDecl, Scenario, run
+from deferred_choice.semantics import AbsoluteTimer, Conditional, EventSpec, Message, RelativeTimer
 
 TABLE1 = Path(__file__).resolve().parent.parent / "scenarios" / "table1.json"
 
@@ -89,10 +89,39 @@ def test_activation_after_both_detections_ranks_by_earliest():
     )
     report = run(late_activation)
     outcome = report.outcomes[0]
-    # the timer detection at 76 outranks the condition first seen at 77
-    assert outcome.winner == E_D
-    assert outcome.winner_detection_ts == 76
+    # events are detected from activation on: the timer, past its deadline
+    # 76, fires at activation and ties with the condition seen at 77; the
+    # lower id wins, as in the ground truth
+    assert outcome.winner == E_D == outcome.truth
+    assert outcome.winner_detection_ts == 77
     assert outcome.finalized_at == 77
+
+
+def test_deadline_passed_at_activation_fires_at_activation():
+    # x goes 0 -> 5 at step 5, when the choice activates; the absolute timer
+    # at 3 is already past and ties with the condition at 5
+    scenario = Scenario(
+        scenario_id="past-deadline",
+        variant=OracleVariant.parse("onchain-history"),
+        semantics=SemanticsKind.TRANSACTION_DRIVEN,
+        oracles=(OracleDecl("x"),),
+        choices=(
+            ChoiceDecl(
+                (EventSpec(0, Conditional(parse("x >= 1"))), EventSpec(1, AbsoluteTimer(3))),
+                {0: 0},
+            ),
+        ),
+        timeline=(
+            Action(step=1, kind="update", oracle=0, value=0),
+            Action(step=5, kind="update", oracle=0, value=5),
+            Action(step=5, kind="activate", choice=0),
+            Action(step=8, kind="trigger", choice=0),
+        ),
+    )
+    for variant in ALL_VARIANTS:
+        outcome = run(scenario.with_variant(variant)).outcomes[0]
+        assert (outcome.winner, outcome.truth) == (0, 0), variant.id
+        assert outcome.winner_detection_ts == 5, variant.id
 
 
 def test_pubsub_activation_emits_one_subscribe_log_per_conditional_event():

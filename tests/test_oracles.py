@@ -21,11 +21,11 @@ from deferred_choice.oracles import (
     OracleQuery,
     OracleVariant,
     SyncOracle,
-    earliest_satisfied,
     make_oracle_contract,
     HistoryEntry,
 )
 from deferred_choice.semantics import NEVER
+from reference import earliest_satisfied
 
 
 class Sink(Contract):
@@ -118,7 +118,7 @@ def test_onchain_history_skips_unchanged_values():
         receipts = mine(chain, provider)
         set_counts.append(sum(1 for r in receipts if r.tx.function == "set"))
     assert set_counts == [1, 1, 0, 1]
-    assert [(e.at, e.value) for e in oracle.entries] == [(2, 0), (3, 1), (5, 2)]
+    assert list(zip(oracle.history.times, oracle.history.values)) == [(2, 0), (3, 1), (5, 2)]
 
 
 def test_offchain_history_update_produces_no_transactions():
@@ -126,7 +126,7 @@ def test_offchain_history_update_produces_no_transactions():
     advance_to(chain, provider, 72)
     provider.on_external_update(0, 73)
     assert mine(chain, provider) == []
-    assert provider.history.entries == [HistoryEntry(73, 0)]
+    assert (provider.history.times, provider.history.values) == ([73], [0])
 
 
 def test_nonmonotone_update_rejected():
@@ -343,7 +343,8 @@ def test_onchain_conditional_scan_charges_history_prefix_not_window():
     ctx = ctx_for(chain)
     result = oracle.query(ctx, params)
     assert wc.decode_word(result) == 6
-    assert earliest_satisfied(oracle.entries, 6, parse("d_w >= 7"), "d_w") == (6, 1)
+    entries = list(map(HistoryEntry, oracle.history.times, oracle.history.values))
+    assert earliest_satisfied(entries, 6, parse("d_w >= 7"), "d_w") == (6, 1)
     byte_cost = chain.schedule.byte_cost
     charged_scan = ctx.surcharge - byte_cost(params) - byte_cost(result)
     assert charged_scan == byte_cost(wc.encode_pairs([(1, 0)]))  # examined: (5, 7)
@@ -489,7 +490,7 @@ def test_history_matches_stateless_reference(run):
             payload, index, skips[number], condition, "d_w"
         )
         assert hit == reference_slice_hit(payload, index, condition)
-    assert history.entries == [HistoryEntry(at, value) for at, value in pairs]
+    assert list(zip(history.times, history.values)) == pairs
 
 
 def test_history_rejects_non_increasing_append():

@@ -25,8 +25,6 @@ from deferred_choice.scenario import (
     Scenario,
     ScenarioError,
     ground_truth,
-    ground_truth_winner,
-    induced_trace,
     run,
 )
 from deferred_choice.semantics import (
@@ -35,8 +33,8 @@ from deferred_choice.semantics import (
     EventSpec,
     Message,
     RelativeTimer,
-    run_continual,
 )
+from reference import induced_trace, run_continual
 
 TABLE1 = Path(__file__).resolve().parent.parent / "scenarios" / "table1.json"
 
@@ -112,7 +110,7 @@ def test_induced_trace_is_piecewise_constant():
 
 def test_ground_truth_matches_continual_trace():
     scenario = table1("onchain-history")
-    winner, observed = ground_truth_winner(scenario, 0)
+    winner, observed = ground_truth(scenario)[0]
     assert winner == 0
     assert observed == 76
 

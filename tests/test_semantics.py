@@ -1,4 +1,5 @@
-"""Semantics-layer tests, anchored on one worked environment trace:
+"""Tests of the reference executors in ``reference``, anchored on one
+worked environment trace:
 
 timestamps 73..78 with variable d_w at 0,1,1,1,2,2; event 0 is a timer
 expiring at 76, event 1 a condition "d_w >= 2", events 2 and 3 messages.
@@ -12,14 +13,16 @@ from deferred_choice.expr import parse
 from deferred_choice.semantics import (
     NEVER,
     AbsoluteTimer,
-    ChoiceState,
     Conditional,
     ContractViolation,
-    EnvironmentState,
-    EnvironmentTrace,
     EventSpec,
     Message,
     RelativeTimer,
+)
+from reference import (
+    ChoiceState,
+    EnvironmentState,
+    EnvironmentTrace,
     TimestampOverflow,
     continual_step,
     detect,
@@ -258,10 +261,9 @@ def random_race(draw):
             if draw(st.booleans()):
                 log.append((eid, draw(st.integers(start, horizon))))
         elif pick == 1:
-            # deadlines before activation are excluded: the closed form
-            # reports the raw deadline while a state scan starts at activation
+            # a deadline may predate activation; it is detected at activation
             events.append(
-                EventSpec(eid, AbsoluteTimer(draw(st.integers(start, horizon + 5))))
+                EventSpec(eid, AbsoluteTimer(draw(st.integers(max(start - 5, 0), horizon + 5))))
             )
         elif pick == 2:
             events.append(EventSpec(eid, RelativeTimer(draw(st.integers(0, length + 5)))))
