@@ -325,8 +325,9 @@ class SyncOracle(Contract):
         self.variant = variant
         self.variable = variable
         self.kind = f"{variant.id}-oracle"
-        self.history = History(variable)
         self.keeps_history = variant.architecture.answer is Answer.HISTORY
+        # a storage oracle keeps only the current value
+        self.history = History(variable) if self.keeps_history else None
         self.conditions = _ConditionCache()
 
     def handle(self, ctx: ExecutionContext, function: str, payload: bytes) -> None:
@@ -422,12 +423,19 @@ class OracleProvider:
         self.variant: OracleVariant = oracle.variant
         self.variable: str = oracle.variable
         self.account = f"provider-{oracle.address}"
-        self.history = History(self.variable)
         self.current: HistoryEntry | None = None  # the latest update, changed or not
         self.subscriptions: dict[int, Subscription] = {}
         self.conditions = _ConditionCache()
         self.keeps_history = self.variant.architecture.answer is Answer.HISTORY
         self.delivery = self.variant.architecture.delivery
+        # only the off-chain history answers from the provider's own history:
+        # the on-chain one lives in the contract, pub/sub pushes each change
+        # as it happens and the current-value architectures need ``current``
+        self.history = (
+            History(self.variable)
+            if self.keeps_history and self.delivery is Delivery.CALLBACK
+            else None
+        )
 
     # -- data updates --------------------------------------------------------
 
@@ -439,7 +447,8 @@ class OracleProvider:
             )
         self.current = HistoryEntry(at, value)
         if previous is None or previous.value != value:
-            self.history.append(at, value)
+            if self.history is not None:
+                self.history.append(at, value)
         elif self.keeps_history:
             return  # a history records change points only
         if self.delivery is Delivery.SYNC:

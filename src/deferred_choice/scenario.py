@@ -97,6 +97,10 @@ class Scenario:
     _validated = False
 
     def validate(self) -> None:
+        if not isinstance(self.scenario_id, str):
+            raise ScenarioError(f"bad id {self.scenario_id!r}: ids are strings")
+        if type(self.seed) is not int:
+            raise ScenarioError(f"bad seed {self.seed!r}: seeds are integers")
         if self.semantics != self.variant.semantics:
             raise ScenarioError(
                 f"{self.variant.id} cannot run under {self.semantics.value} semantics"
@@ -217,39 +221,31 @@ class Scenario:
     # -- serialization -------------------------------------------------------
 
     def to_json(self) -> str:
-        return json.dumps(self._to_obj(), indent=2)
-
-    def _to_obj(self) -> dict[str, Any]:
-        def event_obj(event: EventSpec, decl: ChoiceDecl) -> dict[str, Any]:
-            kind = event.kind
-            obj: dict[str, Any] = {"kind": KIND_NAMES[type(kind)]}
-            if isinstance(kind, Conditional):
-                obj["expr"] = exprlang.render(kind.condition)
-                obj["oracle"] = decl.oracle_for_event[event.id]
-            else:
-                obj.update(vars(kind))  # a timer's deadline or delta
-            return obj
-
-        def action_obj(action: Action) -> dict[str, Any]:
-            obj: dict[str, Any] = {"step": action.step, "action": action.kind}
-            for name in ("oracle", "value", "choice", "preferred", "event"):
-                value = getattr(action, name)
-                if value is not None:
-                    obj[name] = value
-            return obj
-
-        return {
-            "id": self.scenario_id,
-            "variant": self.variant.id,
-            "semantics": self.semantics.value,
-            "seed": self.seed,
-            "oracles": [{"variable": o.variable} for o in self.oracles],
-            "choices": [
-                {"events": [event_obj(e, decl) for e in decl.events]}
-                for decl in self.choices
+        """The scenario file of this scenario: the text ``json.dumps(obj,
+        indent=2)`` writes for its JSON object, byte for byte, formatted
+        directly from the schema. Keys keep the schema's order and an
+        action lists only the fields it sets. ``from_json`` reads the text
+        back to an equal scenario."""
+        oracles = [
+            _block([f'"variable": {_scalar(o.variable)}'], "{}", _ITEM) for o in self.oracles
+        ]
+        choices = []
+        for decl in self.choices:
+            events = _block([_event_json(e, decl) for e in decl.events], "[]", _ITEM_KEY)
+            choices.append(_block([f'"events": {events}'], "{}", _ITEM))
+        return _block(
+            [
+                f'"id": {_scalar(self.scenario_id)}',
+                f'"variant": {_quote(self.variant.id)}',
+                f'"semantics": {_quote(self.semantics.value)}',
+                f'"seed": {_scalar(self.seed)}',
+                f'"oracles": {_block(oracles, "[]", _KEY)}',
+                f'"choices": {_block(choices, "[]", _KEY)}',
+                f'"timeline": {_block([_action_json(a) for a in self.timeline], "[]", _KEY)}',
             ],
-            "timeline": [action_obj(a) for a in self.timeline],
-        }
+            "{}",
+            "",
+        )
 
     @classmethod
     def from_json(cls, text: str) -> "Scenario":
@@ -261,6 +257,11 @@ class Scenario:
 
     @classmethod
     def from_obj(cls, obj: dict[str, Any]) -> "Scenario":
+        """The scenario a decoded scenario file describes, validated.
+
+        Values are taken as they are, without conversion, and ``validate``
+        checks them; a missing key, a value of the wrong type or a failed
+        check raises ``ScenarioError``."""
         try:
             variant = OracleVariant.parse(obj["variant"])
             semantics = SemanticsKind(obj["semantics"])
@@ -277,29 +278,29 @@ class Scenario:
                         kind: Any = Conditional(exprlang.parse(event_obj["expr"]))
                         bindings[eid] = event_obj["oracle"]
                     else:  # a message has no field, a timer its deadline or delta
-                        kind = kind_type(*(event_obj[f.name] for f in fields(kind_type)))
+                        kind = kind_type(*(event_obj[name] for name in _KIND_FIELDS[kind_type]))
                     events.append(EventSpec(eid, kind))
                 choices.append(ChoiceDecl(tuple(events), bindings))
             timeline = tuple(
                 Action(
-                    step=a["step"],
-                    kind=a["action"],
-                    oracle=a.get("oracle"),
-                    value=a.get("value"),
-                    choice=a.get("choice"),
-                    preferred=a.get("preferred"),
-                    event=a.get("event"),
+                    a["step"],
+                    a["action"],
+                    a.get("oracle"),
+                    a.get("value"),
+                    a.get("choice"),
+                    a.get("preferred"),
+                    a.get("event"),
                 )
                 for a in obj.get("timeline", [])
             )
             scenario = cls(
-                scenario_id=str(obj.get("id", "scenario")),
+                scenario_id=obj.get("id", "scenario"),
                 variant=variant,
                 semantics=semantics,
                 oracles=oracles,
                 choices=tuple(choices),
                 timeline=timeline,
-                seed=int(obj.get("seed", 0)),
+                seed=obj.get("seed", 0),
             )
         except ScenarioError:
             raise
@@ -307,6 +308,60 @@ class Scenario:
             raise ScenarioError(f"malformed scenario: {error}") from None
         scenario.validate()
         return scenario
+
+
+# --- scenario files -----------------------------------------------------------
+
+# field names of each event kind but a condition, in the order its class
+# takes them (a message has none); a condition is written as its text
+_KIND_FIELDS = {
+    kind: tuple(f.name for f in fields(kind)) for kind in KIND_NAMES if kind is not Conditional
+}
+# an action writes its optional fields only when set
+_ACTION_KEYS = tuple(f',\n      "{name}": ' for name in Action._fields[2:])
+# indents of a scenario file: top-level keys, list items, item keys, and the
+# items of a choice's events list
+_KEY, _ITEM, _ITEM_KEY, _EVENT = "  ", "    ", "      ", "        "
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _scalar(value: Any) -> str:
+    """What ``json.dumps`` writes for a scalar; strings and ints directly."""
+    if type(value) is int:
+        return int.__repr__(value)
+    if type(value) is str:
+        return _quote(value)
+    return json.dumps(value)
+
+
+def _block(items: list[str], brackets: str, indent: str) -> str:
+    """A JSON array (``brackets`` ``"[]"``) of formatted items or object
+    (``"{}"``) of ``"key": value`` members, closing at ``indent``."""
+    if not items:
+        return brackets
+    inner = ",\n" + indent + "  "
+    return brackets[0] + inner[1:] + inner.join(items) + "\n" + indent + brackets[1]
+
+
+def _event_json(event: EventSpec, decl: ChoiceDecl) -> str:
+    kind = event.kind
+    members = [f'"kind": {_quote(KIND_NAMES[type(kind)])}']
+    if isinstance(kind, Conditional):
+        members.append(f'"expr": {_quote(exprlang.render(kind.condition))}')
+        members.append(f'"oracle": {_scalar(decl.oracle_for_event[event.id])}')
+    else:
+        for name in _KIND_FIELDS[type(kind)]:
+            members.append(f'"{name}": {_scalar(getattr(kind, name))}')
+    return _block(members, "{}", _EVENT)
+
+
+def _action_json(action: Action) -> str:
+    # the bulk of a scenario file, so formatted without ``_block``
+    text = f'{{\n      "step": {_scalar(action.step)},\n      "action": {_scalar(action.kind)}'
+    for key, value in zip(_ACTION_KEYS, action[2:]):
+        if value is not None:
+            text += key + _scalar(value)
+    return text + "\n    }"
 
 
 # --- ground truth -----------------------------------------------------------

@@ -82,6 +82,10 @@ MALFORMED = {
     "pubsub-two-events-one-oracle": _pubsub_two_events_one_oracle,
     "variable-twice": _set(("oracles",), [{"variable": "d_w"}, {"variable": "d_w"}]),
     "variable-list": _set(("oracles", 0, "variable"), ["d_w"]),
+    "seed-float": _set(("seed",), 1.9),
+    "seed-true": _set(("seed",), True),
+    "seed-string": _set(("seed",), "7"),
+    "id-number": _set(("id",), 5),
 }
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 from pathlib import Path
 from unittest import mock
 
@@ -28,6 +29,7 @@ from deferred_choice.scenario import (
     run,
 )
 from deferred_choice.semantics import (
+    KIND_NAMES,
     AbsoluteTimer,
     Conditional,
     EventSpec,
@@ -366,6 +368,162 @@ def test_json_round_trip():
     scenario = table1("pubsub-cond")
     again = Scenario.from_json(scenario.to_json())
     assert again == scenario
+
+
+# --- scenario files ---------------------------------------------------------------
+
+
+def reference_dict(scenario):
+    """The JSON object of a scenario file as a dict: ``to_json`` must write
+    the text ``json.dumps(reference_dict(s), indent=2)`` writes."""
+
+    def event_obj(event, decl):
+        kind = event.kind
+        obj = {"kind": KIND_NAMES[type(kind)]}
+        if isinstance(kind, Conditional):
+            obj["expr"] = exprlang.render(kind.condition)
+            obj["oracle"] = decl.oracle_for_event[event.id]
+        else:
+            obj.update(vars(kind))  # a timer's deadline or delta
+        return obj
+
+    def action_obj(action):
+        obj = {"step": action.step, "action": action.kind}
+        for name in ("oracle", "value", "choice", "preferred", "event"):
+            value = getattr(action, name)
+            if value is not None:
+                obj[name] = value
+        return obj
+
+    return {
+        "id": scenario.scenario_id,
+        "variant": scenario.variant.id,
+        "semantics": scenario.semantics.value,
+        "seed": scenario.seed,
+        "oracles": [{"variable": o.variable} for o in scenario.oracles],
+        "choices": [
+            {"events": [event_obj(e, decl) for e in decl.events]}
+            for decl in scenario.choices
+        ],
+        "timeline": [action_obj(a) for a in scenario.timeline],
+    }
+
+
+WORDS = st.integers(0, 2**64 - 1)
+# quotes, backslashes, control characters, non-ASCII text and lone
+# surrogates: everything ``json.dumps`` escapes
+AWKWARD_TEXT = st.text(
+    st.characters(exclude_categories=()) | st.sampled_from('"\\\x00\x1f\x7f\u2028\u00e9\ud800\udfff'),
+    max_size=6,
+)
+# JSON reads an escaped high surrogate followed by an escaped low one back
+# as one character, so text that must survive a round trip avoids that pair
+SURROGATE_PAIR = re.compile("[\ud800-\udbff][\udc00-\udfff]")
+ROUND_TRIP_TEXT = AWKWARD_TEXT.filter(lambda text: not SURROGATE_PAIR.search(text))
+IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")  # a variable name conditions can hold
+IDENTIFIERS = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,4}", fullmatch=True)
+SCALARS = st.none() | st.booleans() | st.integers(-(2**70), 2**70) | st.floats() | AWKWARD_TEXT
+
+
+@st.composite
+def scenario_files(draw):
+    """``(scenario, validated)``: a scenario ``validate`` accepts, or a
+    directly built one whose fields hold any scalar.
+
+    A validated scenario updates every oracle at step 1 and gives each
+    later transaction a step of its own; only an oracle with an identifier
+    name can be named in a condition, and a choice binds each oracle once.
+    """
+    validated = draw(st.booleans())
+    variant = draw(st.sampled_from(ALL_VARIANTS))
+    if validated:
+        semantics = variant.semantics
+        scenario_id, seed = draw(ROUND_TRIP_TEXT), draw(st.integers())
+        names = draw(st.lists(IDENTIFIERS | ROUND_TRIP_TEXT, max_size=3, unique=True))
+        fields = WORDS
+    else:
+        semantics = draw(st.sampled_from(SemanticsKind))
+        scenario_id, seed = draw(SCALARS), draw(SCALARS)
+        names = draw(st.lists(SCALARS, max_size=3))
+        fields = SCALARS
+    timeline = [Action(1, "update", oracle, draw(WORDS)) for oracle in range(len(names))]
+    step = 1
+    choices = []
+    for index in range(draw(st.integers(0, 3))):
+        unbound = [o for o, name in enumerate(names) if IDENTIFIER.fullmatch(str(name))]
+        events, bindings = [], {}
+        for event_id in range(draw(st.integers(int(validated), 4))):
+            kind = draw(st.sampled_from(tuple(KIND_NAMES)))
+            if kind is Conditional and validated and not unbound:
+                kind = Message
+            if kind is Conditional:
+                if validated:
+                    oracle = unbound.pop(draw(st.integers(0, len(unbound) - 1)))
+                    variable, bindings[event_id] = names[oracle], oracle
+                else:
+                    variable, bindings[event_id] = draw(IDENTIFIERS), draw(SCALARS)
+                events.append(EventSpec(event_id, Conditional(draw(conditions(variable)))))
+            elif kind is Message:
+                events.append(EventSpec(event_id, Message()))
+            else:
+                events.append(EventSpec(event_id, kind(draw(fields))))
+        choices.append(ChoiceDecl(tuple(events), bindings))
+        if not validated:
+            continue
+        preferred = st.none() | st.integers(0, len(events) - 1)
+        transactions = [("activate", None)] + [
+            ("message", e.id) for e in events if isinstance(e.kind, Message) and draw(st.booleans())
+        ]
+        transactions += [("trigger", None)] * draw(st.integers(0, 2))
+        for kind, event_id in transactions[: draw(st.integers(0, len(transactions)))]:
+            step += draw(st.integers(1, 2**40))
+            timeline.append(Action(step, kind, None, None, index, draw(preferred), event_id))
+    if validated and names:
+        for oracle in draw(st.lists(st.integers(0, len(names) - 1), max_size=4)):
+            step += draw(st.integers(1, 3))
+            timeline.append(Action(step, "update", oracle, draw(WORDS)))
+    elif not validated:
+        kinds = st.sampled_from(("update", "activate", "trigger", "message")) | AWKWARD_TEXT
+        timeline += draw(st.lists(st.builds(Action, SCALARS, kinds, *[SCALARS] * 5), max_size=4))
+    scenario = Scenario(
+        scenario_id, variant, semantics, tuple(map(OracleDecl, names)), tuple(choices),
+        tuple(timeline), seed,
+    )
+    return scenario, validated
+
+
+def check_scenario_file(scenario, validated):
+    text = scenario.to_json()
+    assert text == json.dumps(reference_dict(scenario), indent=2)
+    if validated:
+        scenario.validate()
+        assert Scenario.from_json(text) == scenario
+
+
+@settings(max_examples=300, deadline=None)
+@given(scenario_files())
+def test_to_json_writes_what_json_dumps_writes(case):
+    check_scenario_file(*case)
+
+
+NO_ORACLES = Scenario(
+    "no-oracles",
+    OracleVariant.parse("pubsub"),
+    SemanticsKind.TRANSACTION_DRIVEN,
+    (),
+    (ChoiceDecl((EventSpec(0, Message()),)),),
+    (),
+)
+
+
+@pytest.mark.parametrize(
+    "scenario",
+    [pytest.param(table1(v.id), id=f"table1-{v.id}") for v in ALL_VARIANTS]
+    + [pytest.param(NO_ORACLES, id="no-oracles")]
+    + [pytest.param(gen_cost(5, 10, v), id=f"cost-{v.id}") for v in ALL_VARIANTS],
+)
+def test_to_json_writes_what_json_dumps_writes_on_bundled_scenarios(scenario):
+    check_scenario_file(scenario, True)
 
 
 # --- gen_correctness ----------------------------------------------------------------
