@@ -34,10 +34,8 @@ from .oracles import (
     History,
     HistoryEntry,
     OracleProvider,
-    OracleQuery,
     OracleVariant,
     SemanticsKind,
-    Subscription,
     make_oracle_contract,
 )
 from .scenario import (

@@ -24,7 +24,7 @@ from pathlib import Path
 
 from . import expr as exprlang
 from .ledger import GasSchedule, receipt_line
-from .oracles import ALL_VARIANTS, Architecture, OracleVariant
+from .oracles import Architecture, OracleVariant
 from .scenario import (
     Action,
     ChoiceDecl,
@@ -40,13 +40,6 @@ from .semantics import (
     EventSpec,
     Message,
     RelativeTimer,
-)
-
-TRANSACTION_DRIVEN_VARIANTS: tuple[OracleVariant, ...] = tuple(
-    v for v in ALL_VARIANTS if not v.baseline
-)
-BASELINE_VARIANTS: tuple[OracleVariant, ...] = tuple(
-    v for v in ALL_VARIANTS if v.baseline
 )
 
 _EVENT_SPACING = 3  # steps between consecutive event occurrences

@@ -27,8 +27,6 @@ CONSTANT_MAX = 2**64 - 1
 
 COMPARISON_OPS = ("<", "<=", "==", "!=", ">=", ">")
 
-_NEGATED_OP = {"<": ">=", "<=": ">", "==": "!=", "!=": "==", ">=": "<", ">": "<="}
-
 
 class ExprError(ValueError):
     """Base class for expression failures."""
@@ -212,11 +210,6 @@ def variables(expr: Expr) -> frozenset[str]:
     if isinstance(expr, (And, Or)):
         return variables(expr.left) | variables(expr.right)
     raise ExprError(f"not an expression node: {expr!r}")
-
-
-def negate_comparison(expr: Comparison) -> Comparison:
-    """The comparison with the logically opposite operator."""
-    return Comparison(expr.var, _NEGATED_OP[expr.op], expr.value)
 
 
 _PRECEDENCE = {Or: 1, And: 2, Not: 3, Comparison: 4}

@@ -42,7 +42,6 @@ class _TransactionFields(NamedTuple):
     to: int
     function: str
     payload: bytes
-    submitted_at: int
 
 
 class Transaction(_TransactionFields):
@@ -50,14 +49,12 @@ class Transaction(_TransactionFields):
 
     __slots__ = ()
 
-    def __new__(
-        cls, sender: str, to: int, function: str, payload: bytes, submitted_at: int
-    ) -> "Transaction":
+    def __new__(cls, sender: str, to: int, function: str, payload: bytes) -> "Transaction":
         if len(payload) % wordcodec.WORD_SIZE:
             raise LedgerError(
                 f"payload length {len(payload)} is not a multiple of 32"
             )
-        return tuple.__new__(cls, (sender, to, function, payload, submitted_at))
+        return tuple.__new__(cls, (sender, to, function, payload))
 
     @classmethod
     def _make(cls, iterable) -> "Transaction":
@@ -183,25 +180,6 @@ def gas_cost(
     return total
 
 
-class ContractStorage:
-    """Key-value storage; writes are metered through the execution context."""
-
-    def __init__(self) -> None:
-        self._slots: dict[str, int] = {}
-
-    def get(self, key: str, default: int | None = None) -> int | None:
-        return self._slots.get(key, default)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._slots
-
-    def _set(self, key: str, value: int) -> bool:
-        """Returns True when the slot is written for the first time."""
-        fresh = key not in self._slots
-        self._slots[key] = value
-        return fresh
-
-
 class ExecutionContext:
     """Per-transaction accounting: block time, writes, logs, surcharges."""
 
@@ -215,11 +193,13 @@ class ExecutionContext:
         self.logs: list[LogEntry] = []
         self.surcharge = 0
 
-    def write(self, storage: ContractStorage, key: str, value: int) -> None:
-        if storage._set(key, value):
-            self.writes_new += 1
-        else:
+    def write(self, storage: dict[str, int], key: str, value: int) -> None:
+        """Write a storage slot, metered as new or as an update."""
+        if key in storage:
             self.writes_update += 1
+        else:
+            self.writes_new += 1
+        storage[key] = value
 
     def log(self, source: int, topic: str, payload: bytes = b"") -> None:
         self.logs.append(LogEntry(source, topic, payload))
@@ -235,7 +215,7 @@ class Contract:
 
     def __init__(self) -> None:
         self.address: int = 0
-        self.storage = ContractStorage()
+        self.storage: dict[str, int] = {}  # written through ``ExecutionContext.write``
 
     def handle(self, ctx: ExecutionContext, function: str, payload: bytes) -> None:
         raise Revert(f"unknown function {function!r}")
@@ -249,7 +229,6 @@ class Chain:
         self.height = 0
         self.contracts: dict[int, Contract] = {}
         self.receipts: list[Receipt] = []
-        self.cumulative_gas: dict[int, int] = {}
         self.deploy_gas_total = 0
         self._next_address = 1
         self._pending: list[Transaction] = []
@@ -261,9 +240,7 @@ class Chain:
         self._next_address += 1
         contract.address = address
         self.contracts[address] = contract
-        cost = self.schedule.deploy_cost(contract.kind)
-        self.cumulative_gas[address] = cost
-        self.deploy_gas_total += cost
+        self.deploy_gas_total += self.schedule.deploy_cost(contract.kind)
         return address
 
     def submit(self, tx: Transaction) -> None:
@@ -296,10 +273,6 @@ class Chain:
             receipt = self._execute(tx, self.height)
             mined.append(receipt)
             self.receipts.append(receipt)
-            if tx.to in self.contracts:
-                self.cumulative_gas[tx.to] = (
-                    self.cumulative_gas.get(tx.to, 0) + receipt.gas_used
-                )
         return mined
 
     def _execute(self, tx: Transaction, block_time: int) -> Receipt:

@@ -153,20 +153,6 @@ class HistoryEntry(NamedTuple):
     value: int
 
 
-@dataclass(frozen=True)
-class OracleQuery:
-    consumer: int
-    corr: int
-    params: bytes
-
-
-@dataclass
-class Subscription:
-    condition: exprlang.Expr | None
-    satisfied: bool = False
-    signaled: bool = False
-
-
 class _ConditionCache(dict):
     """Condition text -> parsed expression, parsed on first use."""
 
@@ -212,7 +198,8 @@ class History:
         self.values.append(value)
 
     def _encoded(self, start: int, stop: int) -> bytes:
-        """``wordcodec.encode_pairs`` of the change points [start, stop)."""
+        """The change points [start, stop) as a count word followed by each
+        ``(at, value)`` pair."""
         encoded = len(self._words) // _PAIR_SIZE
         if stop > encoded:
             self._words += wordcodec.encode_words(
@@ -424,7 +411,9 @@ class OracleProvider:
         self.variable: str = oracle.variable
         self.account = f"provider-{oracle.address}"
         self.current: HistoryEntry | None = None  # the latest update, changed or not
-        self.subscriptions: dict[int, Subscription] = {}
+        # subscriber -> its condition, None for a regular subscription that
+        # is pushed every change; a condition is dropped once it has signalled
+        self.subscriptions: dict[int, exprlang.Expr | None] = {}
         self.conditions = _ConditionCache()
         self.keeps_history = self.variant.architecture.answer is Answer.HISTORY
         self.delivery = self.variant.architecture.delivery
@@ -458,39 +447,27 @@ class OracleProvider:
 
     def _submit_set(self, value: int) -> None:
         self.chain.submit(
-            Transaction(
-                self.account,
-                self.oracle.address,
-                "set",
-                wordcodec.encode_word(value),
-                self.chain.height,
-            )
+            Transaction(self.account, self.oracle.address, "set", wordcodec.encode_word(value))
         )
 
     def _push_change(self, value: int, at: int) -> None:
-        for subscriber, sub in self.subscriptions.items():
+        signaled = []
+        for subscriber, condition in self.subscriptions.items():
             if not self.oracle.is_subscribed(subscriber):
                 continue
-            if self.variant.conditional:
-                was = sub.satisfied
-                sub.satisfied = exprlang.evaluate(sub.condition, {self.variable: value})
-                if sub.satisfied and not was and not sub.signaled:
-                    sub.signaled = True
-                    self.chain.submit(self._push_tx(subscriber, at, None))
-            else:
+            if condition is None:
                 self.chain.submit(self._push_tx(subscriber, at, value))
+            elif exprlang.evaluate(condition, {self.variable: value}):
+                signaled.append(subscriber)
+                self.chain.submit(self._push_tx(subscriber, at, None))
+        for subscriber in signaled:
+            del self.subscriptions[subscriber]
 
     def _push_tx(self, subscriber: int, at: int, value: int | None) -> Transaction:
         words = [self.oracle.address, at]
         if value is not None:
             words.append(value)
-        return Transaction(
-            self.account,
-            subscriber,
-            "push",
-            wordcodec.encode_words(*words),
-            self.chain.height,
-        )
+        return Transaction(self.account, subscriber, "push", wordcodec.encode_words(*words))
 
     # -- log reactions ---------------------------------------------------------
 
@@ -505,9 +482,7 @@ class OracleProvider:
                     corr = wordcodec.decode_word(log.payload, 0)
                     consumer = wordcodec.decode_word(log.payload, 1)
                     params = log.payload[2 * wordcodec.WORD_SIZE :]
-                    self.chain.submit_deferred(
-                        self.respond(OracleQuery(consumer, corr, params))
-                    )
+                    self.chain.submit_deferred(self.respond(consumer, corr, params))
                 elif log.topic == "subscribe":
                     subscriber = wordcodec.decode_word(log.payload, 0)
                     params = log.payload[wordcodec.WORD_SIZE :]
@@ -518,28 +493,25 @@ class OracleProvider:
             raise OracleError(
                 f"subscription before any update of {self.variable!r}"
             )
-        condition = None
-        if self.variant.conditional:
-            condition = self.conditions[wordcodec.decode_text(params, 0)]
-        sub = Subscription(condition)
-        self.subscriptions[subscriber] = sub
-        # push the current knowledge immediately so the subscriber has no gap
-        if self.variant.conditional:
-            sub.satisfied = exprlang.evaluate(
-                condition, {self.variable: self.current.value}
-            )
-            if sub.satisfied:
-                sub.signaled = True
-                self.chain.submit_deferred(self._push_tx(subscriber, block_ts, None))
+        # push the current knowledge immediately so the subscriber has no gap;
+        # a condition that holds already signals now and is not kept
+        value = self.current.value
+        if not self.variant.conditional:
+            self.subscriptions[subscriber] = None
+            self.chain.submit_deferred(self._push_tx(subscriber, block_ts, value))
+            return
+        condition = self.conditions[wordcodec.decode_text(params, 0)]
+        if exprlang.evaluate(condition, {self.variable: value}):
+            self.subscriptions.pop(subscriber, None)
+            self.chain.submit_deferred(self._push_tx(subscriber, block_ts, None))
         else:
-            self.chain.submit_deferred(
-                self._push_tx(subscriber, block_ts, self.current.value)
-            )
+            self.subscriptions[subscriber] = condition
 
     # -- query answers -----------------------------------------------------------
 
-    def respond(self, query: OracleQuery) -> Transaction:
-        """Build the callback transaction answering an asynchronous query."""
+    def respond(self, consumer: int, corr: int, params: bytes) -> Transaction:
+        """Build the callback transaction answering query ``corr`` of
+        ``consumer`` with parameters ``params``."""
         if self.delivery is not Delivery.CALLBACK:
             raise OracleError(f"{self.variant.id} does not answer queries")
         if self.keeps_history:
@@ -547,12 +519,8 @@ class OracleProvider:
         else:
             known = self.current.value if self.current else 0
         result = answer_query(
-            known, query.params, self.variant.conditional, self.conditions, self.variable
+            known, params, self.variant.conditional, self.conditions, self.variable
         )
         return Transaction(
-            self.account,
-            query.consumer,
-            "oracle_callback",
-            wordcodec.encode_word(query.corr) + result,
-            self.chain.height,
+            self.account, consumer, "oracle_callback", wordcodec.encode_word(corr) + result
         )

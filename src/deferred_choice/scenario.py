@@ -555,9 +555,7 @@ def run(scenario: Scenario, schedule: GasSchedule | None = None) -> ExperimentRe
                     )
                     payload = encode_trigger(preferred, action.event)
                     function = "try_trigger"
-                chain.submit(
-                    Transaction(SIM_ACCOUNT, target.address, function, payload, chain.height)
-                )
+                chain.submit(Transaction(SIM_ACCOUNT, target.address, function, payload))
         if step == next_step:
             next_step = next(steps, None)
         receipts = chain.step()

@@ -1,14 +1,13 @@
 """32-byte word encoding for transaction payloads, query parameters and results.
 
 Every payload is a sequence of 32-byte words with scalar values stored
-big-endian in the low-order bytes. Lists of (timestamp, value) pairs are
-length-prefixed; expression text is a length word followed by UTF-8 bytes
-zero-padded to the next word boundary.
+big-endian in the low-order bytes. Expression text is a length word
+followed by UTF-8 bytes zero-padded to the next word boundary. A history
+slice is a count word followed by that many (timestamp, value) word pairs;
+``oracles.History`` writes it and ``choice.resume_slice_scan`` reads it.
 """
 
 from __future__ import annotations
-
-from collections.abc import Iterable, Sequence
 
 WORD_SIZE = 32
 WORD_MAX = 2**256 - 1
@@ -36,35 +35,12 @@ def decode_word(data: bytes, index: int = 0) -> int:
     return int.from_bytes(word, "big")
 
 
-def word_count(data: bytes) -> int:
-    if len(data) % WORD_SIZE:
-        raise CodecError(f"payload length {len(data)} is not word aligned")
-    return len(data) // WORD_SIZE
-
-
 def encode_bool(flag: bool) -> bytes:
     return encode_word(1 if flag else 0)
 
 
 def decode_bool(data: bytes, index: int = 0) -> bool:
     return decode_word(data, index) != 0
-
-
-def encode_pairs(pairs: Sequence[tuple[int, int]] | Iterable[tuple[int, int]]) -> bytes:
-    items = list(pairs)
-    out = [encode_word(len(items))]
-    for at, value in items:
-        out.append(encode_word(at))
-        out.append(encode_word(value))
-    return b"".join(out)
-
-
-def decode_pairs(data: bytes, index: int = 0) -> list[tuple[int, int]]:
-    count = decode_word(data, index)
-    return [
-        (decode_word(data, index + 1 + 2 * i), decode_word(data, index + 2 + 2 * i))
-        for i in range(count)
-    ]
 
 
 def encode_text(text: str) -> bytes:
@@ -80,9 +56,3 @@ def decode_text(data: bytes, index: int = 0) -> str:
     if len(raw) != length:
         raise CodecError("truncated text payload")
     return raw.decode("utf-8")
-
-
-def text_word_span(text: str) -> int:
-    """Number of words occupied by ``encode_text(text)``."""
-    raw_len = len(text.encode("utf-8"))
-    return 1 + (raw_len + WORD_SIZE - 1) // WORD_SIZE

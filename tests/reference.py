@@ -16,7 +16,7 @@ activation on, so this module states the timer rule independently of
 ``semantics.timer_fire``. The tests check the package's closed-form ground
 truth (``scenario.ground_truth``) against ``run_continual`` over the trace
 ``induced_trace`` builds, and the oracle histories against
-``earliest_satisfied``.
+``earliest_satisfied`` and the pair codec ``encode_pairs``/``decode_pairs``.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
 from deferred_choice import expr as exprlang
+from deferred_choice import wordcodec
 from deferred_choice.oracles import HistoryEntry
 from deferred_choice.semantics import (
     NEVER,
@@ -347,3 +348,26 @@ def earliest_satisfied(
         if exprlang.evaluate(condition, {variable: entries[index].value}):
             return max(times[index], from_ts), index - start + 1
     return NEVER, len(entries) - start
+
+
+def encode_pairs(pairs: Iterable[tuple[int, int]]) -> bytes:
+    """A history slice: a count word, then each ``(at, value)`` word pair."""
+    items = list(pairs)
+    return wordcodec.encode_words(len(items), *(word for pair in items for word in pair))
+
+
+def decode_pairs(data: bytes, index: int = 0) -> list[tuple[int, int]]:
+    """The ``(at, value)`` pairs of the history slice at word ``index``."""
+    count = wordcodec.decode_word(data, index)
+    return [
+        (wordcodec.decode_word(data, index + 1 + 2 * i), wordcodec.decode_word(data, index + 2 + 2 * i))
+        for i in range(count)
+    ]
+
+
+_NEGATED_OP = {"<": ">=", "<=": ">", "==": "!=", "!=": "==", ">=": "<", ">": "<="}
+
+
+def negate_comparison(expr: exprlang.Comparison) -> exprlang.Comparison:
+    """The comparison with the logically opposite operator."""
+    return exprlang.Comparison(expr.var, _NEGATED_OP[expr.op], expr.value)

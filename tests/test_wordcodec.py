@@ -21,19 +21,10 @@ def test_bool_words():
     assert wc.encode_bool(True) == wc.encode_word(1)
 
 
-def test_pairs_layout():
-    pairs = [(73, 0), (74, 1), (77, 2)]
-    data = wc.encode_pairs(pairs)
-    assert len(data) == 32 * (1 + 2 * 3)
-    assert wc.decode_word(data, 0) == 3
-    assert wc.decode_pairs(data) == pairs
-
-
 def test_text_round_trip_and_padding():
     data = wc.encode_text("d_w >= 2")
     assert len(data) % 32 == 0
     assert wc.decode_text(data) == "d_w >= 2"
-    assert wc.text_word_span("d_w >= 2") * 32 == len(data)
 
 
 def test_value_out_of_range():
@@ -47,22 +38,7 @@ def test_truncated_payloads():
     with pytest.raises(wc.CodecError):
         wc.decode_word(b"\x00" * 16)
     with pytest.raises(wc.CodecError):
-        wc.decode_pairs(wc.encode_word(2) + wc.encode_word(1))
-    with pytest.raises(wc.CodecError):
         wc.decode_text(wc.encode_word(64))
-
-
-def test_word_count():
-    assert wc.word_count(b"") == 0
-    assert wc.word_count(wc.encode_words(1, 2, 3)) == 3
-    with pytest.raises(wc.CodecError):
-        wc.word_count(b"\x00" * 33)
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.lists(st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1)), max_size=20))
-def test_pairs_round_trip(pairs):
-    assert wc.decode_pairs(wc.encode_pairs(pairs)) == pairs
 
 
 @settings(max_examples=100, deadline=None)
