@@ -212,13 +212,20 @@ class History:
             + self._words[start * _PAIR_SIZE : stop * _PAIR_SIZE]
         )
 
+    def _start(self, from_ts: int) -> int:
+        """The window at ``from_ts``: the index of the change point in force
+        then, or of the first one if none is."""
+        return max(bisect_right(self.times, from_ts) - 1, 0)
+
     def since(self, from_ts: int) -> bytes:
         """The encoded slice of all change points at or after ``from_ts``."""
         return self._encoded(bisect_left(self.times, from_ts), len(self.times))
 
-    def prefix(self, count: int) -> bytes:
-        """The encoded first ``count`` change points."""
-        return self._encoded(0, count)
+    def scanned(self, from_ts: int, count: int) -> bytes:
+        """The encoded first ``count`` change points of the window at
+        ``from_ts``: those a scan that examined ``count`` of them read."""
+        start = self._start(from_ts)
+        return self._encoded(start, start + count)
 
     def earliest(
         self, from_ts: int, text: str, condition: exprlang.Expr
@@ -231,7 +238,7 @@ class History:
         a hit there counts from ``from_ts``. The scan resumes where the
         previous scan of the same question stopped; an append at or before
         ``from_ts`` moves the window start, and the scan then starts over."""
-        start = max(bisect_right(self.times, from_ts) - 1, 0)
+        start = self._start(from_ts)
         key = (from_ts, text)
         cursor = self._cursors.get(key)
         if cursor is None or cursor.start != start:
@@ -274,10 +281,7 @@ def answer_query(
             found, visited = known.earliest(from_ts, text, conditions[text])
             result = wordcodec.encode_word(found)
             if ctx is not None:
-                # known defect, kept so that gas does not shift: this charges
-                # the first ``visited`` entries of the whole history, not the
-                # ``visited`` entries examined from the window start
-                scan = known.prefix(visited)
+                scan = known.scanned(from_ts, visited)
         else:
             result = scan = known.since(from_ts)
     elif conditional:

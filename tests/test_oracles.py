@@ -331,10 +331,10 @@ def test_conditional_agrees_with_scan_over_regular_slice():
         assert found == hit
 
 
-def test_onchain_conditional_scan_charges_history_prefix_not_window():
-    """Pins a known defect: the on-chain conditional history charges the
-    first ``visited`` entries of the whole history as its scan, not the
-    ``visited`` entries it examined from the window start."""
+def test_onchain_conditional_scan_charges_the_examined_window():
+    """The on-chain conditional history charges, as its scan, the entries
+    it examined from the window start, not the first entries of the whole
+    history."""
     chain, oracle, provider, _ = make_rig("onchain-history-cond")
     for at, value in ((1, 0), (5, 7), (9, 3)):
         advance_to(chain, provider, at - 1)
@@ -348,8 +348,8 @@ def test_onchain_conditional_scan_charges_history_prefix_not_window():
     assert earliest_satisfied(entries, 6, parse("d_w >= 7"), "d_w") == (6, 1)
     byte_cost = chain.schedule.byte_cost
     charged_scan = ctx.surcharge - byte_cost(params) - byte_cost(result)
-    assert charged_scan == byte_cost(encode_pairs([(1, 0)]))  # examined: (5, 7)
-    assert charged_scan != byte_cost(encode_pairs([(5, 7)]))
+    assert charged_scan == byte_cost(encode_pairs([(5, 7)]))  # the entry examined
+    assert charged_scan != byte_cost(encode_pairs([(1, 0)]))
 
 
 def test_pubsub_completeness_one_push_per_change():
@@ -402,11 +402,17 @@ CONDITION_TEXTS = (
 )
 
 
+def in_force_later(pairs, i, from_ts):
+    """Whether change point ``i`` is replaced at or before ``from_ts``, so
+    that its interval lies entirely before the window at ``from_ts``."""
+    return i + 1 < len(pairs) and pairs[i + 1][0] <= from_ts
+
+
 def reference_earliest(pairs, from_ts, condition):
     """The per-query walk from the first change point, with no cursor."""
     visited = 0
     for i, (at, value) in enumerate(pairs):
-        if i + 1 < len(pairs) and pairs[i + 1][0] <= from_ts:
+        if in_force_later(pairs, i, from_ts):
             continue  # interval entirely before the window
         visited += 1
         if evaluate(condition, {"d_w": value}):
@@ -480,7 +486,8 @@ def test_history_matches_stateless_reference(run):
         condition = parse(text)
         found, visited = history.earliest(from_ts, text, condition)
         assert (found, visited) == reference_earliest(pairs, from_ts, condition)
-        assert history.prefix(visited) == encode_pairs(pairs[:visited])
+        examined = [p for i, p in enumerate(pairs) if not in_force_later(pairs, i, from_ts)]
+        assert history.scanned(from_ts, visited) == encode_pairs(examined[:visited])
         window = history.since(from_ts)
         assert window == encode_pairs([p for p in pairs if p[0] >= from_ts])
         # the consumer reads slices at word 0 (on-chain) or after a
