@@ -201,8 +201,10 @@ class DeferredChoiceContract(Contract):
         if not self.ranks:
             value = wordcodec.decode_word(payload, index)
             return exprlang.evaluate(self._condition(eid), {self.oracles[eid].variable: value})
-        # slices are always taken from activation, so each one extends the
-        # last and only the pairs appended since need testing
+        # slices start at the change point in force at activation, and no
+        # later one lands at or before it, so each slice extends the last
+        # and only the pairs appended since need testing; a hit on the point
+        # in force counts from activation
         at, self._cond_unsatisfied[eid] = resume_slice_scan(
             payload,
             index,
@@ -210,7 +212,7 @@ class DeferredChoiceContract(Contract):
             self._condition(eid),
             self.oracles[eid].variable,
         )
-        return at
+        return max(at, self.activation_ts)
 
     def _note(self, ctx: ExecutionContext, eid: int, answer: int | bool, horizon: int) -> None:
         """Record event ``eid``'s answer, which holds through ``horizon``.

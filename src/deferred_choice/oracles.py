@@ -46,7 +46,7 @@ charged, and therefore gas, are those of a fresh encoding and a full scan.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -217,15 +217,11 @@ class History:
         then, or of the first one if none is."""
         return max(bisect_right(self.times, from_ts) - 1, 0)
 
-    def since(self, from_ts: int) -> bytes:
-        """The encoded slice of all change points at or after ``from_ts``."""
-        return self._encoded(bisect_left(self.times, from_ts), len(self.times))
-
-    def scanned(self, from_ts: int, count: int) -> bytes:
-        """The encoded first ``count`` change points of the window at
-        ``from_ts``: those a scan that examined ``count`` of them read."""
+    def since(self, from_ts: int, count: int | None = None) -> bytes:
+        """The encoded slice of the window at ``from_ts``: all its change
+        points, or the first ``count`` (those a scan examined)."""
         start = self._start(from_ts)
-        return self._encoded(start, start + count)
+        return self._encoded(start, len(self.times) if count is None else start + count)
 
     def earliest(
         self, from_ts: int, text: str, condition: exprlang.Expr
@@ -281,7 +277,7 @@ def answer_query(
             found, visited = known.earliest(from_ts, text, conditions[text])
             result = wordcodec.encode_word(found)
             if ctx is not None:
-                scan = known.scanned(from_ts, visited)
+                scan = known.since(from_ts, visited)
         else:
             result = scan = known.since(from_ts)
     elif conditional:

@@ -65,6 +65,32 @@ def test_run_table1_storage_baseline_incorrect():
     assert report.correct is False
 
 
+@pytest.mark.parametrize("variant", ALL_VARIANTS, ids=lambda v: v.id)
+def test_condition_already_true_at_activation_wins(variant):
+    # x0 is 7 from step 5, so "x0 != 6" holds when the choice activates at
+    # step 8, before the timer at 11: the change point in force at
+    # activation counts, although it is older than the activation
+    scenario = race_scenario(
+        ["x0"],
+        [
+            ChoiceDecl(
+                (
+                    EventSpec(0, Conditional(exprlang.parse("x0 != 6"))),
+                    EventSpec(1, AbsoluteTimer(11)),
+                ),
+                {0: 0},
+            )
+        ],
+        [
+            Action(5, "update", oracle=0, value=7),
+            Action(8, "activate", choice=0),
+            Action(12, "trigger", choice=0),
+        ],
+    ).with_variant(variant)
+    report = run(scenario)
+    assert (report.winner, report.truth) == (0, 0)
+
+
 def test_run_is_reproducible():
     first = run(table1("pubsub-cond"))
     second = run(table1("pubsub-cond"))
@@ -646,11 +672,11 @@ PINNED_OUTPUTS = {
     ("request-response-cond", "table1"): (2098737, "5c457d9828fd0647f5ac99a9ba347e267dc68a3a7e8310225049cfe06872f1a3"),
     ("request-response-cond", "cost"): (9845100, "9b6399bb961ca4bc9ebebaabd7b74f81849ef56fce264c55bdd3d6db5bc99bac"),
     ("onchain-history", "table1"): (2369831, "7c9d249486514a5523715af863d1bd465ac54e51be65df0b4b0181f3fec00161"),
-    ("onchain-history", "cost"): (9790743, "1f462c007820d512ba2df6e923c65f7bdf304309825d58371858b0500b90c0da"),
+    ("onchain-history", "cost"): (9798903, "ec8ab840a5465bbaeadfa0eddeceb4b23ecf7e33ec3ac5d206db58de453d6765"),
     ("onchain-history-cond", "table1"): (2319547, "6512530df0bca6be9088fec1997f6da978ff508b3b2701dd7ce6b8b8eaba3e1c"),
     ("onchain-history-cond", "cost"): (9210003, "c5cbd438efd772f95d1c52ec9256071641a9c9c4ace2ff8d78d5330267a17c73"),
     ("offchain-history", "table1"): (2254333, "795a5b4ed159cb0803027db61cde849ecd5c3d9afe405e808cf773355b60010c"),
-    ("offchain-history", "cost"): (10562320, "8b1aa32ac1047efee81b8f93c1d72cfe3ca215b98e4e39a78d8f09b376ef5c33"),
+    ("offchain-history", "cost"): (10566400, "0e176ef17a2a72c1d1609cfb77dfbeedf99e703300db88224a5f5b821e391190"),
     ("offchain-history-cond", "table1"): (2114345, "5e9ffe23ce0753e0f22959c195fb5d708e7d19f33927a461a649a9e51edbac99"),
     ("offchain-history-cond", "cost"): (9849900, "13dec049f4c9552aaa6f078016ec9802acbfc0f682031de70be4e0b069a4ffc5"),
     ("pubsub", "table1"): (2164276, "92c12ff958fa97ef58e831472f90ef2066b9cf7cb3d700b0530510f57a610291"),
