@@ -75,9 +75,11 @@ class Or:
 Expr = Union[Comparison, Not, And, Or]
 
 
+IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")  # the variable names a condition can hold
+
 _TOKEN_RE = re.compile(
     r"(?P<ws>\s+)"
-    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
+    rf"|(?P<ident>{IDENTIFIER.pattern})"
     r"|(?P<num>\d+)"
     r"|(?P<op><=|>=|==|!=|&&|\|\||[=<>!()])"
 )

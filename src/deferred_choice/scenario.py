@@ -105,8 +105,12 @@ class Scenario:
             raise ScenarioError(
                 f"{self.variant.id} cannot run under {self.semantics.value} semantics"
             )
+        for decl in self.oracles:
+            # a condition names the variable, so it must read as one
+            if not isinstance(decl.variable, str) or not exprlang.IDENTIFIER.fullmatch(decl.variable):
+                raise ScenarioError(f"bad variable {decl.variable!r}: variables are identifiers")
         # the ground truth keys change points by variable name
-        names = {o.variable for o in self.oracles if isinstance(o.variable, str)}
+        names = {o.variable for o in self.oracles}
         if len(names) != len(self.oracles):
             raise ScenarioError("oracle variables must be distinct names")
         one_subscription = self.variant.architecture.delivery is Delivery.PUSH
@@ -260,20 +264,26 @@ class Scenario:
         """The scenario a decoded scenario file describes, validated.
 
         Values are taken as they are, without conversion, and ``validate``
-        checks them; a missing key, a value of the wrong type or a failed
-        check raises ``ScenarioError``."""
+        checks them; a missing or unknown key, a value of the wrong type or
+        a failed check raises ``ScenarioError``."""
         try:
+            _check_keys(obj, _SCENARIO_KEYS, "scenario")
             variant = OracleVariant.parse(obj["variant"])
             semantics = SemanticsKind(obj["semantics"])
-            oracles = tuple(OracleDecl(o["variable"]) for o in obj.get("oracles", []))
+            oracles = []
+            for oracle_obj in obj.get("oracles", []):
+                _check_keys(oracle_obj, _ORACLE_KEYS, "oracle")
+                oracles.append(OracleDecl(oracle_obj["variable"]))
             choices = []
             for choice_obj in obj.get("choices", []):
+                _check_keys(choice_obj, _CHOICE_KEYS, "choice")
                 events = []
                 bindings: dict[int, int] = {}
                 for eid, event_obj in enumerate(choice_obj["events"]):
                     kind_type = _KIND_TYPES.get(event_obj["kind"])
                     if kind_type is None:
                         raise ScenarioError(f"unknown event kind {event_obj['kind']!r}")
+                    _check_keys(event_obj, _EVENT_KEYS[kind_type], f"event {eid}")
                     if kind_type is Conditional:
                         kind: Any = Conditional(exprlang.parse(event_obj["expr"]))
                         bindings[eid] = event_obj["oracle"]
@@ -281,25 +291,27 @@ class Scenario:
                         kind = kind_type(*(event_obj[name] for name in _KIND_FIELDS[kind_type]))
                     events.append(EventSpec(eid, kind))
                 choices.append(ChoiceDecl(tuple(events), bindings))
-            timeline = tuple(
-                Action(
-                    a["step"],
-                    a["action"],
-                    a.get("oracle"),
-                    a.get("value"),
-                    a.get("choice"),
-                    a.get("preferred"),
-                    a.get("event"),
+            timeline = []
+            for a in obj.get("timeline", []):
+                _check_keys(a, _ACTION_KEYS, "action")
+                timeline.append(
+                    Action(
+                        a["step"],
+                        a["action"],
+                        a.get("oracle"),
+                        a.get("value"),
+                        a.get("choice"),
+                        a.get("preferred"),
+                        a.get("event"),
+                    )
                 )
-                for a in obj.get("timeline", [])
-            )
             scenario = cls(
                 scenario_id=obj.get("id", "scenario"),
                 variant=variant,
                 semantics=semantics,
-                oracles=oracles,
+                oracles=tuple(oracles),
                 choices=tuple(choices),
-                timeline=timeline,
+                timeline=tuple(timeline),
                 seed=obj.get("seed", 0),
             )
         except ScenarioError:
@@ -317,12 +329,28 @@ class Scenario:
 _KIND_FIELDS = {
     kind: tuple(f.name for f in fields(kind)) for kind in KIND_NAMES if kind is not Conditional
 }
+# the keys each object of a scenario file may have; an action names its
+# kind under "action"
+_SCENARIO_KEYS = frozenset(("id", "variant", "semantics", "seed", "oracles", "choices", "timeline"))
+_ORACLE_KEYS = frozenset(("variable",))
+_CHOICE_KEYS = frozenset(("events",))
+_EVENT_KEYS = {
+    kind: frozenset(("kind", *(("expr", "oracle") if kind is Conditional else _KIND_FIELDS[kind])))
+    for kind in KIND_NAMES
+}
+_ACTION_KEYS = frozenset(("step", "action", *Action._fields[2:]))
 # an action writes its optional fields only when set
-_ACTION_KEYS = tuple(f',\n      "{name}": ' for name in Action._fields[2:])
+_ACTION_OPTIONAL_KEYS = tuple(f',\n      "{name}": ' for name in Action._fields[2:])
 # indents of a scenario file: top-level keys, list items, item keys, and the
 # items of a choice's events list
 _KEY, _ITEM, _ITEM_KEY, _EVENT = "  ", "    ", "      ", "        "
 _quote = json.encoder.encode_basestring_ascii
+
+
+def _check_keys(obj: dict[str, Any], allowed: frozenset[str], where: str) -> None:
+    if not allowed.issuperset(obj):
+        unknown = ", ".join(sorted(repr(key) for key in obj if key not in allowed))
+        raise ScenarioError(f"{where} has unknown keys {unknown}")
 
 
 def _scalar(value: Any) -> str:
@@ -358,7 +386,7 @@ def _event_json(event: EventSpec, decl: ChoiceDecl) -> str:
 def _action_json(action: Action) -> str:
     # the bulk of a scenario file, so formatted without ``_block``
     text = f'{{\n      "step": {_scalar(action.step)},\n      "action": {_scalar(action.kind)}'
-    for key, value in zip(_ACTION_KEYS, action[2:]):
+    for key, value in zip(_ACTION_OPTIONAL_KEYS, action[2:]):
         if value is not None:
             text += key + _scalar(value)
     return text + "\n    }"

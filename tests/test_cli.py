@@ -65,6 +65,15 @@ def _pubsub_two_events_one_oracle(obj):
     obj["choices"][0]["events"].append(second)
 
 
+def _add_oracle(variable):
+    """An edit of the table1 JSON: add an unbound oracle of ``variable``."""
+
+    def edit(obj):
+        obj["oracles"].append({"variable": variable})
+
+    return edit
+
+
 MALFORMED = {
     "value-2**64": _set(("timeline", 0, "value"), 2**64),
     "value-negative": _set(("timeline", 0, "value"), -1),
@@ -82,10 +91,15 @@ MALFORMED = {
     "pubsub-two-events-one-oracle": _pubsub_two_events_one_oracle,
     "variable-twice": _set(("oracles",), [{"variable": "d_w"}, {"variable": "d_w"}]),
     "variable-list": _set(("oracles", 0, "variable"), ["d_w"]),
+    "variable-non-ascii": _add_oracle("\u00c0"),
+    "variable-with-space": _add_oracle("x y"),
     "seed-float": _set(("seed",), 1.9),
     "seed-true": _set(("seed",), True),
     "seed-string": _set(("seed",), "7"),
     "id-number": _set(("id",), 5),
+    "preferred-misspelt": _set(("timeline", 4, "prefered"), 3),
+    "deadline-misspelt": _set(("choices", 0, "events", 0, "dealine"), 5),
+    "unknown-top-level-key": _set(("bogus",), 1),
 }
 
 
