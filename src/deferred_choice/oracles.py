@@ -37,10 +37,12 @@ block of the change timestamp.
 
 Both history architectures keep their change points in one ``History``:
 each point is held once and encoded at most once, the first time a served
-slice needs it. A conditional history query resumes the scan that the
-same ``(from_ts, condition)`` question stopped at, and each oracle parses a
+slice needs it. A query's window starts at the change point in force at its
+``from_ts``. A conditional history query resumes the scan that the same
+``(from_ts, condition)`` question stopped at, and each oracle parses a
 condition text once. This saves host work only: the bytes served and
-charged, and therefore gas, are those of a fresh encoding and a full scan.
+charged, and therefore gas, are those of a fresh encoding of the window and
+a scan of it from its start, which charges the change points examined.
 """
 
 from __future__ import annotations
@@ -502,7 +504,6 @@ class OracleProvider:
             return
         condition = self.conditions[wordcodec.decode_text(params, 0)]
         if exprlang.evaluate(condition, {self.variable: value}):
-            self.subscriptions.pop(subscriber, None)
             self.chain.submit_deferred(self._push_tx(subscriber, block_ts, None))
         else:
             self.subscriptions[subscriber] = condition
