@@ -31,7 +31,7 @@ from .experiments import (
     write_receipts_log,
     write_report_csv,
 )
-from .ledger import GasSchedule
+from .ledger import GasSchedule, LedgerError
 from .oracles import ALL_VARIANTS, OracleVariant
 from .scenario import Scenario, ScenarioError, run
 
@@ -48,13 +48,19 @@ def _parse_variants(text: str) -> list[OracleVariant]:
     return [OracleVariant.parse(part) for part in text.split(",") if part]
 
 
+class _InputError(Exception):
+    """An input file cannot be used; the command exits 2."""
+
+
 def _load_schedule(path: str | None) -> GasSchedule:
     schedule = GasSchedule()
     if path is None:
         return schedule
-    with open(path) as handle:
-        overrides = json.load(handle)
-    return schedule.with_overrides(overrides)
+    try:
+        with open(path) as handle:
+            return schedule.with_overrides(json.load(handle))
+    except (OSError, json.JSONDecodeError, LedgerError) as error:
+        raise _InputError(f"gas schedule {path}: {error}") from None
 
 
 def _out_dir(path: str) -> Path:
@@ -159,6 +165,9 @@ def main(argv: list[str] | None = None) -> int:
         return int(exit_.code or 0)
     try:
         return args.func(args)
+    except _InputError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     except Exception as error:  # surface anything unexpected as a diagnostic
         print(f"error: {error}", file=sys.stderr)
         return 1

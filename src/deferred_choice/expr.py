@@ -18,6 +18,7 @@ integers and always yields a boolean.
 
 from __future__ import annotations
 
+import functools
 import re
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -171,8 +172,12 @@ class _Parser:
         return Comparison(var, op, constant)
 
 
+@functools.lru_cache(maxsize=1024)
 def parse(text: str) -> Expr:
-    """Parse expression text into an AST; raises ExprSyntaxError with position."""
+    """Parse expression text into an AST; raises ExprSyntaxError with position.
+
+    Each text is parsed once while it stays among the most recently used:
+    nodes are frozen, so every caller can share the one tree."""
     return _Parser(text).parse()
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import NamedTuple
 
 from . import wordcodec
@@ -149,19 +149,40 @@ class GasSchedule:
         except KeyError:
             raise LedgerError(f"no deployment cost configured for kind {kind!r}") from None
 
-    def with_overrides(self, overrides: Mapping[str, object]) -> "GasSchedule":
-        scalars = {
-            key: int(value)  # type: ignore[arg-type]
-            for key, value in overrides.items()
-            if key != "deploy_per_contract"
-        }
+    def with_overrides(self, overrides: object) -> "GasSchedule":
+        """This schedule with the constants a decoded JSON object names
+        replaced; ``deploy_per_contract`` is an object of per-kind constants
+        merged into this schedule's. Every constant is a non-negative int.
+        Raises ``LedgerError`` naming the key of a value it rejects."""
+        if not isinstance(overrides, Mapping):
+            raise LedgerError(f"a gas schedule is an object, not {overrides!r}")
+        names = {f.name for f in fields(self)}
+        scalars = {}
+        for key, value in overrides.items():
+            if key not in names:
+                raise LedgerError(f"unknown gas schedule key {key!r}")
+            if key != "deploy_per_contract":
+                scalars[key] = _gas(key, value)
         schedule = replace(self, **scalars)
-        deploys = overrides.get("deploy_per_contract")
-        if deploys:
+        if "deploy_per_contract" in overrides:
+            deploys = overrides["deploy_per_contract"]
+            if not isinstance(deploys, Mapping):
+                raise LedgerError(
+                    f"deploy_per_contract is an object of per-kind gas, not {deploys!r}"
+                )
             merged = dict(schedule.deploy_per_contract)
-            merged.update({k: int(v) for k, v in deploys.items()})  # type: ignore[union-attr]
+            merged.update(
+                {kind: _gas(f"deploy_per_contract.{kind}", gas) for kind, gas in deploys.items()}
+            )
             schedule = replace(schedule, deploy_per_contract=merged)
         return schedule
+
+
+def _gas(key: str, value: object) -> int:
+    """``value`` if it is a non-negative int and not a bool."""
+    if type(value) is not int or value < 0:
+        raise LedgerError(f"gas schedule key {key!r}: {value!r} is not a non-negative integer")
+    return value
 
 
 def gas_cost(

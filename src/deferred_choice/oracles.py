@@ -39,10 +39,16 @@ Both history architectures keep their change points in one ``History``:
 each point is held once and encoded at most once, the first time a served
 slice needs it. A query's window starts at the change point in force at its
 ``from_ts``. A conditional history query resumes the scan that the same
-``(from_ts, condition)`` question stopped at, and each oracle parses a
-condition text once. This saves host work only: the bytes served and
-charged, and therefore gas, are those of a fresh encoding of the window and
-a scan of it from its start, which charges the change points examined.
+``(from_ts, condition)`` question stopped at. This saves host work only:
+the bytes served and charged, and therefore gas, are those of a fresh
+encoding of the window and a scan of it from its start, which charges the
+change points examined.
+
+A provider's fan-outs share their bytes too. Within one block it answers
+each distinct query once and sends every consumer that asked it a callback
+carrying that one answer, and a change, or a block's catch-up pushes, goes
+out as one payload to every subscriber it is pushed to. Transactions and
+their gas stay per consumer.
 """
 
 from __future__ import annotations
@@ -155,14 +161,6 @@ class HistoryEntry(NamedTuple):
     value: int
 
 
-class _ConditionCache(dict):
-    """Condition text -> parsed expression, parsed on first use."""
-
-    def __missing__(self, text: str) -> exprlang.Expr:
-        condition = self[text] = exprlang.parse(text)
-        return condition
-
-
 @dataclass
 class _Cursor:
     """Progress of one ``(from_ts, condition)`` scan over a history."""
@@ -258,7 +256,6 @@ def answer_query(
     known: int | History,
     params: bytes,
     conditional: bool,
-    conditions: _ConditionCache,
     variable: str,
     ctx: ExecutionContext | None = None,
 ) -> bytes:
@@ -276,14 +273,14 @@ def answer_query(
         from_ts = wordcodec.decode_word(params, 0)
         if conditional:
             text = wordcodec.decode_text(params, 1)
-            found, visited = known.earliest(from_ts, text, conditions[text])
+            found, visited = known.earliest(from_ts, text, exprlang.parse(text))
             result = wordcodec.encode_word(found)
             if ctx is not None:
                 scan = known.since(from_ts, visited)
         else:
             result = scan = known.since(from_ts)
     elif conditional:
-        condition = conditions[wordcodec.decode_text(params, 0)]
+        condition = exprlang.parse(wordcodec.decode_text(params, 0))
         result = wordcodec.encode_bool(exprlang.evaluate(condition, {variable: known}))
         if ctx is not None:
             scan = wordcodec.encode_word(known)
@@ -317,7 +314,6 @@ class SyncOracle(Contract):
         self.keeps_history = variant.architecture.answer is Answer.HISTORY
         # a storage oracle keeps only the current value
         self.history = History(variable) if self.keeps_history else None
-        self.conditions = _ConditionCache()
 
     def handle(self, ctx: ExecutionContext, function: str, payload: bytes) -> None:
         if function == "set":
@@ -341,9 +337,7 @@ class SyncOracle(Contract):
 
     def query(self, ctx: ExecutionContext, params: bytes) -> bytes:
         known = self.history if self.keeps_history else self.storage.get("value", 0)
-        return answer_query(
-            known, params, self.variant.conditional, self.conditions, self.variable, ctx
-        )
+        return answer_query(known, params, self.variant.conditional, self.variable, ctx)
 
 
 class AsyncOracle(Contract):
@@ -416,7 +410,6 @@ class OracleProvider:
         # subscriber -> its condition, None for a regular subscription that
         # is pushed every change; a condition is dropped once it has signalled
         self.subscriptions: dict[int, exprlang.Expr | None] = {}
-        self.conditions = _ConditionCache()
         self.keeps_history = self.variant.architecture.answer is Answer.HISTORY
         self.delivery = self.variant.architecture.delivery
         # only the off-chain history answers from the provider's own history:
@@ -453,27 +446,37 @@ class OracleProvider:
         )
 
     def _push_change(self, value: int, at: int) -> None:
+        payload = None  # one push for every subscriber sent one
         signaled = []
         for subscriber, condition in self.subscriptions.items():
             if not self.oracle.is_subscribed(subscriber):
                 continue
-            if condition is None:
-                self.chain.submit(self._push_tx(subscriber, at, value))
-            elif exprlang.evaluate(condition, {self.variable: value}):
+            if condition is not None:
+                if not exprlang.evaluate(condition, {self.variable: value}):
+                    continue
                 signaled.append(subscriber)
-                self.chain.submit(self._push_tx(subscriber, at, None))
+            if payload is None:
+                payload = self._push_payload(at, value)
+            self.chain.submit(Transaction(self.account, subscriber, "push", payload))
         for subscriber in signaled:
             del self.subscriptions[subscriber]
 
-    def _push_tx(self, subscriber: int, at: int, value: int | None) -> Transaction:
-        words = [self.oracle.address, at]
-        if value is not None:
-            words.append(value)
-        return Transaction(self.account, subscriber, "push", wordcodec.encode_words(*words))
+    def _push_payload(self, at: int, value: int) -> bytes:
+        """A push of ``value`` at ``at``: the value itself to a regular
+        subscriber, the bare signal to a conditional one."""
+        if self.variant.conditional:
+            return wordcodec.encode_words(self.oracle.address, at)
+        return wordcodec.encode_words(self.oracle.address, at, value)
 
     # -- log reactions ---------------------------------------------------------
 
     def after_block(self, receipts, block_ts: int) -> None:
+        # nothing here changes what the provider knows, so consumers that
+        # ask the same question get one answer (correlation ids count per
+        # contract, so consumers that query in step ask alike) and those
+        # that subscribe get one catch-up push
+        callbacks: dict[tuple[int, bytes], Transaction] = {}
+        catch_up = None
         for receipt in receipts:
             if receipt.status != "ok":
                 continue
@@ -484,29 +487,37 @@ class OracleProvider:
                     corr = wordcodec.decode_word(log.payload, 0)
                     consumer = wordcodec.decode_word(log.payload, 1)
                     params = log.payload[2 * wordcodec.WORD_SIZE :]
-                    self.chain.submit_deferred(self.respond(consumer, corr, params))
+                    callback = callbacks.get((corr, params))
+                    if callback is None:
+                        callback = callbacks[corr, params] = self.respond(consumer, corr, params)
+                    else:
+                        callback = callback._replace(to=consumer)
+                    self.chain.submit_deferred(callback)
                 elif log.topic == "subscribe":
                     subscriber = wordcodec.decode_word(log.payload, 0)
-                    params = log.payload[wordcodec.WORD_SIZE :]
-                    self._register_subscription(subscriber, params, block_ts)
+                    if self._register_subscription(subscriber, log.payload[wordcodec.WORD_SIZE :]):
+                        if catch_up is None:
+                            catch_up = self._push_payload(block_ts, self.current.value)
+                        self.chain.submit_deferred(
+                            Transaction(self.account, subscriber, "push", catch_up)
+                        )
 
-    def _register_subscription(self, subscriber: int, params: bytes, block_ts: int) -> None:
+    def _register_subscription(self, subscriber: int, params: bytes) -> bool:
+        """Register a subscription; whether to push the current knowledge
+        now, so the subscriber has no gap. A condition that holds already
+        signals now and is not kept."""
         if self.current is None:
             raise OracleError(
                 f"subscription before any update of {self.variable!r}"
             )
-        # push the current knowledge immediately so the subscriber has no gap;
-        # a condition that holds already signals now and is not kept
-        value = self.current.value
         if not self.variant.conditional:
             self.subscriptions[subscriber] = None
-            self.chain.submit_deferred(self._push_tx(subscriber, block_ts, value))
-            return
-        condition = self.conditions[wordcodec.decode_text(params, 0)]
-        if exprlang.evaluate(condition, {self.variable: value}):
-            self.chain.submit_deferred(self._push_tx(subscriber, block_ts, None))
-        else:
-            self.subscriptions[subscriber] = condition
+            return True
+        condition = exprlang.parse(wordcodec.decode_text(params, 0))
+        if exprlang.evaluate(condition, {self.variable: self.current.value}):
+            return True
+        self.subscriptions[subscriber] = condition
+        return False
 
     # -- query answers -----------------------------------------------------------
 
@@ -519,9 +530,7 @@ class OracleProvider:
             known = self.history
         else:
             known = self.current.value if self.current else 0
-        result = answer_query(
-            known, params, self.variant.conditional, self.conditions, self.variable
-        )
+        result = answer_query(known, params, self.variant.conditional, self.variable)
         return Transaction(
             self.account, consumer, "oracle_callback", wordcodec.encode_word(corr) + result
         )

@@ -120,6 +120,7 @@ class Scenario:
             except ContractViolation as error:
                 raise ScenarioError(str(error)) from None
             bound: set[int] = set()
+            conditional: set[int] = set()
             for event in decl.events:
                 kind = event.kind
                 if isinstance(kind, AbsoluteTimer) and not _in_range(kind.deadline, DATA_MAX + 1):
@@ -140,6 +141,7 @@ class Scenario:
                             f"but oracle {index} binds two events"
                         )
                     bound.add(index)
+                    conditional.add(event.id)
                     referenced = exprlang.variables(event.kind.condition)
                     provided = {self.oracles[index].variable}
                     if referenced != provided:
@@ -147,6 +149,13 @@ class Scenario:
                             f"event {event.id} references {sorted(referenced)} but the "
                             f"bound oracle provides {sorted(provided)}"
                         )
+            # a scenario file can bind conditional events only
+            for event_id in decl.oracle_for_event:
+                if event_id not in conditional:
+                    raise ScenarioError(
+                        f"oracle binding for event {event_id!r}, which is not a "
+                        "conditional event"
+                    )
         last_step = 0
         update_seen: dict[int, int] = {}
         first_update: dict[int, int] = {}
@@ -395,6 +404,40 @@ def _action_json(action: Action) -> str:
 # --- ground truth -----------------------------------------------------------
 
 
+class _Scan:
+    """When a condition on a variable first holds from one change point on.
+
+    Choices that ask the same question, the same condition on the same
+    variable from the same change point in force at their activation, share
+    one scan. It tests change points in time order, each at most once, and
+    only when some choice's scan reaches it."""
+
+    __slots__ = ("condition", "name", "steps", "values", "stop", "hit")
+
+    def __init__(
+        self, condition: exprlang.Expr, name: str, steps: list[int], values: list[int], first: int
+    ):
+        self.condition = condition
+        self.name = name
+        self.steps = steps
+        self.values = values
+        self.stop = first  # change points [first, stop) do not satisfy it
+        self.hit = False  # change point ``stop`` satisfies it
+
+    def holds(self, change: int) -> bool:
+        """Whether the condition holds at change point ``change``, at most
+        ``stop``; -1 stands for the value 0 before the first change."""
+        if change < self.stop:
+            return False
+        if not self.hit:
+            value = self.values[change] if change >= 0 else 0
+            if exprlang.evaluate(self.condition, {self.name: value}):
+                self.hit = True
+            else:
+                self.stop += 1
+        return self.hit
+
+
 def ground_truth(scenario: Scenario) -> list[tuple[int | None, int | None]]:
     """(winner, observed timestamp) of every choice per the continual semantics.
 
@@ -406,8 +449,11 @@ def ground_truth(scenario: Scenario) -> list[tuple[int | None, int | None]]:
     timer). A conditional event is evaluated at activation and then at its
     variable's later change points in time order, never past the earliest
     detection found, so it is evaluated at no more states than the dense
-    executor visits. Expects a validated scenario; an unactivated choice
-    yields ``(None, None)``.
+    executor visits. Choices that ask the same question share one scan
+    (``_Scan``): a change point one of them found unsatisfied is not tested
+    again, a hit one of them found is reused, and the scan goes no further
+    than the furthest any of them needs. Expects a validated scenario; an
+    unactivated choice yields ``(None, None)``.
     """
     change_steps: dict[str, list[int]] = {}
     change_values: dict[str, list[int]] = {}
@@ -430,6 +476,7 @@ def ground_truth(scenario: Scenario) -> list[tuple[int | None, int | None]]:
         elif action.kind == "message":
             messages.setdefault(action.choice, []).append(action)
 
+    scans: dict[tuple[str, exprlang.Expr, int], _Scan] = {}
     results: list[tuple[int | None, int | None]] = []
     for index, decl in enumerate(scenario.choices):
         activation = activations.get(index)
@@ -442,7 +489,7 @@ def ground_truth(scenario: Scenario) -> list[tuple[int | None, int | None]]:
         for message in messages.get(index, ()):
             detected.setdefault(message.event, message.step)
             message_event_at[message.step] = message.event
-        pending = []  # (next change step, event id, change index, condition, variable)
+        pending = []  # (next change step, event id, change index, scan)
         for event in decl.events:
             kind = event.kind
             if isinstance(kind, (AbsoluteTimer, RelativeTimer)):
@@ -453,21 +500,26 @@ def ground_truth(scenario: Scenario) -> list[tuple[int | None, int | None]]:
                 name = scenario.oracles[decl.oracle_for_event[event.id]].variable
                 steps = change_steps.get(name, [])
                 current = bisect_right(steps, start) - 1
-                value = change_values[name][current] if current >= 0 else 0
-                if exprlang.evaluate(kind.condition, {name: value}):
+                key = (name, kind.condition, current)
+                scan = scans.get(key)
+                if scan is None:
+                    scan = scans[key] = _Scan(
+                        kind.condition, name, steps, change_values.get(name, []), current
+                    )
+                if scan.holds(current):
                     detected[event.id] = start
                 elif current + 1 < len(steps):
-                    pending.append((steps[current + 1], event.id, current + 1, kind.condition, name))
+                    pending.append((steps[current + 1], event.id, current + 1, scan))
         horizon = min(detected.values(), default=end)
         heapify(pending)
         while pending and pending[0][0] <= horizon:
-            step, event_id, change, condition, name = heappop(pending)
-            if exprlang.evaluate(condition, {name: change_values[name][change]}):
+            step, event_id, change, scan = heappop(pending)
+            if scan.holds(change):
                 detected[event_id] = step
                 horizon = step  # events detected at this same step still join the pool
-            elif change + 1 < len(change_steps[name]):
+            elif change + 1 < len(scan.steps):
                 change += 1
-                heappush(pending, (change_steps[name][change], event_id, change, condition, name))
+                heappush(pending, (scan.steps[change], event_id, change, scan))
         if not detected:
             results.append((None, end))
             continue
@@ -527,6 +579,16 @@ class ExperimentReport:
         return all(outcome.correct for outcome in self.outcomes)
 
 
+def _call(kind: str, preferred: int | None, event: int | None) -> tuple[str, bytes]:
+    """The function and payload of a choice action's transaction."""
+    if kind == "activate":
+        return "activate", encode_activate(preferred)
+    if kind == "trigger":
+        return "try_trigger", encode_trigger(preferred, None)
+    # message: the transaction names its own event as preferred
+    return "try_trigger", encode_trigger(event if preferred is None else preferred, event)
+
+
 def run(scenario: Scenario, schedule: GasSchedule | None = None) -> ExperimentReport:
     """Replay the scenario on a fresh chain; deterministic for a given input."""
     if not scenario._validated:
@@ -558,6 +620,9 @@ def run(scenario: Scenario, schedule: GasSchedule | None = None) -> ExperimentRe
     steps = iter(sorted(by_step))
     next_step = next(steps, None)
     end = max(by_step, default=0) + SETTLE_STEPS
+    # (kind, preferred, event) -> (function, payload): choices sent the same
+    # call share one payload
+    calls: dict[tuple[str, int | None, int | None], tuple[str, bytes]] = {}
 
     while True:
         # a block holding no transaction changes nothing: skip to the block
@@ -570,20 +635,12 @@ def run(scenario: Scenario, schedule: GasSchedule | None = None) -> ExperimentRe
             if action.kind == "update":
                 providers[action.oracle].on_external_update(action.value, step)
             else:
-                target = choice_contracts[action.choice]
-                if action.kind == "activate":
-                    payload = encode_activate(action.preferred)
-                    function = "activate"
-                elif action.kind == "trigger":
-                    payload = encode_trigger(action.preferred, None)
-                    function = "try_trigger"
-                else:  # message: the transaction names its own event as preferred
-                    preferred = (
-                        action.preferred if action.preferred is not None else action.event
-                    )
-                    payload = encode_trigger(preferred, action.event)
-                    function = "try_trigger"
-                chain.submit(Transaction(SIM_ACCOUNT, target.address, function, payload))
+                key = (action.kind, action.preferred, action.event)
+                call = calls.get(key)
+                if call is None:
+                    call = calls[key] = _call(*key)
+                target = choice_contracts[action.choice].address
+                chain.submit(Transaction(SIM_ACCOUNT, target, *call))
         if step == next_step:
             next_step = next(steps, None)
         receipts = chain.step()

@@ -250,6 +250,33 @@ def test_correctness_and_heatmap_csv_round_trip(tmp_path):
     assert read_heatmap_csv(heat_path) == heat
 
 
+MALFORMED_SCHEDULES = {
+    "bool-value": '{"tx_base": true}',
+    "float-value": '{"tx_base": 1.9}',
+    "negative-value": '{"tx_base": -5}',
+    "float-deploy-cost": '{"deploy_per_contract": {"storage-oracle": 2.5}}',
+    "unknown-key": '{"tx_bse": 5}',
+    "not-an-object": "[1, 2]",
+    "deploy-costs-not-an-object": '{"deploy_per_contract": 7}',
+    "invalid-json": '{"tx_base": ',
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_SCHEDULES))
+def test_malformed_gas_schedule_exits_2(tmp_path, capsys, case):
+    schedule = tmp_path / "schedule.json"
+    schedule.write_text(MALFORMED_SCHEDULES[case])
+    out = tmp_path / "out"
+    for command in (
+        ["run", str(TABLE1)],
+        ["correctness", "--n", "1", "--k", "2"],
+        ["cost", "--c", "1", "--u", "1"],
+    ):
+        assert main(["--gas-schedule", str(schedule), *command, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: gas schedule {schedule}: ")
+    assert not out.exists()
+
+
 def test_gas_schedule_override(tmp_path):
     schedule = tmp_path / "schedule.json"
     schedule.write_text(json.dumps({"tx_base": 50_000}))

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -53,6 +54,23 @@ def make_chain():
 
 def tx(to, function="noop", payload=b""):
     return Transaction("sim", to, function, payload)
+
+
+@pytest.mark.parametrize(
+    "overrides, named",
+    [
+        ({"tx_base": True}, "'tx_base'"),
+        ({"tx_base": 1.9}, "'tx_base'"),
+        ({"tx_base": -5}, "'tx_base'"),
+        ({"deploy_per_contract": {"storage-oracle": 2.5}}, "'deploy_per_contract.storage-oracle'"),
+        ({"tx_bse": 5}, "'tx_bse'"),
+        ([1, 2], "a gas schedule is an object"),
+        ({"deploy_per_contract": 7}, "deploy_per_contract is an object"),
+    ],
+)
+def test_gas_schedule_override_rejects_malformed_values(overrides, named):
+    with pytest.raises(LedgerError, match=re.escape(named)):
+        GasSchedule().with_overrides(overrides)
 
 
 # --- gas_cost -------------------------------------------------------------

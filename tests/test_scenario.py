@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -248,6 +249,7 @@ def races(draw):
 
 
 X_AT_LEAST_2 = Conditional(exprlang.parse("x >= 2"))
+X_AT_LEAST_3 = Conditional(exprlang.parse("x >= 3"))
 
 
 @settings(max_examples=400, deadline=None)
@@ -281,6 +283,20 @@ X_AT_LEAST_2 = Conditional(exprlang.parse("x >= 2"))
          Action(step=2, kind="activate", choice=1, preferred=1)],
     )
 )
+@example(  # two choices ask one question: a timer caps the first before the
+    # hit at step 7, and the second scans on past that cap to the hit
+    race_scenario(
+        ["x"],
+        [ChoiceDecl((EventSpec(0, X_AT_LEAST_3), EventSpec(1, RelativeTimer(2))), {0: 0}),
+         ChoiceDecl((EventSpec(0, X_AT_LEAST_3),), {0: 0})],
+        [Action(step=1, kind="update", oracle=0, value=0),
+         Action(step=2, kind="activate", choice=0),
+         Action(step=2, kind="activate", choice=1),
+         Action(step=3, kind="update", oracle=0, value=1),
+         Action(step=5, kind="update", oracle=0, value=2),
+         Action(step=7, kind="update", oracle=0, value=3)],
+    )
+)
 def test_ground_truth_matches_dense_continual_executor(scenario):
     with mock.patch.object(exprlang, "evaluate", wraps=exprlang.evaluate) as evaluate:
         expected = [dense_ground_truth(scenario, i) for i in range(len(scenario.choices))]
@@ -289,6 +305,16 @@ def test_ground_truth_matches_dense_continual_executor(scenario):
         assert ground_truth(scenario) == expected
     # change points visit a subset of the states the dense executor visits
     assert evaluate.call_count <= dense_evaluations
+
+
+@pytest.mark.parametrize("c", [1, 5, 20])
+def test_ground_truth_scans_a_question_shared_by_all_consumers_once(c):
+    scenario = gen_cost(c, 10, OracleVariant.parse("pubsub"))
+    with mock.patch.object(exprlang, "evaluate", wraps=exprlang.evaluate) as evaluate:
+        truths = ground_truth(scenario)
+    assert truths == [(0, 2 + 3 * 10)] * c
+    # the condition at activation and at each of the ten later change points
+    assert evaluate.call_count <= 11
 
 
 # --- validation ----------------------------------------------------------------
@@ -375,6 +401,19 @@ def test_run_rejects_invalid_directly_built_scenario():
         scenario.choices,
         scenario.timeline[1:],  # drop the 0@73 update
     )
+    with pytest.raises(ScenarioError):
+        run(broken)
+
+
+@pytest.mark.parametrize("bindings", [{1: 0, 2: 3}, {1: 0, 2: 0}])
+def test_oracle_binding_of_a_non_conditional_event_rejected(bindings):
+    # event 2 is a message: run would index a missing oracle for an
+    # out-of-range binding, and to_json writes no binding for a message, so
+    # an in-range one would not survive the JSON round trip
+    scenario = table1("onchain-history")
+    broken = replace(scenario, choices=(ChoiceDecl(scenario.choices[0].events, bindings),))
+    with pytest.raises(ScenarioError, match="event 2, which is not a conditional event"):
+        broken.validate()
     with pytest.raises(ScenarioError):
         run(broken)
 
@@ -691,6 +730,16 @@ PINNED_OUTPUTS = {
     ("pubsub-cond", "table1"): (2011820, "333602f3736f4771afb9d0378635e86edde5f7b07ef147ebe116864cee52850e"),
     ("pubsub-cond", "cost"): (9072180, "77e831668a8e164ff2c3ba16bab693aebb07433f360cb186d4e786a5c38c3172"),
 }
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS, ids=lambda variant: variant.id)
+def test_consumers_sent_the_same_message_share_one_payload(variant):
+    report = run(gen_cost(20, 10, variant))
+    payloads = {}
+    for receipt in report.receipts:
+        payloads.setdefault(receipt.tx.function, []).append(receipt.tx.payload)
+    for function, sent in payloads.items():
+        assert len({id(payload) for payload in sent}) == len(set(sent)), function
 
 
 def test_outputs_pinned_for_every_variant(tmp_path):
