@@ -57,6 +57,7 @@ from .semantics import (
     Message,
     RelativeTimer,
     pick_winner,
+    prefer,
     timer_fire,
 )
 

@@ -20,12 +20,11 @@ the two axes of its oracle architecture (see ``oracles``):
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
 
 from . import expr as exprlang
 from . import wordcodec
 from .ledger import Contract, ExecutionContext, Revert
-from .oracles import (  # SemanticsKind is re-exported for existing importers
+from .oracles import (  # SemanticsKind is re-exported for bench/fuzzgen.py
     Answer,
     AsyncOracle,
     Delivery,
@@ -40,6 +39,7 @@ from .semantics import (
     Message,
     check_events,
     pick_winner,
+    prefer,
     timer_fire,
 )
 
@@ -82,13 +82,6 @@ def resume_slice_scan(
         if exprlang.evaluate(condition, {variable: value}):
             return wordcodec.decode_word(payload, index + 1 + 2 * pair), pair
     return NEVER, count
-
-
-@dataclass
-class _InFlight:
-    preferred: int | None
-    message_event: int | None
-    horizon: int
 
 
 class DeferredChoiceContract(Contract):
@@ -135,6 +128,8 @@ class DeferredChoiceContract(Contract):
         self.winner_detection_ts: int | None = None
         self.finalized_at: int | None = None
         self.message_detections: dict[int, int] = {}
+        # host-side only: the tie-break preference at each waking timestamp
+        self._preferred_at: dict[int, int] = {}
         self._cond_found: dict[int, int] = {}
         self._cond_clear: dict[int, int] = {}
         self._cond_truth: dict[int, bool] = {}  # current-value answers
@@ -144,7 +139,6 @@ class DeferredChoiceContract(Contract):
         self._params_of: dict[int, bytes] = {}
         self._cond_unsatisfied: dict[int, int] = {}
         self._pending: dict[int, int] = {}
-        self._inflight: _InFlight | None = None
         self._corr_seq = 0
 
     # -- helpers -----------------------------------------------------------
@@ -252,8 +246,8 @@ class DeferredChoiceContract(Contract):
     def _activate(self, ctx: ExecutionContext, payload: bytes) -> None:
         if self.activated:
             raise Revert("already activated")
-        preferred = _decode_optional(payload, 0)
         now = ctx.block_time
+        prefer(self._preferred_at, now, _decode_optional(payload, 0))
         self.activated = True
         self.activation_ts = now
         ctx.write(self.storage, "activated", 1)
@@ -265,7 +259,7 @@ class DeferredChoiceContract(Contract):
         if self.delivery is Delivery.PUSH:
             for eid in self.cond_ids:
                 self.oracles[eid].subscribe(ctx, self.address, self._params(eid))
-        self._evaluate(ctx, preferred, None, now)
+        self._evaluate(ctx, now)
 
     def _try_trigger(self, ctx: ExecutionContext, payload: bytes) -> None:
         if not self.activated:
@@ -282,22 +276,15 @@ class DeferredChoiceContract(Contract):
                 raise Revert(f"event {message_event} is not a message event")
         if self._pending:
             raise Revert("evaluation in progress")
-        if (
-            message_event is not None
-            and self.ranks
-            and message_event not in self.message_detections
-        ):
-            self.message_detections[message_event] = ctx.block_time
-            ctx.write(self.storage, f"msgdet:{message_event}", ctx.block_time)
-        self._evaluate(ctx, preferred, message_event, ctx.block_time)
+        now = ctx.block_time
+        prefer(self._preferred_at, now, preferred, message_event)
+        if message_event is not None and message_event not in self.message_detections:
+            self.message_detections[message_event] = now
+            if self.ranks:
+                ctx.write(self.storage, f"msgdet:{message_event}", now)
+        self._evaluate(ctx, now)
 
-    def _evaluate(
-        self,
-        ctx: ExecutionContext,
-        preferred: int | None,
-        message_event: int | None,
-        now: int,
-    ) -> None:
+    def _evaluate(self, ctx: ExecutionContext, now: int) -> None:
         clear_floor = None
         if self.delivery is Delivery.SYNC:
             for eid in self.cond_ids:
@@ -306,7 +293,7 @@ class DeferredChoiceContract(Contract):
         elif self.delivery is Delivery.CALLBACK:
             needed = tuple(eid for eid in self.cond_ids if eid not in self._cond_found)
             if needed:
-                self._issue_queries(ctx, needed, preferred, message_event, now)
+                self._issue_queries(ctx, needed, now)
                 return
         elif now > self.activation_ts:
             # push: after the activation block every change up to "now" has
@@ -314,33 +301,20 @@ class DeferredChoiceContract(Contract):
             # "unsatisfied through now". In the activation block itself the
             # catch-up push is still in flight and certifies nothing.
             clear_floor = now
-        self._conclude(ctx, preferred, message_event, now, clear_floor)
+        self._conclude(ctx, now, clear_floor)
 
     def _conclude(
-        self,
-        ctx: ExecutionContext,
-        preferred: int | None,
-        message_event: int | None,
-        horizon: int,
-        clear_floor: int | None = None,
+        self, ctx: ExecutionContext, horizon: int, clear_floor: int | None = None
     ) -> None:
         """Rank on a history answer; conclude the baseline on a current value."""
         if self.ranks:
-            self._rank(ctx, preferred, horizon, clear_floor)
+            self._rank(ctx, horizon, clear_floor)
         else:
-            self._conclude_baseline(ctx, preferred, message_event, horizon)
+            self._conclude_baseline(ctx, horizon)
 
     # -- asynchronous resolution -------------------------------------------------
 
-    def _issue_queries(
-        self,
-        ctx: ExecutionContext,
-        event_ids: Sequence[int],
-        preferred: int | None,
-        message_event: int | None,
-        now: int,
-    ) -> None:
-        self._inflight = _InFlight(preferred, message_event, now)
+    def _issue_queries(self, ctx: ExecutionContext, event_ids: Sequence[int], now: int) -> None:
         ctx.write(self.storage, "inflight_horizon", now)
         for eid in event_ids:
             self._corr_seq += 1
@@ -359,13 +333,12 @@ class DeferredChoiceContract(Contract):
             raise Revert(f"unknown correlation id {corr}")
         eid = self._pending.pop(corr)
         ctx.write(self.storage, f"pending:{corr}", 0)
-        inflight = self._inflight
-        self._note(ctx, eid, self._read(eid, payload, 1), inflight.horizon)
+        horizon = self.storage["inflight_horizon"]
+        self._note(ctx, eid, self._read(eid, payload, 1), horizon)
         if self._pending:
             return
-        self._inflight = None
         ctx.write(self.storage, "inflight_horizon", 0)
-        self._conclude(ctx, inflight.preferred, inflight.message_event, inflight.horizon)
+        self._conclude(ctx, horizon)
 
     # -- pub/sub deliveries ----------------------------------------------------------
 
@@ -388,26 +361,22 @@ class DeferredChoiceContract(Contract):
             )
             self._note(ctx, eid, at if holds else NEVER, at)
         # other oracles and message transactions may still land in this very
-        # block, so a push only certifies the world through the previous step
-        self._rank(
-            ctx,
-            None,
-            at,
-            ctx.block_time - 1,
-            ctx.block_time,
-            message_cap=ctx.block_time - 1,
-        )
+        # block, so a push only certifies the world through the previous step;
+        # in the block after activation the other catch-up pushes of the
+        # activation step may still land, so it certifies nothing yet
+        previous = ctx.block_time - 1
+        clear_floor = self.activation_ts - 1 if previous == self.activation_ts else previous
+        self._rank(ctx, at, clear_floor, ctx.block_time, settled=previous)
 
     # -- winner selection ---------------------------------------------------------
 
     def _rank(
         self,
         ctx: ExecutionContext,
-        preferred: int | None,
         horizon: int,
         clear_floor: int | None = None,
         timer_now: int | None = None,
-        message_cap: int | None = None,
+        settled: int | None = None,
     ) -> None:
         if timer_now is None:
             timer_now = horizon
@@ -435,35 +404,30 @@ class DeferredChoiceContract(Contract):
             if clear_floor is not None:
                 known_clear = max(known_clear, clear_floor)
             blocker = min(blocker, known_clear)
-        if message_cap is not None and undelivered_message:
-            # an undelivered message could still be mined later in this
-            # block and tie; wait for a wake that rules it out
-            blocker = min(blocker, message_cap)
         if not detections:
             self._observe(ctx, horizon)
             return
         best = min(detections.values())
+        pool = {eid for eid, at in detections.items() if at == best}
+        if settled is not None and (undelivered_message or len(pool) > 1):
+            # a transaction later in this block could still deliver a message
+            # that ties, or name the event that breaks a tie; wait for a wake
+            # that rules it out
+            blocker = min(blocker, settled)
         if best > blocker:
             self._observe(ctx, horizon)
             return
-        pool = {eid for eid, at in detections.items() if at == best}
-        self._finalize(ctx, pick_winner(pool, preferred), best, horizon)
+        self._finalize(ctx, pick_winner(pool, self._preferred_at.get(best)), best, horizon)
 
     # -- continual baseline ------------------------------------------------------
 
-    def _conclude_baseline(
-        self,
-        ctx: ExecutionContext,
-        preferred: int | None,
-        message_event: int | None,
-        horizon: int,
-    ) -> None:
+    def _conclude_baseline(self, ctx: ExecutionContext, horizon: int) -> None:
         """Decide on what holds at ``horizon`` alone: the waking message, the
         timers already fired and the conditions the oracles say hold now."""
         detected: set[int] = set()
         for event in self.events:
             if isinstance(event.kind, Message):
-                if event.id == message_event:
+                if self.message_detections.get(event.id) == horizon:
                     detected.add(event.id)
             elif isinstance(event.kind, Conditional):
                 if self._cond_truth.get(event.id, False):
@@ -473,4 +437,5 @@ class DeferredChoiceContract(Contract):
         if not detected:
             self._observe(ctx, horizon)
             return
-        self._finalize(ctx, pick_winner(detected, preferred), horizon, horizon)
+        winner = pick_winner(detected, self._preferred_at.get(horizon))
+        self._finalize(ctx, winner, horizon, horizon)

@@ -22,7 +22,6 @@ import functools
 import re
 from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Union
 
 CONSTANT_MAX = 2**64 - 1
 
@@ -73,7 +72,7 @@ class Or:
     right: "Expr"
 
 
-Expr = Union[Comparison, Not, And, Or]
+Expr = Comparison | Not | And | Or
 
 
 IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")  # the variable names a condition can hold

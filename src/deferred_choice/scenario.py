@@ -45,6 +45,7 @@ from .semantics import (
     RelativeTimer,
     check_events,
     pick_winner,
+    prefer,
     timer_fire,
 )
 
@@ -81,6 +82,15 @@ class Action(NamedTuple):
     choice: int | None = None
     preferred: int | None = None
     event: int | None = None
+
+
+# the fields an action of each kind does not take, and must leave unset
+_UNTAKEN_FIELDS = {
+    "update": ("choice", "preferred", "event"),
+    "activate": ("oracle", "value", "event"),
+    "trigger": ("oracle", "value", "event"),
+    "message": ("oracle", "value"),
+}
 
 
 @dataclass(frozen=True)
@@ -168,6 +178,14 @@ class Scenario:
             if action.step < last_step:
                 raise ScenarioError("timeline steps must be non-decreasing")
             last_step = action.step
+            untaken = _UNTAKEN_FIELDS.get(action.kind) if type(action.kind) is str else None
+            if untaken is None:
+                raise ScenarioError(f"unknown action kind {action.kind!r}")
+            for name in untaken:
+                if getattr(action, name) is not None:
+                    raise ScenarioError(
+                        f"{action.kind} action at step {action.step} takes no {name!r}"
+                    )
             if action.kind == "update":
                 if not _in_range(action.oracle, len(self.oracles)):
                     raise ScenarioError(f"unknown oracle {action.oracle!r}")
@@ -179,7 +197,7 @@ class Scenario:
                     )
                 update_seen[action.oracle] = action.step
                 first_update.setdefault(action.oracle, action.step)
-            elif action.kind in ("activate", "trigger", "message"):
+            else:
                 if not _in_range(action.choice, len(self.choices)):
                     raise ScenarioError(f"unknown choice {action.choice!r}")
                 # one transaction per choice per block keeps tie-breaking
@@ -211,8 +229,6 @@ class Scenario:
                     first_message.setdefault(action.choice, action.step)
                 if action.preferred is not None and not _in_range(action.preferred, len(events)):
                     raise ScenarioError(f"unknown preferred event {action.preferred!r}")
-            else:
-                raise ScenarioError(f"unknown action kind {action.kind!r}")
         # conditional oracles must be defined before the binding choice activates
         for index, decl in enumerate(self.choices):
             activation = activation_step.get(index)
@@ -444,9 +460,9 @@ def ground_truth(scenario: Scenario) -> list[tuple[int | None, int | None]]:
     Gives the result of the continual semantics over the environment the
     timeline induces from the activation to the last step, without building
     that trace: one pass over the timeline collects the change points of
-    each variable and the activation and messages of each choice, and each
-    event's first detection follows in closed form (``timer_fire`` for a
-    timer). A conditional event is evaluated at activation and then at its
+    each variable and the activation, messages and preferences (``prefer``)
+    of each choice, and each event's first detection follows in closed form
+    (``timer_fire`` for a timer). A conditional event is evaluated at activation and then at its
     variable's later change points in time order, never past the earliest
     detection found, so it is evaluated at no more states than the dense
     executor visits. Choices that ask the same question share one scan
@@ -457,8 +473,10 @@ def ground_truth(scenario: Scenario) -> list[tuple[int | None, int | None]]:
     """
     change_steps: dict[str, list[int]] = {}
     change_values: dict[str, list[int]] = {}
-    activations: dict[int, Action] = {}
-    messages: dict[int, list[Action]] = {}
+    activations: dict[int, int] = {}
+    messages: dict[int, dict[int, int]] = {}  # per choice: each message's first step
+    # per choice: the tie-break preference at each timestamp
+    preferred_at: dict[int, dict[int, int]] = {}
     end = 0
     for action in scenario.timeline:
         end = max(end, action.step)
@@ -471,24 +489,22 @@ def ground_truth(scenario: Scenario) -> list[tuple[int | None, int | None]]:
             else:
                 steps.append(action.step)
                 values.append(action.value)
-        elif action.kind == "activate":
-            activations.setdefault(action.choice, action)
-        elif action.kind == "message":
-            messages.setdefault(action.choice, []).append(action)
+        else:
+            if action.kind == "activate":
+                activations.setdefault(action.choice, action.step)
+            elif action.kind == "message":
+                messages.setdefault(action.choice, {}).setdefault(action.event, action.step)
+            preferred = preferred_at.setdefault(action.choice, {})
+            prefer(preferred, action.step, action.preferred, action.event)
 
     scans: dict[tuple[str, exprlang.Expr, int], _Scan] = {}
     results: list[tuple[int | None, int | None]] = []
     for index, decl in enumerate(scenario.choices):
-        activation = activations.get(index)
-        if activation is None:
+        start = activations.get(index)
+        if start is None:
             results.append((None, None))
             continue
-        start = activation.step
-        detected: dict[int, int] = {}
-        message_event_at: dict[int, int] = {}
-        for message in messages.get(index, ()):
-            detected.setdefault(message.event, message.step)
-            message_event_at[message.step] = message.event
+        detected = dict(messages.get(index, {}))
         pending = []  # (next change step, event id, change index, scan)
         for event in decl.events:
             kind = event.kind
@@ -524,11 +540,8 @@ def ground_truth(scenario: Scenario) -> list[tuple[int | None, int | None]]:
             results.append((None, end))
             continue
         first = min(detected.values())
-        preferred = activation.preferred if first == start else None
-        if preferred is None:
-            preferred = message_event_at.get(first)
         pool = {event_id for event_id, at in detected.items() if at == first}
-        results.append((pick_winner(pool, preferred), first))
+        results.append((pick_winner(pool, preferred_at[index].get(first)), first))
     return results
 
 

@@ -4,8 +4,8 @@ A deferred choice races a set of external events: messages (explicit,
 delivered by transactions), absolute / relative timers, and conditional
 events over the valuation of external variables. An event is detected from
 the activation of its choice on. This module holds the event kinds, the
-tie-break rule (``pick_winner``) and the timer rule (``timer_fire``) that
-both the on-chain contracts and the ground truth call. The continual and
+tie-break rules (``prefer`` and ``pick_winner``) and the timer rule
+(``timer_fire``) that both the on-chain contracts and the ground truth call. The continual and
 transaction-driven executors over dense environment traces, against which
 the ground truth is tested, live with the tests as their reference.
 
@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Union
 
 from . import expr as exprlang
 
@@ -57,7 +56,7 @@ class Conditional:
     condition: exprlang.Expr
 
 
-EventKind = Union[Message, AbsoluteTimer, RelativeTimer, Conditional]
+EventKind = Message | AbsoluteTimer | RelativeTimer | Conditional
 
 # wire name of each event kind in scenario files and reports
 KIND_NAMES: dict[type, str] = {
@@ -93,6 +92,18 @@ def timer_fire(kind: AbsoluteTimer | RelativeTimer, activation_t: int) -> int:
     if isinstance(kind, AbsoluteTimer):
         return max(kind.deadline, activation_t)
     return activation_t + kind.delta
+
+
+def prefer(
+    preferred_at: dict[int, int], at: int, preferred: int | None, message_event: int | None = None
+) -> None:
+    """Record the tie-break preference of a choice transaction at ``at`` in
+    ``preferred_at``: the event it names, else the message it delivers. The
+    first transaction at a timestamp that names one sets it, and it breaks
+    only a tie at that timestamp."""
+    named = message_event if preferred is None else preferred
+    if named is not None:
+        preferred_at.setdefault(at, named)
 
 
 def pick_winner(detected: set[int], preferred: int | None) -> int | None:

@@ -277,13 +277,12 @@ def run_continual(
     events: Sequence[EventSpec],
     trace: EnvironmentTrace,
     explicit_log: ExplicitLog = (),
-    activation_preferred: int | None = None,
     preferred_by_time: Mapping[int, int] | None = None,
 ) -> ChoiceState:
     """Execute the continual semantics over a full trace; stop at the winner.
 
-    ``preferred_by_time`` carries per-timestamp tie-break preferences (the
-    event named by a message transaction mined at that time).
+    ``preferred_by_time`` carries per-timestamp tie-break preferences, as
+    ``semantics.prefer`` records them from the choice's transactions.
     """
     check_events(events)
     for _, at in explicit_log:
@@ -294,10 +293,9 @@ def run_continual(
     preferred_by_time = dict(preferred_by_time or {})
     by_time = _explicit_by_time(explicit_log)
     start = trace.start
-    preferred = activation_preferred
-    if preferred is None:
-        preferred = preferred_by_time.get(start.t)
-    choice = initial_state(events, start, by_time.get(start.t, set()), preferred)
+    choice = initial_state(
+        events, start, by_time.get(start.t, set()), preferred_by_time.get(start.t)
+    )
     for state in trace.states[1:]:
         if choice.winner is not None:
             break

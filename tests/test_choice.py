@@ -462,3 +462,101 @@ def test_timer_only_choice_finalizes_in_trigger_transaction():
             # ranking reconstructs the actual expiry; the baseline only
             # sees the timer in the waking transaction's state
             assert outcome.winner_detection_ts == 6
+
+
+# --- tie-break preferences -------------------------------------------------------
+
+X0_AT_LEAST_1 = Conditional(parse("x0 >= 1"))
+X1_AT_LEAST_1 = Conditional(parse("x1 >= 1"))
+
+# name -> (variables, events, oracle bindings, timeline, truth, baseline
+# winner): a choice transaction's preference breaks only a tie at its own
+# timestamp, and the baselines, which decide at the waking transaction, take
+# that transaction's preference instead
+PREFERENCE_CASES = {
+    # the timers tie at 7 and the trigger at 10 names 1: no preference at 7
+    "trigger-names-event-after-tie": (
+        (),
+        (EventSpec(0, RelativeTimer(3)), EventSpec(1, AbsoluteTimer(7))),
+        {},
+        (Action(4, "activate", choice=0), Action(10, "trigger", choice=0, preferred=1)),
+        0,
+        1,
+    ),
+    # the message ties with the timer at 6 and names the timer, not itself
+    "message-names-another-event": (
+        (),
+        (EventSpec(0, Message()), EventSpec(1, AbsoluteTimer(6))),
+        {},
+        (
+            Action(2, "activate", choice=0),
+            Action(6, "message", choice=0, event=0, preferred=1),
+            Action(9, "trigger", choice=0),
+        ),
+        1,
+        1,
+    ),
+    # both conditions hold at activation; the first catch-up push of the next
+    # block must not certify the other condition unsatisfied at activation
+    "conditions-hold-at-activation": (
+        ("x0", "x1"),
+        (EventSpec(0, X1_AT_LEAST_1), EventSpec(1, X0_AT_LEAST_1)),
+        {0: 1, 1: 0},
+        (
+            Action(1, "update", oracle=0, value=5),
+            Action(1, "update", oracle=1, value=5),
+            Action(3, "activate", choice=0),
+            Action(6, "trigger", choice=0),
+        ),
+        0,
+        0,
+    ),
+    # the condition and the deadline tie at activation, which names 1; a
+    # catch-up push settles the tie
+    "activation-names-tie-settled-by-push": (
+        ("x0",),
+        (EventSpec(0, Conditional(parse("x0 <= 2 && x0 >= 0"))), EventSpec(1, AbsoluteTimer(3))),
+        {0: 0},
+        (
+            Action(1, "update", oracle=0, value=5),
+            Action(3, "update", oracle=0, value=0),
+            Action(3, "activate", choice=0, preferred=1),
+            Action(4, "update", oracle=0, value=5),
+            Action(12, "trigger", choice=0),
+        ),
+        1,
+        1,
+    ),
+    # the condition turns true at the deadline; the push of that change comes
+    # first in the block, and the trigger after it names 1
+    "trigger-names-tie-in-push-block": (
+        ("x0",),
+        (EventSpec(0, X0_AT_LEAST_1), EventSpec(1, AbsoluteTimer(6))),
+        {0: 0},
+        (
+            Action(1, "update", oracle=0, value=0),
+            Action(3, "activate", choice=0),
+            Action(6, "update", oracle=0, value=5),
+            Action(6, "trigger", choice=0, preferred=1),
+        ),
+        1,
+        1,
+    ),
+}
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS, ids=lambda v: v.id)
+@pytest.mark.parametrize("case", sorted(PREFERENCE_CASES))
+def test_preference_breaks_only_a_tie_at_its_own_timestamp(case, variant):
+    names, events, bindings, timeline, truth, baseline_winner = PREFERENCE_CASES[case]
+    scenario = Scenario(
+        scenario_id=case,
+        variant=variant,
+        semantics=variant.semantics,
+        oracles=tuple(OracleDecl(name) for name in names),
+        choices=(ChoiceDecl(events, bindings),),
+        timeline=timeline,
+    )
+    outcome = run(scenario).outcomes[0]
+    assert outcome.truth == truth
+    assert outcome.winner == (baseline_winner if variant.baseline else truth)

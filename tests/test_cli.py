@@ -59,6 +59,18 @@ def _set(path, value):
     return edit
 
 
+def _stray(index, **fields):
+    """An edit of the table1 JSON: add ``fields`` to action ``index``, or to
+    a trigger appended at step 80 if ``index`` is None."""
+
+    def edit(obj):
+        if index is None:
+            obj["timeline"].append({"step": 80, "action": "trigger", "choice": 0})
+        obj["timeline"][-1 if index is None else index].update(fields)
+
+    return edit
+
+
 def _pubsub_two_events_one_oracle(obj):
     obj["variant"] = "pubsub"
     second = {"kind": "conditional", "expr": "d_w >= 5", "oracle": 0}
@@ -100,6 +112,11 @@ MALFORMED = {
     "preferred-misspelt": _set(("timeline", 4, "prefered"), 3),
     "deadline-misspelt": _set(("choices", 0, "events", 0, "dealine"), 5),
     "unknown-top-level-key": _set(("bogus",), 1),
+    # fields the action's kind does not take
+    "trigger-with-event": _stray(None, event=3),
+    "activate-with-event": _stray(1, event=3),
+    "update-with-choice-and-preferred": _stray(0, choice=5, preferred=9),
+    "message-with-oracle-and-value": _stray(4, oracle=7, value=-3),
 }
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import json
 import re
 from dataclasses import replace
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import deferred_choice
 from deferred_choice import expr as exprlang
 from deferred_choice.choice import SemanticsKind
 from deferred_choice.experiments import (
@@ -34,10 +36,12 @@ from deferred_choice.semantics import (
     EventSpec,
     Message,
     RelativeTimer,
+    prefer,
 )
 from reference import induced_trace, run_continual
 
 TABLE1 = Path(__file__).resolve().parent.parent / "scenarios" / "table1.json"
+FUZZGEN = Path(__file__).resolve().parent.parent / "bench" / "fuzzgen.py"
 
 
 def table1(variant_id):
@@ -152,17 +156,15 @@ def dense_ground_truth(scenario, choice_index):
         return None, None
     end = max(a.step for a in scenario.timeline)
     trace = induced_trace(scenario, activation.step, end)
-    messages = [
-        (a.event, a.step)
-        for a in scenario.timeline
-        if a.kind == "message" and a.choice == choice_index
-    ]
+    actions = [a for a in scenario.timeline if a.kind != "update" and a.choice == choice_index]
+    preferred_by_time: dict[int, int] = {}
+    for a in actions:
+        prefer(preferred_by_time, a.step, a.preferred, a.event)
     final = run_continual(
         scenario.choices[choice_index].events,
         trace,
-        messages,
-        activation_preferred=activation.preferred,
-        preferred_by_time={at: event for event, at in messages},
+        [(a.event, a.step) for a in actions if a.kind == "message"],
+        preferred_by_time,
     )
     return final.winner, final.observed.t
 
@@ -206,9 +208,10 @@ def races(draw):
 
     Values and constants share a small range, so conditions often hold at
     activation; absolute deadlines may predate activation; some choices
-    never activate and some never decide. A message may be mined at its
-    choice's activation step, which ``Scenario.validate`` forbids but the
-    reference executor defines, so these scenarios are not validated.
+    never activate and some never decide. A message or trigger may be
+    mined at its choice's activation step or with another of its choice's
+    transactions, which ``Scenario.validate`` forbids but the reference
+    executor defines, so these scenarios are not validated.
     """
     names = draw(st.lists(st.sampled_from(("x", "y")), min_size=1, max_size=3))
     timeline = [
@@ -245,6 +248,8 @@ def races(draw):
                     Action(step=step, kind="message", choice=index,
                            event=draw(st.sampled_from(message_events)), preferred=draw(preferred))
                 )
+        for step in sorted(draw(st.lists(st.integers(activation or 1, LAST_STEP), max_size=2))):
+            timeline.append(Action(step=step, kind="trigger", choice=index, preferred=draw(preferred)))
     return race_scenario(names, choices, timeline)
 
 
@@ -261,6 +266,26 @@ X_AT_LEAST_3 = Conditional(exprlang.parse("x >= 3"))
                      EventSpec(2, Message())))],
         [Action(step=3, kind="activate", choice=0),
          Action(step=3, kind="message", choice=0, event=2)],
+    )
+)
+@example(  # a message names another event of its tie
+    race_scenario(
+        ["x"],
+        [ChoiceDecl((EventSpec(0, Message()), EventSpec(1, AbsoluteTimer(6))))],
+        [Action(step=2, kind="activate", choice=0),
+         Action(step=6, kind="message", choice=0, event=0, preferred=1)],
+    )
+)
+@example(  # a trigger names the winner of a tie at its own step, and a later
+    # trigger names an event of an earlier tie without breaking it
+    race_scenario(
+        ["x"],
+        [ChoiceDecl((EventSpec(0, RelativeTimer(3)), EventSpec(1, AbsoluteTimer(5)))),
+         ChoiceDecl((EventSpec(0, RelativeTimer(3)), EventSpec(1, AbsoluteTimer(7))))],
+        [Action(step=2, kind="activate", choice=0),
+         Action(step=4, kind="activate", choice=1),
+         Action(step=5, kind="trigger", choice=0, preferred=1),
+         Action(step=10, kind="trigger", choice=1, preferred=1)],
     )
 )
 @example(  # two oracles named x update at one step: the later one is in force
@@ -315,6 +340,22 @@ def test_ground_truth_scans_a_question_shared_by_all_consumers_once(c):
     assert truths == [(0, 2 + 3 * 10)] * c
     # the condition at activation and at each of the ten later change points
     assert evaluate.call_count <= 11
+
+
+@pytest.mark.parametrize("seed", [2104, 90517])
+def test_ranking_variants_match_ground_truth_on_fuzz_scenarios(seed):
+    # the benchmark's fuzz generator: dense updates, shared oracles and
+    # preferences on every kind of choice transaction
+    spec = importlib.util.spec_from_file_location("fuzzgen", FUZZGEN)
+    fuzzgen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(fuzzgen)
+    wrong = [
+        f"{scenario.scenario_id} {variant.id}"
+        for scenario in fuzzgen.generate(deferred_choice, 300, seed)
+        for variant in ALL_VARIANTS
+        if not variant.baseline and not run(scenario.with_variant(variant)).correct
+    ]
+    assert wrong == []
 
 
 # --- validation ----------------------------------------------------------------

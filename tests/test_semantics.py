@@ -231,7 +231,7 @@ def test_transaction_step_rejects_decided_state():
 
 
 def test_run_continual_table_trace():
-    final = run_continual(EVENTS, trace(73, 78), [(E_C, 78)], None, {78: E_C})
+    final = run_continual(EVENTS, trace(73, 78), [(E_C, 78)], {78: E_C})
     assert final == ChoiceState(S1, S4, E_D)
 
 
