@@ -121,7 +121,6 @@ class DeferredChoiceContract(Contract):
                 raise ValueError("pub/sub allows one subscription per oracle")
         self._oracle_event = {self.oracles[eid].address: eid for eid in self.cond_ids}
         # mutable contract state (writes metered through the context)
-        self.activated = False
         self.activation_ts: int | None = None
         self.observed_ts: int | None = None
         self.winner: int | None = None
@@ -142,6 +141,10 @@ class DeferredChoiceContract(Contract):
         self._corr_seq = 0
 
     # -- helpers -----------------------------------------------------------
+
+    @property
+    def activated(self) -> bool:
+        return self.activation_ts is not None
 
     def _condition(self, eid: int) -> exprlang.Expr:
         kind = self.events[eid].kind
@@ -248,7 +251,6 @@ class DeferredChoiceContract(Contract):
             raise Revert("already activated")
         now = ctx.block_time
         prefer(self._preferred_at, now, _decode_optional(payload, 0))
-        self.activated = True
         self.activation_ts = now
         ctx.write(self.storage, "activated", 1)
         ctx.write(self.storage, "activation_ts", now)

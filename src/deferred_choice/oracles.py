@@ -39,7 +39,7 @@ Both history architectures keep their change points in one ``History``:
 each point is held once and encoded at most once, the first time a served
 slice needs it. A query's window starts at the change point in force at its
 ``from_ts``. A conditional history query resumes the scan that the same
-``(from_ts, condition)`` question stopped at. This saves host work only:
+condition from the same window start stopped at. This saves host work only:
 the bytes served and charged, and therefore gas, are those of a fresh
 encoding of the window and a scan of it from its start, which charges the
 change points examined.
@@ -161,16 +161,39 @@ class HistoryEntry(NamedTuple):
     value: int
 
 
-@dataclass
-class _Cursor:
-    """Progress of one ``(from_ts, condition)`` scan over a history."""
-
-    start: int  # first change point of the window
-    stop: int  # change points [start, stop) do not satisfy the condition
-    hit: bool = False  # change point ``stop`` satisfies it
-
-
 _PAIR_SIZE = 2 * wordcodec.WORD_SIZE
+
+
+class Scan:
+    """When a condition on a history's variable first holds, from the change
+    point ``start`` on.
+
+    It tests change points in time order, each at most once, and only as far
+    as it is asked. Its ``History`` keeps one per condition and window start,
+    shared by everyone who asks that question."""
+
+    __slots__ = ("condition", "variable", "times", "values", "start", "stop", "hit")
+
+    def __init__(self, history: History, condition: exprlang.Expr, start: int):
+        self.condition = condition
+        # the history's own lists, which only grow; holding the history
+        # itself would make a reference cycle that only the collector frees
+        self.variable, self.times, self.values = history.variable, history.times, history.values
+        self.start = start
+        self.stop = start  # change points [start, stop) do not satisfy it
+        self.hit = False  # change point ``stop`` satisfies it
+
+    def holds(self, change: int) -> bool:
+        """Whether the condition holds at change point ``change``, which is
+        at most ``stop``."""
+        if change < self.stop:
+            return False
+        if not self.hit:
+            if exprlang.evaluate(self.condition, {self.variable: self.values[change]}):
+                self.hit = True
+            else:
+                self.stop += 1
+        return self.hit
 
 
 class History:
@@ -178,8 +201,9 @@ class History:
     time order, each held once.
 
     Pairs are encoded into one growing buffer the first time a served slice
-    needs them. Conditional queries keep a cursor per ``(from_ts, condition
-    text)``, so asking again examines only the change points appended since.
+    needs them. A condition has one ``Scan`` per window start, so asking
+    again, from any time in that window, examines only the change points
+    appended since.
     """
 
     def __init__(self, variable: str):
@@ -187,7 +211,7 @@ class History:
         self.times: list[int] = []
         self.values: list[int] = []
         self._words = bytearray()  # encoded (at, value) pairs, oldest first
-        self._cursors: dict[tuple[int, str], _Cursor] = {}
+        self._scans: dict[tuple[int, exprlang.Expr], Scan] = {}
 
     def append(self, at: int, value: int) -> None:
         if self.times and at <= self.times[-1]:
@@ -223,32 +247,28 @@ class History:
         start = self._start(from_ts)
         return self._encoded(start, len(self.times) if count is None else start + count)
 
-    def earliest(
-        self, from_ts: int, text: str, condition: exprlang.Expr
-    ) -> tuple[int, int]:
-        """Earliest timestamp at or after ``from_ts`` at which ``condition``,
-        whose wire form is ``text``, holds, or NEVER; and the number of
-        change points examined.
+    def scan(self, from_ts: int, condition: exprlang.Expr) -> Scan:
+        """The scan of ``condition`` over the window at ``from_ts``, shared by
+        every ``from_ts`` in that window. An append at or before ``from_ts``
+        starts a new window there, and so a new scan."""
+        key = (self._start(from_ts), condition)
+        scan = self._scans.get(key)
+        if scan is None:
+            scan = self._scans[key] = Scan(self, condition, key[0])
+        return scan
+
+    def earliest(self, from_ts: int, condition: exprlang.Expr) -> tuple[int, int]:
+        """Earliest timestamp at or after ``from_ts`` at which ``condition``
+        holds, or NEVER; and the number of change points examined.
 
         The window starts at the change point in force at ``from_ts``, and
-        a hit there counts from ``from_ts``. The scan resumes where the
-        previous scan of the same question stopped; an append at or before
-        ``from_ts`` moves the window start, and the scan then starts over."""
-        start = self._start(from_ts)
-        key = (from_ts, text)
-        cursor = self._cursors.get(key)
-        if cursor is None or cursor.start != start:
-            cursor = self._cursors[key] = _Cursor(start, start)
-        if not cursor.hit:
-            values, variable = self.values, self.variable
-            stop = cursor.stop
-            while stop < len(values) and not exprlang.evaluate(condition, {variable: values[stop]}):
-                stop += 1
-            cursor.stop = stop
-            cursor.hit = stop < len(values)
-        visited = cursor.stop - start + cursor.hit
-        if cursor.hit:
-            return max(self.times[cursor.stop], from_ts), visited
+        a hit there counts from ``from_ts``."""
+        scan = self.scan(from_ts, condition)
+        while not scan.hit and scan.stop < len(self.times):
+            scan.holds(scan.stop)
+        visited = scan.stop - scan.start + scan.hit
+        if scan.hit:
+            return max(self.times[scan.stop], from_ts), visited
         return NEVER, visited
 
 
@@ -272,8 +292,8 @@ def answer_query(
     if isinstance(known, History):
         from_ts = wordcodec.decode_word(params, 0)
         if conditional:
-            text = wordcodec.decode_text(params, 1)
-            found, visited = known.earliest(from_ts, text, exprlang.parse(text))
+            condition = exprlang.parse(wordcodec.decode_text(params, 1))
+            found, visited = known.earliest(from_ts, condition)
             result = wordcodec.encode_word(found)
             if ctx is not None:
                 scan = known.since(from_ts, visited)
@@ -311,9 +331,8 @@ class SyncOracle(Contract):
         self.variant = variant
         self.variable = variable
         self.kind = f"{variant.id}-oracle"
-        self.keeps_history = variant.architecture.answer is Answer.HISTORY
         # a storage oracle keeps only the current value
-        self.history = History(variable) if self.keeps_history else None
+        self.history = History(variable) if variant.architecture.answer is Answer.HISTORY else None
 
     def handle(self, ctx: ExecutionContext, function: str, payload: bytes) -> None:
         if function == "set":
@@ -324,10 +343,10 @@ class SyncOracle(Contract):
     def set(self, ctx: ExecutionContext, payload: bytes) -> None:
         value = wordcodec.decode_word(payload, 0)
         at = ctx.block_time
-        if not self.keeps_history:
+        history = self.history
+        if history is None:
             ctx.write(self.storage, "value", value)
             return
-        history = self.history
         if history.values and history.values[-1] == value:
             return  # change points only
         index = len(history.times)
@@ -336,7 +355,7 @@ class SyncOracle(Contract):
         ctx.write(self.storage, f"value:{index}", value)
 
     def query(self, ctx: ExecutionContext, params: bytes) -> bytes:
-        known = self.history if self.keeps_history else self.storage.get("value", 0)
+        known = self.storage.get("value", 0) if self.history is None else self.history
         return answer_query(known, params, self.variant.conditional, self.variable, ctx)
 
 

@@ -8,16 +8,15 @@ mining only the blocks that hold a transaction, and then reports, per
 choice, the on-chain winner next to the ground-truth winner of the
 continual semantics over the environment induced from the timeline
 (timestamps from step indices, valuations piecewise-constant between
-updates). The ground truth is computed once per scenario from the
-change points of each variable (``ground_truth``); the tests check it
-against a dense continual executor run state by state over the whole
-induced environment.
+updates). The ground truth is computed once per scenario
+(``ground_truth``) and reads each variable through an ``oracles.History``
+of its change points; the tests check it against a dense continual
+executor run state by state over the whole induced environment.
 """
 
 from __future__ import annotations
 
 import json
-from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields, replace
 from heapq import heapify, heappop, heappush
@@ -28,6 +27,7 @@ from .choice import DeferredChoiceContract, encode_activate, encode_trigger
 from .ledger import Chain, GasSchedule, Receipt, Transaction
 from .oracles import (
     Delivery,
+    History,
     OracleError,
     OracleProvider,
     OracleVariant,
@@ -420,59 +420,27 @@ def _action_json(action: Action) -> str:
 # --- ground truth -----------------------------------------------------------
 
 
-class _Scan:
-    """When a condition on a variable first holds from one change point on.
-
-    Choices that ask the same question, the same condition on the same
-    variable from the same change point in force at their activation, share
-    one scan. It tests change points in time order, each at most once, and
-    only when some choice's scan reaches it."""
-
-    __slots__ = ("condition", "name", "steps", "values", "stop", "hit")
-
-    def __init__(
-        self, condition: exprlang.Expr, name: str, steps: list[int], values: list[int], first: int
-    ):
-        self.condition = condition
-        self.name = name
-        self.steps = steps
-        self.values = values
-        self.stop = first  # change points [first, stop) do not satisfy it
-        self.hit = False  # change point ``stop`` satisfies it
-
-    def holds(self, change: int) -> bool:
-        """Whether the condition holds at change point ``change``, at most
-        ``stop``; -1 stands for the value 0 before the first change."""
-        if change < self.stop:
-            return False
-        if not self.hit:
-            value = self.values[change] if change >= 0 else 0
-            if exprlang.evaluate(self.condition, {self.name: value}):
-                self.hit = True
-            else:
-                self.stop += 1
-        return self.hit
-
-
 def ground_truth(scenario: Scenario) -> list[tuple[int | None, int | None]]:
     """(winner, observed timestamp) of every choice per the continual semantics.
 
     Gives the result of the continual semantics over the environment the
     timeline induces from the activation to the last step, without building
     that trace: one pass over the timeline collects the change points of
-    each variable and the activation, messages and preferences (``prefer``)
-    of each choice, and each event's first detection follows in closed form
-    (``timer_fire`` for a timer). A conditional event is evaluated at activation and then at its
-    variable's later change points in time order, never past the earliest
-    detection found, so it is evaluated at no more states than the dense
-    executor visits. Choices that ask the same question share one scan
-    (``_Scan``): a change point one of them found unsatisfied is not tested
+    each variable into an ``oracles.History`` and the activation, messages
+    and preferences (``prefer``) of each choice, and each event's first
+    detection follows in closed form (``timer_fire`` for a timer). A
+    conditional event is evaluated at activation and then at its variable's
+    later change points in time order, never past the earliest detection
+    found, so it is evaluated at no more states than the dense executor
+    visits. Choices that ask the same question share the history's ``Scan``
+    of it: a change point one of them found unsatisfied is not tested
     again, a hit one of them found is reused, and the scan goes no further
     than the furthest any of them needs. Expects a validated scenario; an
     unactivated choice yields ``(None, None)``.
     """
-    change_steps: dict[str, list[int]] = {}
-    change_values: dict[str, list[int]] = {}
+    # per variable: its value from each step it is updated at, the last
+    # update at a step winning; a variable reads 0 until its first update
+    updates: dict[str, dict[int, int]] = {decl.variable: {0: 0} for decl in scenario.oracles}
     activations: dict[int, int] = {}
     messages: dict[int, dict[int, int]] = {}  # per choice: each message's first step
     # per choice: the tie-break preference at each timestamp
@@ -481,14 +449,7 @@ def ground_truth(scenario: Scenario) -> list[tuple[int | None, int | None]]:
     for action in scenario.timeline:
         end = max(end, action.step)
         if action.kind == "update":
-            name = scenario.oracles[action.oracle].variable
-            steps = change_steps.setdefault(name, [])
-            values = change_values.setdefault(name, [])
-            if steps and steps[-1] == action.step:
-                values[-1] = action.value  # the last update at a step wins
-            else:
-                steps.append(action.step)
-                values.append(action.value)
+            updates[scenario.oracles[action.oracle].variable][action.step] = action.value
         else:
             if action.kind == "activate":
                 activations.setdefault(action.choice, action.step)
@@ -496,8 +457,13 @@ def ground_truth(scenario: Scenario) -> list[tuple[int | None, int | None]]:
                 messages.setdefault(action.choice, {}).setdefault(action.event, action.step)
             preferred = preferred_at.setdefault(action.choice, {})
             prefer(preferred, action.step, action.preferred, action.event)
+    histories: dict[str, History] = {}
+    for name, values in updates.items():
+        history = histories[name] = History(name)
+        for step, value in values.items():
+            if not history.values or history.values[-1] != value:  # change points only
+                history.append(step, value)
 
-    scans: dict[tuple[str, exprlang.Expr, int], _Scan] = {}
     results: list[tuple[int | None, int | None]] = []
     for index, decl in enumerate(scenario.choices):
         start = activations.get(index)
@@ -505,7 +471,8 @@ def ground_truth(scenario: Scenario) -> list[tuple[int | None, int | None]]:
             results.append((None, None))
             continue
         detected = dict(messages.get(index, {}))
-        pending = []  # (next change step, event id, change index, scan)
+        # (step, event id, change point in force from that step, scan)
+        pending = []
         for event in decl.events:
             kind = event.kind
             if isinstance(kind, (AbsoluteTimer, RelativeTimer)):
@@ -513,19 +480,9 @@ def ground_truth(scenario: Scenario) -> list[tuple[int | None, int | None]]:
                 if fire <= end:
                     detected[event.id] = fire
             elif isinstance(kind, Conditional):
-                name = scenario.oracles[decl.oracle_for_event[event.id]].variable
-                steps = change_steps.get(name, [])
-                current = bisect_right(steps, start) - 1
-                key = (name, kind.condition, current)
-                scan = scans.get(key)
-                if scan is None:
-                    scan = scans[key] = _Scan(
-                        kind.condition, name, steps, change_values.get(name, []), current
-                    )
-                if scan.holds(current):
-                    detected[event.id] = start
-                elif current + 1 < len(steps):
-                    pending.append((steps[current + 1], event.id, current + 1, scan))
+                history = histories[scenario.oracles[decl.oracle_for_event[event.id]].variable]
+                scan = history.scan(start, kind.condition)
+                pending.append((start, event.id, scan.start, scan))
         horizon = min(detected.values(), default=end)
         heapify(pending)
         while pending and pending[0][0] <= horizon:
@@ -533,9 +490,9 @@ def ground_truth(scenario: Scenario) -> list[tuple[int | None, int | None]]:
             if scan.holds(change):
                 detected[event_id] = step
                 horizon = step  # events detected at this same step still join the pool
-            elif change + 1 < len(scan.steps):
+            elif change + 1 < len(scan.times):
                 change += 1
-                heappush(pending, (scan.steps[change], event_id, change, scan))
+                heappush(pending, (scan.times[change], event_id, change, scan))
         if not detected:
             results.append((None, end))
             continue

@@ -159,7 +159,7 @@ def test_criterion_4_earliest_detection_against_brute_force():
         history = History("v")
         for at, value in known:
             history.append(at, value)
-        found, _ = history.earliest(from_ts, text, condition)
+        found, _ = history.earliest(from_ts, condition)
         assert found == brute, (entries, from_ts, horizon, render(condition))
     print("\n[criterion 4] PASS - 200 timer and 200 step-function cases match brute force")
 

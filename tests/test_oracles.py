@@ -4,10 +4,13 @@ The running fixture mirrors the worked example: variable ``d_w`` is 0 at
 step 73, 1 at 74, and 2 at 77.
 """
 
+from unittest import mock
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from deferred_choice import expr
 from deferred_choice import wordcodec as wc
 from deferred_choice.choice import resume_slice_scan
 from deferred_choice.expr import evaluate, parse
@@ -309,8 +312,8 @@ def test_history_equivalence_on_and_off_chain():
         condition = parse(text)
         assert on.history.since(from_ts) == prov_off.history.since(from_ts)
         assert (
-            on.history.earliest(from_ts, text, condition)[0]
-            == prov_off.history.earliest(from_ts, text, condition)[0]
+            on.history.earliest(from_ts, condition)[0]
+            == prov_off.history.earliest(from_ts, condition)[0]
         )
 
 
@@ -327,7 +330,7 @@ def test_conditional_agrees_with_scan_over_regular_slice():
         from_ts = rng.randint(0, updates[0][0])  # at or before the first entry
         text = f"d_w >= {rng.randint(1, 5)}"
         condition = parse(text)
-        found, _ = history.earliest(from_ts, text, condition)
+        found, _ = history.earliest(from_ts, condition)
         hit, _ = resume_slice_scan(history.since(from_ts), 0, 0, condition, "d_w")
         assert found == hit
 
@@ -486,7 +489,7 @@ def test_history_matches_stateless_reference(run):
         number = op[1]
         from_ts, text = questions[number]
         condition = parse(text)
-        found, visited = history.earliest(from_ts, text, condition)
+        found, visited = history.earliest(from_ts, condition)
         assert (found, visited) == reference_earliest(pairs, from_ts, condition)
         in_window = [p for i, p in enumerate(pairs) if not in_force_later(pairs, i, from_ts)]
         assert history.since(from_ts, visited) == encode_pairs(in_window[:visited])
@@ -505,6 +508,20 @@ def test_history_matches_stateless_reference(run):
         )
         assert hit == reference_slice_hit(payload, index, condition)
     assert list(zip(history.times, history.values)) == pairs
+
+
+def test_history_shares_a_scan_across_one_window():
+    """Two ``from_ts`` in the window of one change point ask one question,
+    so between them each change point is evaluated once."""
+    history = History("d_w")
+    for at, value in ((2, 0), (5, 1), (8, 3)):
+        history.append(at, value)
+    never, at_window_start = parse("d_w >= 3"), parse("d_w == 0")
+    with mock.patch.object(expr, "evaluate", wraps=evaluate) as evaluated:
+        assert history.earliest(2, never) == history.earliest(4, never) == (8, 3)
+        assert history.earliest(2, at_window_start) == (2, 1)
+        assert history.earliest(4, at_window_start) == (4, 1)  # a hit counts from from_ts
+    assert evaluated.call_count == 3 + 1
 
 
 def test_history_rejects_non_increasing_append():
