@@ -3,13 +3,14 @@
 A choice contract races its events on-chain. What it can do follows from
 the two axes of its oracle architecture (see ``oracles``):
 
-* the answer fixes the semantics. With a history since activation
-  (on-chain or off-chain history, pub/sub) a ``transaction-driven``
-  contract ranks events by the earliest timestamp each could have been
-  detected, and therefore picks the true first event even when
-  transactions arrive late. With only the current value (storage,
-  request-response) a ``continual`` contract is the naive baseline: at
-  every waking transaction it looks only at the current state of the world;
+* the answer fixes the semantics. Every contract decides with ``_rank``:
+  the earliest detection wins, and the preference at its timestamp breaks
+  a tie. With a history since activation (on-chain or off-chain history,
+  pub/sub) a ``transaction-driven`` contract dates each event at the
+  earliest timestamp it could have been detected, so it picks the true
+  first event even when transactions arrive late. With only the current
+  value (storage, request-response) a ``continual`` contract is the naive
+  baseline: it dates everything it sees at the waking transaction;
 * the delivery fixes how an evaluation runs. A sync contract reads its
   oracles inline and can finalize within the waking transaction; a
   callback contract issues correlated queries and finishes the evaluation
@@ -100,7 +101,7 @@ class DeferredChoiceContract(Contract):
         self.kind = f"{variant.id}-choice"
         self.oracles = dict(oracles)
         # the architecture's row, resolved once per contract
-        self.ranks = variant.architecture.answer is Answer.HISTORY
+        self.has_history = variant.architecture.answer is Answer.HISTORY
         self.delivery = variant.architecture.delivery
         self.cond_ids = tuple(
             e.id for e in self.events if isinstance(e.kind, Conditional)
@@ -131,7 +132,6 @@ class DeferredChoiceContract(Contract):
         self._preferred_at: dict[int, int] = {}
         self._cond_found: dict[int, int] = {}
         self._cond_clear: dict[int, int] = {}
-        self._cond_truth: dict[int, bool] = {}  # current-value answers
         # host-side only: the query parameters of each event, and the leading
         # pairs of its history slice known not to satisfy its condition
         # (regular history variants)
@@ -180,7 +180,7 @@ class DeferredChoiceContract(Contract):
         params = self._params_of.get(eid)
         if params is None:
             params = b""
-            if self.ranks and self.delivery is not Delivery.PUSH:
+            if self.has_history and self.delivery is not Delivery.PUSH:
                 params = wordcodec.encode_word(self.activation_ts)
             if self.variant.conditional:
                 params += wordcodec.encode_text(exprlang.render(self._condition(eid)))
@@ -192,10 +192,10 @@ class DeferredChoiceContract(Contract):
         ``payload``: from a history, the earliest detection since activation
         or NEVER; from the current value, whether the condition holds."""
         if self.variant.conditional:
-            if self.ranks:
+            if self.has_history:
                 return wordcodec.decode_word(payload, index)
             return wordcodec.decode_bool(payload, index)
-        if not self.ranks:
+        if not self.has_history:
             value = wordcodec.decode_word(payload, index)
             return exprlang.evaluate(self._condition(eid), {self.oracles[eid].variable: value})
         # slices start at the change point in force at activation, and no
@@ -214,13 +214,13 @@ class DeferredChoiceContract(Contract):
     def _note(self, ctx: ExecutionContext, eid: int, answer: int | bool, horizon: int) -> None:
         """Record event ``eid``'s answer, which holds through ``horizon``.
 
-        Answers that arrive in their own transaction (callbacks, pushes) are
-        kept in contract storage; a synchronous read is used within the
-        transaction that made it."""
-        if not self.ranks:
-            self._cond_truth[eid] = answer
-            return
-        persist = self.delivery is not Delivery.SYNC
+        A current value dates a condition that holds at ``horizon``. With a
+        history, answers that arrive in their own transaction (callbacks,
+        pushes) are kept in contract storage; other answers are used within
+        the evaluation that made them."""
+        if not self.has_history:
+            answer = horizon if answer else NEVER
+        persist = self.has_history and self.delivery is not Delivery.SYNC
         if answer == NEVER:
             self._cond_clear[eid] = max(self._cond_clear.get(eid, 0), horizon)
             if persist:
@@ -282,7 +282,7 @@ class DeferredChoiceContract(Contract):
         prefer(self._preferred_at, now, preferred, message_event)
         if message_event is not None and message_event not in self.message_detections:
             self.message_detections[message_event] = now
-            if self.ranks:
+            if self.has_history:
                 ctx.write(self.storage, f"msgdet:{message_event}", now)
         self._evaluate(ctx, now)
 
@@ -303,16 +303,7 @@ class DeferredChoiceContract(Contract):
             # "unsatisfied through now". In the activation block itself the
             # catch-up push is still in flight and certifies nothing.
             clear_floor = now
-        self._conclude(ctx, now, clear_floor)
-
-    def _conclude(
-        self, ctx: ExecutionContext, horizon: int, clear_floor: int | None = None
-    ) -> None:
-        """Rank on a history answer; conclude the baseline on a current value."""
-        if self.ranks:
-            self._rank(ctx, horizon, clear_floor)
-        else:
-            self._conclude_baseline(ctx, horizon)
+        self._rank(ctx, now, clear_floor)
 
     # -- asynchronous resolution -------------------------------------------------
 
@@ -340,7 +331,7 @@ class DeferredChoiceContract(Contract):
         if self._pending:
             return
         ctx.write(self.storage, "inflight_horizon", 0)
-        self._conclude(ctx, horizon)
+        self._rank(ctx, horizon)
 
     # -- pub/sub deliveries ----------------------------------------------------------
 
@@ -380,6 +371,10 @@ class DeferredChoiceContract(Contract):
         timer_now: int | None = None,
         settled: int | None = None,
     ) -> None:
+        """Finalize on the earliest detection known at ``horizon`` unless a
+        condition not yet found, clear only through its last answer or
+        ``clear_floor``, or a transaction after ``settled`` could still
+        precede or tie it. Timers count as fired up to ``timer_now``."""
         if timer_now is None:
             timer_now = horizon
         found = self._cond_found
@@ -397,7 +392,8 @@ class DeferredChoiceContract(Contract):
             else:
                 fire = timer_fire(event.kind, self.activation_ts)
                 if fire <= timer_now:
-                    detections[event.id] = fire
+                    # without a history a fired timer is seen at the wake
+                    detections[event.id] = fire if self.has_history else horizon
         blocker = NEVER
         for eid in self.cond_ids:
             if eid in found:
@@ -420,24 +416,3 @@ class DeferredChoiceContract(Contract):
             self._observe(ctx, horizon)
             return
         self._finalize(ctx, pick_winner(pool, self._preferred_at.get(best)), best, horizon)
-
-    # -- continual baseline ------------------------------------------------------
-
-    def _conclude_baseline(self, ctx: ExecutionContext, horizon: int) -> None:
-        """Decide on what holds at ``horizon`` alone: the waking message, the
-        timers already fired and the conditions the oracles say hold now."""
-        detected: set[int] = set()
-        for event in self.events:
-            if isinstance(event.kind, Message):
-                if self.message_detections.get(event.id) == horizon:
-                    detected.add(event.id)
-            elif isinstance(event.kind, Conditional):
-                if self._cond_truth.get(event.id, False):
-                    detected.add(event.id)
-            elif timer_fire(event.kind, self.activation_ts) <= horizon:
-                detected.add(event.id)
-        if not detected:
-            self._observe(ctx, horizon)
-            return
-        winner = pick_winner(detected, self._preferred_at.get(horizon))
-        self._finalize(ctx, winner, horizon, horizon)

@@ -57,9 +57,10 @@ def _load_schedule(path: str | None) -> GasSchedule:
     if path is None:
         return schedule
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             return schedule.with_overrides(json.load(handle))
-    except (OSError, json.JSONDecodeError, LedgerError) as error:
+    # ValueError covers undecodable text and JSON, and over-long integers
+    except (OSError, ValueError, RecursionError, LedgerError) as error:
         raise _InputError(f"gas schedule {path}: {error}") from None
 
 
@@ -72,7 +73,7 @@ def _out_dir(path: str) -> Path:
 def cmd_run(args: argparse.Namespace) -> int:
     schedule = _load_schedule(args.gas_schedule)
     try:
-        scenario = Scenario.from_json(Path(args.scenario).read_text())
+        scenario = Scenario.from_json(Path(args.scenario).read_bytes())
         report = run(scenario, schedule)
     except (OSError, ScenarioError) as error:
         print(f"error: {error}", file=sys.stderr)

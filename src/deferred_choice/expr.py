@@ -12,8 +12,9 @@ with ``&&``, ``||`` and ``!``. Precedence from lowest to highest:
 
 Identifiers match ``[A-Za-z_][A-Za-z0-9_]*``; numbers are unsigned decimals
 that must fit the 64-bit data word; OP is one of ``< <= == != >= >``
-(``=`` is accepted as an alias for ``==``). Evaluation is over unsigned
-integers and always yields a boolean.
+(``=`` is accepted as an alias for ``==``). Parentheses and ``!`` nest
+at most ``MAX_NESTING`` deep. Evaluation is over unsigned integers and
+always yields a boolean.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 
 CONSTANT_MAX = 2**64 - 1
+MAX_NESTING = 100  # well inside the interpreter's recursion limit
 
 COMPARISON_OPS = ("<", "<=", "==", "!=", ">=", ">")
 
@@ -103,6 +105,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.index = 0
+        self.depth = 0  # the parentheses and negations open at the cursor
 
     def parse(self) -> Expr:
         if not self.tokens:
@@ -125,6 +128,15 @@ class _Parser:
         self.index += 1
         return token
 
+    def _nested(self, rule, pos: int) -> Expr:
+        """``rule()`` one level deeper, opened at ``pos``."""
+        if self.depth == MAX_NESTING:
+            raise ExprSyntaxError(f"nested deeper than {MAX_NESTING}", pos)
+        self.depth += 1
+        node = rule()
+        self.depth -= 1
+        return node
+
     def _or(self) -> Expr:
         node = self._and()
         while (tok := self._peek()) is not None and tok[1] == "||":
@@ -143,13 +155,13 @@ class _Parser:
         tok = self._peek()
         if tok is not None and tok[1] == "!":
             self._take()
-            return Not(self._unary())
+            return Not(self._nested(self._unary, tok[2]))
         return self._atom()
 
     def _atom(self) -> Expr:
         kind, value, pos = self._take()
         if value == "(":
-            node = self._or()
+            node = self._nested(self._or, pos)
             kind, value, pos = self._take()
             if value != ")":
                 raise ExprSyntaxError("expected ')'", pos)

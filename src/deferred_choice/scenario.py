@@ -37,6 +37,7 @@ from .oracles import (
 from .semantics import (
     DATA_MAX,
     KIND_NAMES,
+    NEVER,
     AbsoluteTimer,
     Conditional,
     ContractViolation,
@@ -173,8 +174,8 @@ class Scenario:
         activation_step: dict[int, int] = {}
         first_message: dict[int, int] = {}
         for action in self.timeline:
-            if type(action.step) is not int or action.step < 1:
-                raise ScenarioError(f"bad step {action.step!r}: steps are integers from 1")
+            if not _in_range(action.step, NEVER) or action.step == 0:  # NEVER: "not detected"
+                raise ScenarioError(f"bad step {action.step!r}: steps are integers from 1 to 2**64-2")
             if action.step < last_step:
                 raise ScenarioError("timeline steps must be non-decreasing")
             last_step = action.step
@@ -277,10 +278,12 @@ class Scenario:
         )
 
     @classmethod
-    def from_json(cls, text: str) -> "Scenario":
+    def from_json(cls, text: str | bytes) -> "Scenario":
+        """The scenario of a scenario file's text, or of its bytes, which
+        must be UTF-8; see ``from_obj``."""
         try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as error:
+            obj = json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
+        except (ValueError, RecursionError) as error:
             raise ScenarioError(f"not valid JSON: {error}") from None
         return cls.from_obj(obj)
 
@@ -510,11 +513,14 @@ class ChoiceOutcome:
     choice: int
     winner: int | None
     truth: int | None
-    correct: bool
     activation_ts: int | None
     observed_ts: int | None
     winner_detection_ts: int | None
     finalized_at: int | None
+
+    @property
+    def correct(self) -> bool:
+        return self.winner == self.truth
 
 
 @dataclass
@@ -625,7 +631,6 @@ def run(scenario: Scenario, schedule: GasSchedule | None = None) -> ExperimentRe
                 choice=index,
                 winner=contract.winner,
                 truth=truth,
-                correct=contract.winner == truth,
                 activation_ts=contract.activation_ts,
                 observed_ts=contract.observed_ts,
                 winner_detection_ts=contract.winner_detection_ts,

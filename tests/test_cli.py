@@ -117,6 +117,19 @@ MALFORMED = {
     "activate-with-event": _stray(1, event=3),
     "update-with-choice-and-preferred": _stray(0, choice=5, preferred=9),
     "message-with-oracle-and-value": _stray(4, oracle=7, value=-3),
+    # NEVER, 2**64-1, is the "not detected" sentinel
+    "step-never": _set(("timeline", 4, "step"), 2**64 - 1),
+    "condition-nested-5000-deep": _set(
+        ("choices", 0, "events", 1, "expr"), "(" * 5000 + "d_w >= 2" + ")" * 5000
+    ),
+    "condition-negated-5000-times": _set(("choices", 0, "events", 1, "expr"), "!" * 5000 + "d_w >= 2"),
+}
+
+# scenario files that fail before they decode to JSON objects
+MALFORMED_FILES = {
+    "not-utf8": b'{"id": "\xff"}',
+    "integer-5000-digits": b'{"seed": ' + b"7" * 5000 + b"}",
+    "nested-past-recursion-limit": b"[" * 100_000 + b"]" * 100_000,
 }
 
 
@@ -129,6 +142,16 @@ def test_malformed_scenario_rejected_and_run_exits_2(tmp_path, case):
     scenario = tmp_path / "bad.json"
     scenario.write_text(json.dumps(obj))
     assert main(["run", str(scenario), "--out", str(tmp_path / "out")]) == 2
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_FILES))
+def test_malformed_file_rejected_and_run_exits_2(tmp_path, capsys, case):
+    with pytest.raises(ScenarioError):
+        Scenario.from_json(MALFORMED_FILES[case])
+    scenario = tmp_path / "bad.json"
+    scenario.write_bytes(MALFORMED_FILES[case])
+    assert main(["run", str(scenario), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("error: not valid JSON: ")
 
 
 def test_run_empty_timeline(tmp_path):
@@ -276,13 +299,17 @@ MALFORMED_SCHEDULES = {
     "not-an-object": "[1, 2]",
     "deploy-costs-not-an-object": '{"deploy_per_contract": 7}',
     "invalid-json": '{"tx_base": ',
+    "not-utf8": b'{"tx_base": "\xff"}',
+    "integer-5000-digits": '{"tx_base": ' + "9" * 5000 + "}",
+    "nested-past-recursion-limit": "[" * 100_000 + "]" * 100_000,
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_SCHEDULES))
 def test_malformed_gas_schedule_exits_2(tmp_path, capsys, case):
     schedule = tmp_path / "schedule.json"
-    schedule.write_text(MALFORMED_SCHEDULES[case])
+    content = MALFORMED_SCHEDULES[case]
+    schedule.write_bytes(content if isinstance(content, bytes) else content.encode())
     out = tmp_path / "out"
     for command in (
         ["run", str(TABLE1)],

@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deferred_choice.expr import (
+    MAX_NESTING,
     And,
     Comparison,
     ExprEvalError,
@@ -49,6 +50,14 @@ def test_parse_precedence():
 def test_parse_rejects_bad_syntax(text):
     with pytest.raises(ExprSyntaxError):
         parse(text)
+
+
+@pytest.mark.parametrize("opening, closing", [("(", ")"), ("!", "")])
+def test_parse_bounds_nesting(opening, closing):
+    parse(opening * MAX_NESTING + "x < 1" + closing * MAX_NESTING)
+    with pytest.raises(ExprSyntaxError) as excinfo:
+        parse(opening * 5000 + "x < 1" + closing * 5000)
+    assert excinfo.value.position == MAX_NESTING
 
 
 def test_syntax_error_carries_position():

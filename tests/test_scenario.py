@@ -36,6 +36,7 @@ from deferred_choice.semantics import (
     EventSpec,
     Message,
     RelativeTimer,
+    NEVER,
     prefer,
 )
 from reference import induced_trace, run_continual
@@ -783,6 +784,35 @@ def test_empty_timeline_reports_nil_winner():
     assert report.winner is None
     assert report.truth is None
     assert report.correct is True
+
+
+@pytest.mark.parametrize("variant", [v for v in ALL_VARIANTS if not v.baseline], ids=lambda v: v.id)
+def test_scenario_ending_just_below_never_runs_correctly(variant):
+    # the last step is NEVER-1; the timer would fire past NEVER, so the
+    # condition holding at the final trigger wins
+    obj = {
+        "id": "edge",
+        "variant": variant.id,
+        "semantics": variant.semantics.value,
+        "oracles": [{"variable": "x"}],
+        "choices": [
+            {
+                "events": [
+                    {"kind": "conditional", "expr": "x >= 1", "oracle": 0},
+                    {"kind": "relative-timer", "delta": 3},
+                ]
+            }
+        ],
+        "timeline": [
+            {"step": 1, "action": "update", "oracle": 0, "value": 0},
+            {"step": NEVER - 2, "action": "activate", "choice": 0},
+            {"step": NEVER - 1, "action": "update", "oracle": 0, "value": 1},
+            {"step": NEVER - 1, "action": "trigger", "choice": 0},
+        ],
+    }
+    (outcome,) = run(Scenario.from_obj(obj)).outcomes
+    assert (outcome.winner, outcome.truth) == (0, 0)
+    assert outcome.winner_detection_ts == NEVER - 1
 
 
 # --- pinned outputs ---------------------------------------------------------------
