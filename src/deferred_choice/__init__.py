@@ -32,7 +32,6 @@ from .oracles import (
     Architecture,
     Delivery,
     History,
-    HistoryEntry,
     OracleProvider,
     OracleVariant,
     SemanticsKind,

@@ -8,9 +8,12 @@ the two axes of its oracle architecture (see ``oracles``):
   a tie. With a history since activation (on-chain or off-chain history,
   pub/sub) a ``transaction-driven`` contract dates each event at the
   earliest timestamp it could have been detected, so it picks the true
-  first event even when transactions arrive late. With only the current
-  value (storage, request-response) a ``continual`` contract is the naive
-  baseline: it dates everything it sees at the waking transaction;
+  first event even when transactions arrive late; a regular variant reads
+  each served history slice into its own ``oracles.History`` and asks it,
+  as a conditional oracle would, for the earliest satisfying change point
+  since activation. With only the current value (storage,
+  request-response) a ``continual`` contract is the naive baseline: it
+  dates everything it sees at the waking transaction;
 * the delivery fixes how an evaluation runs. A sync contract reads its
   oracles inline and can finalize within the waking transaction; a
   callback contract issues correlated queries and finishes the evaluation
@@ -29,6 +32,7 @@ from .oracles import (  # SemanticsKind is re-exported for bench/fuzzgen.py
     Answer,
     AsyncOracle,
     Delivery,
+    History,
     OracleVariant,
     SemanticsKind,
     SyncOracle,
@@ -62,27 +66,6 @@ def encode_trigger(preferred: int | None, message_event: int | None) -> bytes:
         NIL if preferred is None else preferred,
         NIL if message_event is None else message_event,
     )
-
-
-def resume_slice_scan(
-    payload: bytes, index: int, skip: int, condition: exprlang.Expr, variable: str
-) -> tuple[int, int]:
-    """First change point satisfying ``condition`` in the encoded history
-    slice at word ``index`` of ``payload``.
-
-    The first ``skip`` pairs are taken as unsatisfied: a scan of an earlier
-    slice that this one extends tested them. Returns the hit's timestamp, or
-    NEVER, and the number of leading pairs now known to be unsatisfied.
-    Values are decoded first and a timestamp only for the hit.
-    """
-    count = wordcodec.decode_word(payload, index)
-    if len(payload) < (index + 1 + 2 * count) * wordcodec.WORD_SIZE:
-        raise wordcodec.CodecError(f"truncated history slice of {count} pairs")
-    for pair in range(skip, count):
-        value = wordcodec.decode_word(payload, index + 2 + 2 * pair)
-        if exprlang.evaluate(condition, {variable: value}):
-            return wordcodec.decode_word(payload, index + 1 + 2 * pair), pair
-    return NEVER, count
 
 
 class DeferredChoiceContract(Contract):
@@ -132,11 +115,10 @@ class DeferredChoiceContract(Contract):
         self._preferred_at: dict[int, int] = {}
         self._cond_found: dict[int, int] = {}
         self._cond_clear: dict[int, int] = {}
-        # host-side only: the query parameters of each event, and the leading
-        # pairs of its history slice known not to satisfy its condition
-        # (regular history variants)
+        # host-side only: the query parameters of each event, and the history
+        # its served slices were read into (regular history variants)
         self._params_of: dict[int, bytes] = {}
-        self._cond_unsatisfied: dict[int, int] = {}
+        self._histories: dict[int, History] = {}
         self._pending: dict[int, int] = {}
         self._corr_seq = 0
 
@@ -200,16 +182,11 @@ class DeferredChoiceContract(Contract):
             return exprlang.evaluate(self._condition(eid), {self.oracles[eid].variable: value})
         # slices start at the change point in force at activation, and no
         # later one lands at or before it, so each slice extends the last
-        # and only the pairs appended since need testing; a hit on the point
-        # in force counts from activation
-        at, self._cond_unsatisfied[eid] = resume_slice_scan(
-            payload,
-            index,
-            self._cond_unsatisfied.get(eid, 0),
-            self._condition(eid),
-            self.oracles[eid].variable,
-        )
-        return max(at, self.activation_ts)
+        history = self._histories.get(eid)
+        if history is None:
+            history = self._histories[eid] = History(self.oracles[eid].variable)
+        history.extend(payload, index)
+        return history.earliest(self.activation_ts, self._condition(eid))[0]
 
     def _note(self, ctx: ExecutionContext, eid: int, answer: int | bool, horizon: int) -> None:
         """Record event ``eid``'s answer, which holds through ``horizon``.

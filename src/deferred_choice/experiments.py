@@ -43,6 +43,8 @@ from .semantics import (
 )
 
 _EVENT_SPACING = 3  # steps between consecutive event occurrences
+_RANDOM_MAX_EVENTS = 6  # per choice of a random equivalence scenario
+_RANDOM_MAX_STEPS = 50
 
 
 # --- correctness experiment ---------------------------------------------------
@@ -279,9 +281,7 @@ def heatmap_rows(reports: Sequence[ExperimentReport]) -> list[HeatmapRow]:
 # --- randomized equivalence scenarios -------------------------------------------
 
 
-def gen_random_scenarios(
-    count: int, seed: int, max_events: int = 6, max_steps: int = 50
-) -> list[Scenario]:
+def gen_random_scenarios(count: int, seed: int) -> list[Scenario]:
     """Unconstrained random scenarios for the equivalence suite.
 
     Event kinds, timer horizons, condition thresholds, update schedules and
@@ -294,10 +294,10 @@ def gen_random_scenarios(
     base_variant = OracleVariant(Architecture.ONCHAIN_HISTORY, False)
     scenarios = []
     for index in range(count):
-        k = rng.randint(1, max_events)
+        k = rng.randint(1, _RANDOM_MAX_EVENTS)
         activation = 2
         slots = list(
-            range(activation + _EVENT_SPACING, max_steps - 1, _EVENT_SPACING)
+            range(activation + _EVENT_SPACING, _RANDOM_MAX_STEPS - 1, _EVENT_SPACING)
         )
         final = slots[-1]
         open_slots = slots[:-1]

@@ -13,8 +13,9 @@ with ``&&``, ``||`` and ``!``. Precedence from lowest to highest:
 Identifiers match ``[A-Za-z_][A-Za-z0-9_]*``; numbers are unsigned decimals
 that must fit the 64-bit data word; OP is one of ``< <= == != >= >``
 (``=`` is accepted as an alias for ``==``). Parentheses and ``!`` nest
-at most ``MAX_NESTING`` deep. Evaluation is over unsigned integers and
-always yields a boolean.
+at most ``MAX_NESTING`` deep, and a tree at most ``MAX_NESTING`` levels of
+operators high, so a chain ``a && b && ...`` has at most ``MAX_NESTING + 1``
+terms. Evaluation is over unsigned integers and always yields a boolean.
 """
 
 from __future__ import annotations
@@ -106,6 +107,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.index = 0
         self.depth = 0  # the parentheses and negations open at the cursor
+        self.height = 0  # operator levels of the tree the last rule built
 
     def parse(self) -> Expr:
         if not self.tokens:
@@ -137,25 +139,34 @@ class _Parser:
         self.depth -= 1
         return node
 
-    def _or(self) -> Expr:
-        node = self._and()
-        while (tok := self._peek()) is not None and tok[1] == "||":
-            self._take()
-            node = Or(node, self._and())
+    def _grown(self, node: Expr, height: int, pos: int) -> Expr:
+        """``node``, a tree ``height`` levels high whose top operator is at
+        ``pos``; one higher than ``MAX_NESTING`` is rejected there."""
+        if height > MAX_NESTING:
+            raise ExprSyntaxError(f"nested deeper than {MAX_NESTING}", pos)
+        self.height = height
         return node
 
-    def _and(self) -> Expr:
-        node = self._unary()
-        while (tok := self._peek()) is not None and tok[1] == "&&":
+    def _chain(self, operand, symbol: str, node_type) -> Expr:
+        """Operands of ``operand()`` joined by ``symbol``, left-associated."""
+        node = operand()
+        while (tok := self._peek()) is not None and tok[1] == symbol:
+            left = self.height
             self._take()
-            node = And(node, self._unary())
+            node = self._grown(node_type(node, operand()), max(left, self.height) + 1, tok[2])
         return node
+
+    def _or(self) -> Expr:
+        return self._chain(self._and, "||", Or)
+
+    def _and(self) -> Expr:
+        return self._chain(self._unary, "&&", And)
 
     def _unary(self) -> Expr:
         tok = self._peek()
         if tok is not None and tok[1] == "!":
             self._take()
-            return Not(self._nested(self._unary, tok[2]))
+            return self._grown(Not(self._nested(self._unary, tok[2])), self.height + 1, tok[2])
         return self._atom()
 
     def _atom(self) -> Expr:
@@ -180,6 +191,7 @@ class _Parser:
         constant = int(number)
         if constant > CONSTANT_MAX:
             raise ExprSyntaxError("constant out of range", pos)
+        self.height = 0
         return Comparison(var, op, constant)
 
 

@@ -28,21 +28,23 @@ evaluates its condition locally. Conditional variants accept a rendered
 condition expression and answer with a boolean, an earliest-satisfied
 timestamp, or a push signal at the first time the condition holds.
 
-Histories record change points only: an update that repeats the current
-value adds no entry and triggers no push. All provider reactions to
-on-chain events (queries, subscriptions) are mined exactly one block
-later; transactions the provider originates itself when the external
-variable changes (storage/history writes, change pushes) are mined in the
-block of the change timestamp.
+Histories record change points only (``History.append`` decides): an
+update that repeats the current value adds no entry and triggers no push.
+Every provider keeps a ``History``; its last change point is the current
+value. All provider reactions to on-chain events (queries, subscriptions)
+are mined exactly one block later; transactions the provider originates
+itself when the external variable changes (storage/history writes, change
+pushes) are mined in the block of the change timestamp.
 
 Both history architectures keep their change points in one ``History``:
 each point is held once and encoded at most once, the first time a served
-slice needs it. A query's window starts at the change point in force at its
-``from_ts``. A conditional history query resumes the scan that the same
-condition from the same window start stopped at. This saves host work only:
-the bytes served and charged, and therefore gas, are those of a fresh
-encoding of the window and a scan of it from its start, which charges the
-change points examined.
+slice needs it; a regular history's consumer reads each served slice into
+a ``History`` of its own. A query's window starts at the change point in
+force at its ``from_ts``. A conditional history query resumes the scan that
+the same condition from the same window start stopped at. This saves host
+work only: the bytes served and charged, and therefore gas, are those of a
+fresh encoding of the window and a scan of it from its start, which
+charges the change points examined.
 
 A provider's fan-outs share their bytes too. Within one block it answers
 each distinct query once and sends every consumer that asked it a callback
@@ -57,7 +59,6 @@ import itertools
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
 
 from . import expr as exprlang
 from . import wordcodec
@@ -156,11 +157,6 @@ ALL_VARIANTS: tuple[OracleVariant, ...] = tuple(
 )
 
 
-class HistoryEntry(NamedTuple):
-    at: int
-    value: int
-
-
 _PAIR_SIZE = 2 * wordcodec.WORD_SIZE
 
 
@@ -186,40 +182,72 @@ class Scan:
     def holds(self, change: int) -> bool:
         """Whether the condition holds at change point ``change``, which is
         at most ``stop``."""
-        if change < self.stop:
-            return False
-        if not self.hit:
-            if exprlang.evaluate(self.condition, {self.variable: self.values[change]}):
+        self.advance(change + 1)
+        return self.hit and change == self.stop
+
+    def advance(self, limit: int) -> None:
+        """Test the change points from ``stop`` on, up to the first that
+        satisfies the condition or to ``limit``."""
+        if self.hit:
+            return
+        condition, variable, values, stop = self.condition, self.variable, self.values, self.stop
+        while stop < limit:
+            if exprlang.evaluate(condition, {variable: values[stop]}):
                 self.hit = True
-            else:
-                self.stop += 1
-        return self.hit
+                break
+            stop += 1
+        self.stop = stop
 
 
 class History:
     """Change points of one step-function variable, in strictly increasing
     time order, each held once.
 
-    Pairs are encoded into one growing buffer the first time a served slice
-    needs them. A condition has one ``Scan`` per window start, so asking
-    again, from any time in that window, examines only the change points
-    appended since.
+    The one owner of the variable's representation: ``append`` decides what
+    is a change point, ``since`` writes a served slice and ``extend`` reads
+    one. Pairs are encoded into one growing buffer the first time a served
+    slice needs them. A condition has one ``Scan`` per window start, so
+    asking again, from any time in that window, examines only the change
+    points appended since.
     """
 
     def __init__(self, variable: str):
         self.variable = variable
         self.times: list[int] = []
         self.values: list[int] = []
+        self._updated = -1  # the time of the latest update; timestamps are not negative
         self._words = bytearray()  # encoded (at, value) pairs, oldest first
         self._scans: dict[tuple[int, exprlang.Expr], Scan] = {}
 
-    def append(self, at: int, value: int) -> None:
-        if self.times and at <= self.times[-1]:
+    def append(self, at: int, value: int) -> bool:
+        """Record an update to ``value`` at ``at``; whether it is a change
+        point. A repeated value records nothing. An update at or before the
+        latest one, repeated or not, raises ``OracleError``."""
+        if at <= self._updated:
             raise OracleError(
-                f"change point at {at} is not after {self.times[-1]} on {self.variable}"
+                f"non-monotone update: {at} after {self._updated} on {self.variable}"
             )
+        self._updated = at
+        if self.values and self.values[-1] == value:
+            return False
         self.times.append(at)
         self.values.append(value)
+        return True
+
+    def extend(self, payload: bytes, index: int) -> None:
+        """Append the change points this history lacks from the slice served
+        at word ``index`` of ``payload``, which starts at this history's
+        first change point; only the new pairs are decoded."""
+        decode = wordcodec.decode_word
+        count = decode(payload, index)
+        if len(payload) < (index + 1 + 2 * count) * wordcodec.WORD_SIZE:
+            raise wordcodec.CodecError(f"truncated history slice of {count} pairs")
+        first = index + 1 + 2 * len(self.times)
+        words = [decode(payload, word) for word in range(first, index + 1 + 2 * count)]
+        if words:
+            self.times += words[::2]
+            self.values += words[1::2]
+            self._updated = words[-2]
 
     def _encoded(self, start: int, stop: int) -> bytes:
         """The change points [start, stop) as a count word followed by each
@@ -264,8 +292,7 @@ class History:
         The window starts at the change point in force at ``from_ts``, and
         a hit there counts from ``from_ts``."""
         scan = self.scan(from_ts, condition)
-        while not scan.hit and scan.stop < len(self.times):
-            scan.holds(scan.stop)
+        scan.advance(len(self.times))
         visited = scan.stop - scan.start + scan.hit
         if scan.hit:
             return max(self.times[scan.stop], from_ts), visited
@@ -346,13 +373,10 @@ class SyncOracle(Contract):
         history = self.history
         if history is None:
             ctx.write(self.storage, "value", value)
-            return
-        if history.values and history.values[-1] == value:
-            return  # change points only
-        index = len(history.times)
-        history.append(at, value)
-        ctx.write(self.storage, f"at:{index}", at)
-        ctx.write(self.storage, f"value:{index}", value)
+        elif history.append(at, value):
+            index = len(history.times) - 1
+            ctx.write(self.storage, f"at:{index}", at)
+            ctx.write(self.storage, f"value:{index}", value)
 
     def query(self, ctx: ExecutionContext, params: bytes) -> bytes:
         known = self.storage.get("value", 0) if self.history is None else self.history
@@ -416,7 +440,8 @@ class OracleProvider:
 
     ``on_external_update`` is driven by the scenario engine when the
     external variable changes; ``after_block`` consumes the freshly mined
-    block's logs and schedules responses for the next block.
+    block's logs (a reverted transaction leaves none) and schedules
+    responses for the next block.
     """
 
     def __init__(self, chain: Chain, oracle: Contract):
@@ -425,35 +450,18 @@ class OracleProvider:
         self.variant: OracleVariant = oracle.variant
         self.variable: str = oracle.variable
         self.account = f"provider-{oracle.address}"
-        self.current: HistoryEntry | None = None  # the latest update, changed or not
+        self.history = History(self.variable)  # its last value is the current one
         # subscriber -> its condition, None for a regular subscription that
         # is pushed every change; a condition is dropped once it has signalled
         self.subscriptions: dict[int, exprlang.Expr | None] = {}
-        self.keeps_history = self.variant.architecture.answer is Answer.HISTORY
+        self.answers_history = self.variant.architecture.answer is Answer.HISTORY
         self.delivery = self.variant.architecture.delivery
-        # only the off-chain history answers from the provider's own history:
-        # the on-chain one lives in the contract, pub/sub pushes each change
-        # as it happens and the current-value architectures need ``current``
-        self.history = (
-            History(self.variable)
-            if self.keeps_history and self.delivery is Delivery.CALLBACK
-            else None
-        )
 
     # -- data updates --------------------------------------------------------
 
     def on_external_update(self, value: int, at: int) -> None:
-        previous = self.current
-        if previous is not None and at <= previous.at:
-            raise OracleError(
-                f"non-monotone update: {at} after {previous.at} on {self.variable}"
-            )
-        self.current = HistoryEntry(at, value)
-        if previous is None or previous.value != value:
-            if self.history is not None:
-                self.history.append(at, value)
-        elif self.keeps_history:
-            return  # a history records change points only
+        if not self.history.append(at, value) and self.answers_history:
+            return  # a repeat changes no history, so there is nothing to send
         if self.delivery is Delivery.SYNC:
             self._submit_set(value)
         elif self.delivery is Delivery.PUSH:
@@ -497,8 +505,6 @@ class OracleProvider:
         callbacks: dict[tuple[int, bytes], Transaction] = {}
         catch_up = None
         for receipt in receipts:
-            if receipt.status != "ok":
-                continue
             for log in receipt.logs:
                 if log.source != self.oracle.address:
                     continue
@@ -516,7 +522,7 @@ class OracleProvider:
                     subscriber = wordcodec.decode_word(log.payload, 0)
                     if self._register_subscription(subscriber, log.payload[wordcodec.WORD_SIZE :]):
                         if catch_up is None:
-                            catch_up = self._push_payload(block_ts, self.current.value)
+                            catch_up = self._push_payload(block_ts, self.history.values[-1])
                         self.chain.submit_deferred(
                             Transaction(self.account, subscriber, "push", catch_up)
                         )
@@ -525,7 +531,7 @@ class OracleProvider:
         """Register a subscription; whether to push the current knowledge
         now, so the subscriber has no gap. A condition that holds already
         signals now and is not kept."""
-        if self.current is None:
+        if not self.history.values:
             raise OracleError(
                 f"subscription before any update of {self.variable!r}"
             )
@@ -533,7 +539,7 @@ class OracleProvider:
             self.subscriptions[subscriber] = None
             return True
         condition = exprlang.parse(wordcodec.decode_text(params, 0))
-        if exprlang.evaluate(condition, {self.variable: self.current.value}):
+        if exprlang.evaluate(condition, {self.variable: self.history.values[-1]}):
             return True
         self.subscriptions[subscriber] = condition
         return False
@@ -545,10 +551,10 @@ class OracleProvider:
         ``consumer`` with parameters ``params``."""
         if self.delivery is not Delivery.CALLBACK:
             raise OracleError(f"{self.variant.id} does not answer queries")
-        if self.keeps_history:
+        if self.answers_history:
             known = self.history
         else:
-            known = self.current.value if self.current else 0
+            known = self.history.values[-1] if self.history.values else 0
         result = answer_query(known, params, self.variant.conditional, self.variable)
         return Transaction(
             self.account, consumer, "oracle_callback", wordcodec.encode_word(corr) + result

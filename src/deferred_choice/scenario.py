@@ -428,18 +428,18 @@ def ground_truth(scenario: Scenario) -> list[tuple[int | None, int | None]]:
 
     Gives the result of the continual semantics over the environment the
     timeline induces from the activation to the last step, without building
-    that trace: one pass over the timeline collects the change points of
-    each variable into an ``oracles.History`` and the activation, messages
-    and preferences (``prefer``) of each choice, and each event's first
-    detection follows in closed form (``timer_fire`` for a timer). A
-    conditional event is evaluated at activation and then at its variable's
-    later change points in time order, never past the earliest detection
-    found, so it is evaluated at no more states than the dense executor
-    visits. Choices that ask the same question share the history's ``Scan``
-    of it: a change point one of them found unsatisfied is not tested
-    again, a hit one of them found is reused, and the scan goes no further
-    than the furthest any of them needs. Expects a validated scenario; an
-    unactivated choice yields ``(None, None)``.
+    that trace: one pass over the timeline collects each variable's value
+    at each step, which an ``oracles.History`` reduces to change points,
+    and each choice's activation, messages and preferences (``prefer``);
+    each event's first detection follows in closed form (``timer_fire``
+    for a timer). A conditional event is evaluated at activation and then
+    at its variable's later change points in time order, never past the
+    earliest detection found, so it is evaluated at no more states than the
+    dense executor visits. Choices that ask the same question share the
+    history's ``Scan`` of it: change points one of them found unsatisfied
+    are skipped, a hit one of them found is reused, and the scan goes no
+    further than the furthest any of them needs. Expects a validated
+    scenario; an unactivated choice yields ``(None, None)``.
     """
     # per variable: its value from each step it is updated at, the last
     # update at a step winning; a variable reads 0 until its first update
@@ -464,8 +464,7 @@ def ground_truth(scenario: Scenario) -> list[tuple[int | None, int | None]]:
     for name, values in updates.items():
         history = histories[name] = History(name)
         for step, value in values.items():
-            if not history.values or history.values[-1] != value:  # change points only
-                history.append(step, value)
+            history.append(step, value)
 
     results: list[tuple[int | None, int | None]] = []
     for index, decl in enumerate(scenario.choices):
@@ -493,9 +492,9 @@ def ground_truth(scenario: Scenario) -> list[tuple[int | None, int | None]]:
             if scan.holds(change):
                 detected[event_id] = step
                 horizon = step  # events detected at this same step still join the pool
-            elif change + 1 < len(scan.times):
-                change += 1
-                heappush(pending, (scan.times[change], event_id, change, scan))
+            elif scan.stop < len(scan.times):
+                # no change point before ``stop`` satisfies it
+                heappush(pending, (scan.times[scan.stop], event_id, scan.stop, scan))
         if not detected:
             results.append((None, end))
             continue

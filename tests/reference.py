@@ -24,10 +24,10 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from deferred_choice import expr as exprlang
 from deferred_choice import wordcodec
-from deferred_choice.oracles import HistoryEntry
 from deferred_choice.semantics import (
     NEVER,
     AbsoluteTimer,
@@ -326,6 +326,13 @@ def induced_trace(scenario, start: int, end: int) -> EnvironmentTrace:
         if step >= start:
             states.append(EnvironmentState(step, dict(values)))
     return EnvironmentTrace(states)
+
+
+class HistoryEntry(NamedTuple):
+    """One change point of a step-function variable."""
+
+    at: int
+    value: int
 
 
 def earliest_satisfied(

@@ -123,6 +123,9 @@ MALFORMED = {
         ("choices", 0, "events", 1, "expr"), "(" * 5000 + "d_w >= 2" + ")" * 5000
     ),
     "condition-negated-5000-times": _set(("choices", 0, "events", 1, "expr"), "!" * 5000 + "d_w >= 2"),
+    "condition-chained-5000-terms": _set(
+        ("choices", 0, "events", 1, "expr"), " && ".join(["d_w >= 2"] * 5000)
+    ),
 }
 
 # scenario files that fail before they decode to JSON objects

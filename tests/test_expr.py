@@ -52,12 +52,29 @@ def test_parse_rejects_bad_syntax(text):
         parse(text)
 
 
-@pytest.mark.parametrize("opening, closing", [("(", ")"), ("!", "")])
+@pytest.mark.parametrize(
+    "opening, closing", [("(", ")"), ("!", ""), ("x < 1 && ", ""), ("x < 1 || ", "")]
+)
 def test_parse_bounds_nesting(opening, closing):
+    """Each copy of ``opening`` opens one level: parentheses and negations
+    nest, and each operator of a chain adds a level to the tree."""
     parse(opening * MAX_NESTING + "x < 1" + closing * MAX_NESTING)
     with pytest.raises(ExprSyntaxError) as excinfo:
         parse(opening * 5000 + "x < 1" + closing * 5000)
-    assert excinfo.value.position == MAX_NESTING
+    # at the operator of the first copy past the bound
+    operator = opening.split()[-1]
+    assert excinfo.value.position == MAX_NESTING * len(opening) + opening.index(operator)
+
+
+def test_parse_bounds_tree_height_across_parentheses():
+    """Parentheses build no node, so a chain inside them and the chain it
+    opens stack up in one tree, and the bound counts both."""
+    inner = "(" + " && ".join(["x < 1"] * 51) + ")"  # 50 levels
+    deepest = parse(inner + " && x < 1" * 50)
+    assert evaluate(deepest, {"x": 0}) is True
+    with pytest.raises(ExprSyntaxError) as excinfo:
+        parse(inner + " && x < 1" * 51)
+    assert excinfo.value.position == len(inner + " && x < 1" * 50) + 1
 
 
 def test_syntax_error_carries_position():

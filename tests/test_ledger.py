@@ -18,7 +18,6 @@ from deferred_choice.ledger import (
     gas_cost,
     receipt_line,
 )
-from deferred_choice.oracles import HistoryEntry
 from deferred_choice.scenario import Action
 
 
@@ -293,7 +292,6 @@ RECORD_FIELDS = {
         "status": "reverted",
         "revert_reason": "nope",
     },
-    HistoryEntry: {"at": 5, "value": 7},
 }
 
 

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from deferred_choice import expr
 from deferred_choice import wordcodec as wc
-from deferred_choice.choice import resume_slice_scan
 from deferred_choice.expr import evaluate, parse
 from deferred_choice.ledger import Chain, Contract, GasSchedule
 from deferred_choice.oracles import (
@@ -24,10 +23,9 @@ from deferred_choice.oracles import (
     OracleVariant,
     SyncOracle,
     make_oracle_contract,
-    HistoryEntry,
 )
 from deferred_choice.semantics import NEVER
-from reference import decode_pairs, earliest_satisfied, encode_pairs
+from reference import HistoryEntry, decode_pairs, earliest_satisfied, encode_pairs
 
 
 class Sink(Contract):
@@ -137,6 +135,10 @@ def test_nonmonotone_update_rejected():
     provider.on_external_update(1, 5)
     with pytest.raises(OracleError):
         provider.on_external_update(2, 5)
+    # a repeat records no change point, but its time still counts
+    provider.on_external_update(1, 7)
+    with pytest.raises(OracleError):
+        provider.on_external_update(1, 6)
 
 
 def test_pubsub_conditional_signals_only_on_first_transition():
@@ -325,14 +327,14 @@ def test_conditional_agrees_with_scan_over_regular_slice():
         updates = random_updates(rng, rng.randint(1, 12))
         history = History("d_w")
         for at, value in updates:
-            if not history.values or value != history.values[-1]:
-                history.append(at, value)
+            history.append(at, value)
         from_ts = rng.randint(0, updates[0][0])  # at or before the first entry
         text = f"d_w >= {rng.randint(1, 5)}"
         condition = parse(text)
         found, _ = history.earliest(from_ts, condition)
-        hit, _ = resume_slice_scan(history.since(from_ts), 0, 0, condition, "d_w")
-        assert found == hit
+        consumer = History("d_w")
+        consumer.extend(history.since(from_ts), 0)
+        assert consumer.earliest(from_ts, condition)[0] == found
 
 
 def test_onchain_conditional_scan_charges_the_examined_window():
@@ -477,14 +479,17 @@ def history_runs(draw):
 def test_history_matches_stateless_reference(run):
     questions, ops = run
     history = History("d_w")
-    pairs = []
-    skips = [0] * len(questions)
+    pairs = []  # the change points: an update that repeats the value is none
+    at = -1
+    consumers = [None] * len(questions)
     starts = [None] * len(questions)
     for op in ops:
         if op[0] == "append":
-            at = (pairs[-1][0] if pairs else -1) + op[1]
-            history.append(at, op[2])
-            pairs.append((at, op[2]))
+            at += op[1]
+            changed = not pairs or pairs[-1][1] != op[2]
+            assert history.append(at, op[2]) == changed
+            if changed:
+                pairs.append((at, op[2]))
             continue
         number = op[1]
         from_ts, text = questions[number]
@@ -498,15 +503,18 @@ def test_history_matches_stateless_reference(run):
         # the consumer reads slices at word 0 (on-chain) or after a
         # correlation word (callback), always from the same from_ts; no
         # append lands at or before its activation, so its window start
-        # never moves, and here a scan whose window start moved starts over
+        # never moves, and here a consumer whose window start moved starts over
         if starts[number] != in_window[:1]:
-            starts[number], skips[number] = in_window[:1], 0
+            starts[number], consumers[number] = in_window[:1], History("d_w")
         index = number % 2
         payload = wc.encode_word(number) * index + window
-        hit, skips[number] = resume_slice_scan(
-            payload, index, skips[number], condition, "d_w"
-        )
-        assert hit == reference_slice_hit(payload, index, condition)
+        consumer = consumers[number]
+        consumer.extend(payload, index)
+        assert list(zip(consumer.times, consumer.values)) == in_window
+        hit = reference_slice_hit(payload, index, condition)
+        # a hit on the change point in force at from_ts counts from from_ts
+        expected = NEVER if hit == NEVER else max(hit, from_ts)
+        assert consumer.earliest(from_ts, condition)[0] == expected
     assert list(zip(history.times, history.values)) == pairs
 
 
@@ -531,7 +539,32 @@ def test_history_rejects_non_increasing_append():
         history.append(4, 2)
 
 
-def test_resume_slice_scan_rejects_truncated_slice():
+def test_history_append_records_change_points_only():
+    """A repeated value is no change point: ``append`` says so and changes
+    neither the history nor the slices it serves."""
+    history = History("d_w")
+    assert history.append(2, 0) and history.append(5, 1)
+    served = history.since(0)
+    assert history.append(7, 1) is False
+    assert (history.times, history.values) == ([2, 5], [0, 1])
+    assert history.since(0) == served == encode_pairs([(2, 0), (5, 1)])
+
+
+def test_history_extend_reads_only_new_pairs():
+    """Each slice extends the last, so ``extend`` decodes its count word and
+    the pairs it does not hold yet."""
+    served = History("d_w")
+    consumer = History("d_w")
+    for at, value in ((1, 0), (3, 4), (6, 2)):
+        served.append(at, value)
+        payload = wc.encode_word(9) + served.since(2)  # after a correlation word
+        with mock.patch.object(wc, "decode_word", wraps=wc.decode_word) as decoded:
+            consumer.extend(payload, 1)
+        assert decoded.call_count == 1 + 2
+    assert (consumer.times, consumer.values) == ([1, 3, 6], [0, 4, 2])
+
+
+def test_history_extend_rejects_truncated_slice():
     payload = encode_pairs([(1, 0), (2, 5)])[: -wc.WORD_SIZE]
     with pytest.raises(wc.CodecError):
-        resume_slice_scan(payload, 0, 0, parse("d_w > 9"), "d_w")
+        History("d_w").extend(payload, 0)
