@@ -23,6 +23,7 @@ the two axes of its oracle architecture (see ``oracles``):
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Mapping, Sequence
 
 from . import expr as exprlang
@@ -39,9 +40,11 @@ from .oracles import (  # SemanticsKind is re-exported for bench/fuzzgen.py
 )
 from .semantics import (
     NEVER,
+    AbsoluteTimer,
     Conditional,
     EventSpec,
     Message,
+    RelativeTimer,
     check_events,
     pick_winner,
     prefer,
@@ -52,9 +55,16 @@ from .semantics import (
 NIL = NEVER  # wire encoding of "no event" in activate/trigger payloads
 
 
-def _decode_optional(data: bytes, index: int) -> int | None:
-    value = wordcodec.decode_word(data, index)
+def _optional(value: int) -> int | None:
     return None if value == NIL else value
+
+
+@functools.lru_cache(maxsize=1024)
+def _words(payload: bytes, count: int) -> tuple[int, ...]:
+    """The first ``count`` words of ``payload``. An activate, trigger or push
+    payload is shared by every contract it is sent to, so each is decoded
+    once while it stays among the most recently used."""
+    return tuple(wordcodec.decode_words(payload, count))
 
 
 def encode_activate(preferred: int | None) -> bytes:
@@ -86,14 +96,20 @@ class DeferredChoiceContract(Contract):
         # the architecture's row, resolved once per contract
         self.has_history = variant.architecture.answer is Answer.HISTORY
         self.delivery = variant.architecture.delivery
-        self.cond_ids = tuple(
-            e.id for e in self.events if isinstance(e.kind, Conditional)
-        )
-        for eid in self.cond_ids:
+        # history answers that arrive in their own transaction are stored
+        self._stores_answers = self.has_history and self.delivery is not Delivery.SYNC
+        # the events by kind, for ``_rank``; timers fire at times fixed at activation
+        self._conditions = {
+            e.id: e.kind.condition for e in self.events if isinstance(e.kind, Conditional)
+        }
+        self.cond_ids = tuple(self._conditions)
+        self._message_ids = tuple(e.id for e in self.events if isinstance(e.kind, Message))
+        self._timer_fires: tuple[tuple[int, int], ...] = ()
+        for eid, condition in self._conditions.items():
             if eid not in self.oracles:
                 raise ValueError(f"conditional event {eid} has no oracle binding")
             oracle = self.oracles[eid]
-            referenced = exprlang.variables(self._condition(eid))
+            referenced = exprlang.variables(condition)
             if referenced != {oracle.variable}:
                 raise ValueError(
                     f"event {eid} references {sorted(referenced)}, oracle provides "
@@ -123,15 +139,6 @@ class DeferredChoiceContract(Contract):
         self._corr_seq = 0
 
     # -- helpers -----------------------------------------------------------
-
-    @property
-    def activated(self) -> bool:
-        return self.activation_ts is not None
-
-    def _condition(self, eid: int) -> exprlang.Expr:
-        kind = self.events[eid].kind
-        assert isinstance(kind, Conditional)
-        return kind.condition
 
     def _observe(self, ctx: ExecutionContext, horizon: int) -> None:
         if self.observed_ts is None or horizon > self.observed_ts:
@@ -165,7 +172,7 @@ class DeferredChoiceContract(Contract):
             if self.has_history and self.delivery is not Delivery.PUSH:
                 params = wordcodec.encode_word(self.activation_ts)
             if self.variant.conditional:
-                params += wordcodec.encode_text(exprlang.render(self._condition(eid)))
+                params += wordcodec.encode_text(exprlang.render(self._conditions[eid]))
             self._params_of[eid] = params
         return params
 
@@ -179,14 +186,14 @@ class DeferredChoiceContract(Contract):
             return wordcodec.decode_bool(payload, index)
         if not self.has_history:
             value = wordcodec.decode_word(payload, index)
-            return exprlang.evaluate(self._condition(eid), {self.oracles[eid].variable: value})
+            return exprlang.evaluate(self._conditions[eid], {self.oracles[eid].variable: value})
         # slices start at the change point in force at activation, and no
         # later one lands at or before it, so each slice extends the last
         history = self._histories.get(eid)
         if history is None:
             history = self._histories[eid] = History(self.oracles[eid].variable)
         history.extend(payload, index)
-        return history.earliest(self.activation_ts, self._condition(eid))[0]
+        return history.earliest(self.activation_ts, self._conditions[eid])[0]
 
     def _note(self, ctx: ExecutionContext, eid: int, answer: int | bool, horizon: int) -> None:
         """Record event ``eid``'s answer, which holds through ``horizon``.
@@ -197,38 +204,36 @@ class DeferredChoiceContract(Contract):
         the evaluation that made them."""
         if not self.has_history:
             answer = horizon if answer else NEVER
-        persist = self.has_history and self.delivery is not Delivery.SYNC
         if answer == NEVER:
             self._cond_clear[eid] = max(self._cond_clear.get(eid, 0), horizon)
-            if persist:
+            if self._stores_answers:
                 ctx.write(self.storage, f"clear:{eid}", self._cond_clear[eid])
         else:
             self._cond_found[eid] = answer
-            if persist:
+            if self._stores_answers:
                 ctx.write(self.storage, f"cond:{eid}", answer)
 
     # -- dispatch ------------------------------------------------------------
 
     def handle(self, ctx: ExecutionContext, function: str, payload: bytes) -> None:
-        if function == "activate":
-            self._activate(ctx, payload)
-        elif function == "try_trigger":
-            self._try_trigger(ctx, payload)
-        elif function == "oracle_callback":
-            self._oracle_callback(ctx, payload)
-        elif function == "push":
-            self._push(ctx, payload)
-        else:
+        entry = _ENTRY_POINTS.get(function)
+        if entry is None:
             raise Revert(f"unknown function {function!r}")
+        entry(self, ctx, payload)
 
     # -- entry points ----------------------------------------------------------
 
     def _activate(self, ctx: ExecutionContext, payload: bytes) -> None:
-        if self.activated:
+        if self.activation_ts is not None:
             raise Revert("already activated")
         now = ctx.block_time
-        prefer(self._preferred_at, now, _decode_optional(payload, 0))
+        prefer(self._preferred_at, now, _optional(_words(payload, 1)[0]))
         self.activation_ts = now
+        self._timer_fires = tuple(
+            (e.id, timer_fire(e.kind, now))
+            for e in self.events
+            if isinstance(e.kind, (AbsoluteTimer, RelativeTimer))
+        )
         ctx.write(self.storage, "activated", 1)
         ctx.write(self.storage, "activation_ts", now)
         self._observe(ctx, now)
@@ -241,13 +246,12 @@ class DeferredChoiceContract(Contract):
         self._evaluate(ctx, now)
 
     def _try_trigger(self, ctx: ExecutionContext, payload: bytes) -> None:
-        if not self.activated:
+        if self.activation_ts is None:
             raise Revert("not activated")
         if self.winner is not None:
             ctx.log(self.address, "already_decided")
             return
-        preferred = _decode_optional(payload, 0)
-        message_event = _decode_optional(payload, 1)
+        preferred, message_event = map(_optional, _words(payload, 2))
         if message_event is not None:
             if message_event >= len(self.events) or not isinstance(
                 self.events[message_event].kind, Message
@@ -313,21 +317,20 @@ class DeferredChoiceContract(Contract):
     # -- pub/sub deliveries ----------------------------------------------------------
 
     def _push(self, ctx: ExecutionContext, payload: bytes) -> None:
-        if not self.activated:
+        if self.activation_ts is None:
             raise Revert("not activated")
         if self.winner is not None:
             return  # pushes racing the decision are ignored
-        oracle_address = wordcodec.decode_word(payload, 0)
+        # a conditional push signals the condition; a regular one carries
+        # the new value
+        words = _words(payload, 2 if self.variant.conditional else 3)
+        oracle_address, at = words[0], words[1]
         if oracle_address not in self._oracle_event:
             raise Revert(f"push from unbound oracle {oracle_address}")
         eid = self._oracle_event[oracle_address]
-        at = wordcodec.decode_word(payload, 1)
         if eid not in self._cond_found:
-            # a conditional push signals the condition; a regular one carries
-            # the new value
             holds = self.variant.conditional or exprlang.evaluate(
-                self._condition(eid),
-                {self.oracles[eid].variable: wordcodec.decode_word(payload, 2)},
+                self._conditions[eid], {self.oracles[eid].variable: words[2]}
             )
             self._note(ctx, eid, at if holds else NEVER, at)
         # other oracles and message transactions may still land in this very
@@ -354,34 +357,32 @@ class DeferredChoiceContract(Contract):
         precede or tie it. Timers count as fired up to ``timer_now``."""
         if timer_now is None:
             timer_now = horizon
-        found = self._cond_found
         detections: dict[int, int] = {}
+        messages = self.message_detections
         undelivered_message = False
-        for event in self.events:
-            if isinstance(event.kind, Message):
-                if event.id in self.message_detections:
-                    detections[event.id] = self.message_detections[event.id]
-                else:
-                    undelivered_message = True
-            elif isinstance(event.kind, Conditional):
-                if event.id in found:
-                    detections[event.id] = found[event.id]
+        for eid in self._message_ids:
+            if eid in messages:
+                detections[eid] = messages[eid]
             else:
-                fire = timer_fire(event.kind, self.activation_ts)
-                if fire <= timer_now:
-                    # without a history a fired timer is seen at the wake
-                    detections[event.id] = fire if self.has_history else horizon
-        blocker = NEVER
+                undelivered_message = True
+        found = self._cond_found
         for eid in self.cond_ids:
             if eid in found:
-                continue
-            known_clear = self._cond_clear.get(eid, self.activation_ts - 1)
-            if clear_floor is not None:
-                known_clear = max(known_clear, clear_floor)
-            blocker = min(blocker, known_clear)
+                detections[eid] = found[eid]
+        for eid, fire in self._timer_fires:
+            if fire <= timer_now:
+                # without a history a fired timer is seen at the wake
+                detections[eid] = fire if self.has_history else horizon
         if not detections:
             self._observe(ctx, horizon)
             return
+        blocker = NEVER
+        for eid in self.cond_ids:
+            if eid not in found:
+                known_clear = self._cond_clear[eid]  # set for each at activation
+                if clear_floor is not None:
+                    known_clear = max(known_clear, clear_floor)
+                blocker = min(blocker, known_clear)
         best = min(detections.values())
         pool = {eid for eid, at in detections.items() if at == best}
         if settled is not None and (undelivered_message or len(pool) > 1):
@@ -393,3 +394,12 @@ class DeferredChoiceContract(Contract):
             self._observe(ctx, horizon)
             return
         self._finalize(ctx, pick_winner(pool, self._preferred_at.get(best)), best, horizon)
+
+
+# function selector -> entry point of ``DeferredChoiceContract.handle``
+_ENTRY_POINTS = {
+    "activate": DeferredChoiceContract._activate,
+    "try_trigger": DeferredChoiceContract._try_trigger,
+    "oracle_callback": DeferredChoiceContract._oracle_callback,
+    "push": DeferredChoiceContract._push,
+}

@@ -21,6 +21,7 @@ terms. Evaluation is over unsigned integers and always yields a boolean.
 from __future__ import annotations
 
 import functools
+import operator
 import re
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -28,7 +29,16 @@ from dataclasses import dataclass
 CONSTANT_MAX = 2**64 - 1
 MAX_NESTING = 100  # well inside the interpreter's recursion limit
 
-COMPARISON_OPS = ("<", "<=", "==", "!=", ">=", ">")
+# each comparison operator and the test it applies
+_COMPARE = {
+    "<": operator.lt,
+    "<=": operator.le,
+    "==": operator.eq,
+    "!=": operator.ne,
+    ">=": operator.ge,
+    ">": operator.gt,
+}
+COMPARISON_OPS = tuple(_COMPARE)
 
 
 class ExprError(ValueError):
@@ -45,6 +55,31 @@ class ExprEvalError(ExprError):
     """Evaluation touched a variable missing from the valuation."""
 
 
+def _hash_once(cls):
+    """Keep the generated hash of each node of the frozen dataclass ``cls``
+    once it is first computed: a node is a key of scan caches, and the
+    generated ``__hash__`` rebuilds the tuple of its fields, and rehashes
+    its subtree, on every lookup. Equality stays field by field. A pickled
+    node leaves the kept hash behind, since string hashes differ between
+    processes."""
+    generated = cls.__hash__
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            object.__setattr__(self, "_hash", generated(self))
+            return self._hash
+
+    def __getstate__(self) -> dict:
+        return {name: value for name, value in vars(self).items() if name != "_hash"}
+
+    cls.__hash__ = __hash__
+    cls.__getstate__ = __getstate__
+    return cls
+
+
+@_hash_once
 @dataclass(frozen=True)
 class Comparison:
     var: str
@@ -58,17 +93,20 @@ class Comparison:
             raise ExprError(f"constant out of range: {self.value}")
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Not:
     operand: "Expr"
 
 
+@_hash_once
 @dataclass(frozen=True)
 class And:
     left: "Expr"
     right: "Expr"
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Or:
     left: "Expr"
@@ -211,17 +249,7 @@ def evaluate(expr: Expr, valuation: Mapping[str, int]) -> bool:
             value = valuation[expr.var]
         except KeyError:
             raise ExprEvalError(f"unknown variable {expr.var!r}") from None
-        if expr.op == "<":
-            return value < expr.value
-        if expr.op == "<=":
-            return value <= expr.value
-        if expr.op == "==":
-            return value == expr.value
-        if expr.op == "!=":
-            return value != expr.value
-        if expr.op == ">=":
-            return value >= expr.value
-        return value > expr.value
+        return _COMPARE[expr.op](value, expr.value)
     if isinstance(expr, Not):
         return not evaluate(expr.operand, valuation)
     if isinstance(expr, And):

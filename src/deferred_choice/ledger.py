@@ -6,7 +6,10 @@ directly on-chain. A block that would hold no transaction changes nothing
 but the height, so the chain can skip it (``Chain.skip_empty_blocks``).
 Gas covers the transaction base cost, calldata bytes, storage writes, log
 emission and any execution surcharge a contract adds (synchronous oracle
-reads are metered that way). There is no virtual machine: contracts are
+reads are metered that way). Base plus calldata gas depends on the payload
+alone, so a chain computes it once per distinct payload under its (frozen)
+schedule; fan-outs and repeated calls share payloads. The other terms are
+metered as the contract runs. There is no virtual machine: contracts are
 Python objects dispatching on a function selector. Transactions, logs and
 receipts are immutable named tuples.
 """
@@ -59,6 +62,11 @@ class Transaction(_TransactionFields):
     @classmethod
     def _make(cls, iterable) -> "Transaction":
         return cls(*iterable)  # so that ``_replace`` validates too
+
+    def sent_to(self, to: int) -> "Transaction":
+        """This transaction addressed to ``to``; its payload is validated
+        already, so a fan-out re-wraps it without checking it again."""
+        return tuple.__new__(Transaction, (self.sender, to, self.function, self.payload))
 
 
 class _LogEntryFields(NamedTuple):
@@ -123,9 +131,13 @@ def _default_deploy_costs() -> dict[str, int]:
     return costs
 
 
-@dataclass
+_DEFAULT_DEPLOY_COSTS = _default_deploy_costs()  # every default schedule gets a copy
+
+
+@dataclass(frozen=True)
 class GasSchedule:
-    """Cost constants; configuration, not contract."""
+    """Cost constants; configuration, not contract. Frozen, so a chain may
+    keep what it derived from its schedule."""
 
     tx_base: int = 21_000
     per_zero_byte: int = 4
@@ -134,7 +146,7 @@ class GasSchedule:
     storage_write_update: int = 5_000
     log_base: int = 375
     log_per_byte: int = 8
-    deploy_per_contract: dict[str, int] = field(default_factory=_default_deploy_costs)
+    deploy_per_contract: dict[str, int] = field(default_factory=_DEFAULT_DEPLOY_COSTS.copy)
 
     def byte_cost(self, data: bytes) -> int:
         zeros = data.count(0)
@@ -192,7 +204,8 @@ def gas_cost(
     storage_writes_update: int,
     logs: Sequence[LogEntry],
 ) -> int:
-    """Base + calldata bytes + storage terms + log terms."""
+    """Base + calldata bytes + storage terms + log terms: what a chain
+    charges a transaction that has no surcharge."""
     total = schedule.tx_base + schedule.byte_cost(tx.payload)
     total += storage_writes_new * schedule.storage_write_new
     total += storage_writes_update * schedule.storage_write_update
@@ -202,28 +215,31 @@ def gas_cost(
 
 
 class ExecutionContext:
-    """Per-transaction accounting: block time, writes, logs, surcharges."""
+    """Per-transaction accounting: block time, logs, and the gas of storage
+    writes and logs (``gas``) and of surcharges (``surcharge``), each
+    metered when it happens; ``gas_cost`` is the same sum in closed form."""
 
-    __slots__ = ("block_time", "schedule", "writes_new", "writes_update", "logs", "surcharge")
+    __slots__ = ("block_time", "schedule", "logs", "gas", "surcharge")
 
     def __init__(self, block_time: int, schedule: GasSchedule):
         self.block_time = block_time
         self.schedule = schedule
-        self.writes_new = 0
-        self.writes_update = 0
         self.logs: list[LogEntry] = []
+        self.gas = 0
         self.surcharge = 0
 
     def write(self, storage: dict[str, int], key: str, value: int) -> None:
         """Write a storage slot, metered as new or as an update."""
         if key in storage:
-            self.writes_update += 1
+            self.gas += self.schedule.storage_write_update
         else:
-            self.writes_new += 1
+            self.gas += self.schedule.storage_write_new
         storage[key] = value
 
     def log(self, source: int, topic: str, payload: bytes = b"") -> None:
-        self.logs.append(LogEntry(source, topic, payload))
+        log = LogEntry(source, topic, payload)
+        self.logs.append(log)
+        self.gas += self.schedule.log_cost(log)
 
     def charge_bytes(self, data: bytes) -> None:
         self.surcharge += self.schedule.byte_cost(data)
@@ -254,6 +270,9 @@ class Chain:
         self._next_address = 1
         self._pending: list[Transaction] = []
         self._deferred: list[Transaction] = []
+        # payload -> base plus calldata gas under ``schedule``; fan-outs and
+        # repeated calls share payloads, so most transactions look it up
+        self._intrinsic: dict[bytes, int] = {}
 
     def deploy(self, contract: Contract) -> int:
         """Register a contract and charge its per-kind deployment constant."""
@@ -289,27 +308,29 @@ class Chain:
         batch = self._deferred + self._pending
         self._deferred = []
         self._pending = []
-        mined: list[Receipt] = []
-        for tx in batch:
-            receipt = self._execute(tx, self.height)
-            mined.append(receipt)
-            self.receipts.append(receipt)
+        mined = [self._execute(tx, self.height) for tx in batch]
+        self.receipts += mined
         return mined
 
     def _execute(self, tx: Transaction, block_time: int) -> Receipt:
-        ctx = ExecutionContext(block_time, self.schedule)
+        payload = tx.payload
+        intrinsic = self._intrinsic.get(payload)
+        if intrinsic is None:
+            schedule = self.schedule
+            intrinsic = self._intrinsic[payload] = schedule.tx_base + schedule.byte_cost(payload)
         contract = self.contracts.get(tx.to)
         if contract is None:
-            gas = self.schedule.tx_base + self.schedule.byte_cost(tx.payload)
-            return Receipt(tx, block_time, gas, (), "reverted", "unknown contract")
+            return _receipt(Receipt, (tx, block_time, intrinsic, (), "reverted", "unknown contract"))
+        ctx = ExecutionContext(block_time, self.schedule)
         try:
-            contract.handle(ctx, tx.function, tx.payload)
+            contract.handle(ctx, tx.function, payload)
         except Revert as revert:
-            gas = self.schedule.tx_base + self.schedule.byte_cost(tx.payload)
-            return Receipt(tx, block_time, gas, (), "reverted", revert.reason)
-        gas = gas_cost(self.schedule, tx, ctx.writes_new, ctx.writes_update, ctx.logs)
-        gas += ctx.surcharge
-        return Receipt(tx, block_time, gas, tuple(ctx.logs), "ok", None)
+            return _receipt(Receipt, (tx, block_time, intrinsic, (), "reverted", revert.reason))
+        gas = intrinsic + ctx.gas + ctx.surcharge
+        return _receipt(Receipt, (tx, block_time, gas, tuple(ctx.logs), "ok", None))
+
+
+_receipt = tuple.__new__  # a receipt's fields need no checks, so skip its ``__new__``
 
 
 _quote = json.encoder.encode_basestring_ascii

@@ -49,8 +49,11 @@ charges the change points examined.
 A provider's fan-outs share their bytes too. Within one block it answers
 each distinct query once and sends every consumer that asked it a callback
 carrying that one answer, and a change, or a block's catch-up pushes, goes
-out as one payload to every subscriber it is pushed to. Transactions and
-their gas stay per consumer.
+out as one payload to every subscriber it is pushed to. A sync oracle
+answers each distinct question once between two ``set``s: a later caller
+gets the same bytes and is charged the surcharge the first answer metered.
+Transactions and their gas stay per consumer. A sync oracle logs nothing
+for its provider, so a replay hands only the other providers its blocks.
 """
 
 from __future__ import annotations
@@ -238,13 +241,12 @@ class History:
         """Append the change points this history lacks from the slice served
         at word ``index`` of ``payload``, which starts at this history's
         first change point; only the new pairs are decoded."""
-        decode = wordcodec.decode_word
-        count = decode(payload, index)
+        count = wordcodec.decode_word(payload, index)
         if len(payload) < (index + 1 + 2 * count) * wordcodec.WORD_SIZE:
             raise wordcodec.CodecError(f"truncated history slice of {count} pairs")
-        first = index + 1 + 2 * len(self.times)
-        words = [decode(payload, word) for word in range(first, index + 1 + 2 * count)]
-        if words:
+        known = len(self.times)
+        if count > known:
+            words = wordcodec.decode_words(payload, 2 * (count - known), index + 1 + 2 * known)
             self.times += words[::2]
             self.values += words[1::2]
             self._updated = words[-2]
@@ -360,6 +362,8 @@ class SyncOracle(Contract):
         self.kind = f"{variant.id}-oracle"
         # a storage oracle keeps only the current value
         self.history = History(variable) if variant.architecture.answer is Answer.HISTORY else None
+        # params -> (result, surcharge) of each question asked since the last set
+        self._answers: dict[bytes, tuple[bytes, int]] = {}
 
     def handle(self, ctx: ExecutionContext, function: str, payload: bytes) -> None:
         if function == "set":
@@ -368,6 +372,7 @@ class SyncOracle(Contract):
             raise Revert(f"unknown function {function!r}")
 
     def set(self, ctx: ExecutionContext, payload: bytes) -> None:
+        self._answers.clear()
         value = wordcodec.decode_word(payload, 0)
         at = ctx.block_time
         history = self.history
@@ -379,8 +384,18 @@ class SyncOracle(Contract):
             ctx.write(self.storage, f"value:{index}", value)
 
     def query(self, ctx: ExecutionContext, params: bytes) -> bytes:
-        known = self.storage.get("value", 0) if self.history is None else self.history
-        return answer_query(known, params, self.variant.conditional, self.variable, ctx)
+        """Answer ``params`` within the calling transaction. Between two
+        ``set``s a question is answered once: later callers get its bytes and
+        are charged the surcharge its answer metered."""
+        answer = self._answers.get(params)
+        if answer is None:
+            charged = ctx.surcharge
+            known = self.storage.get("value", 0) if self.history is None else self.history
+            result = answer_query(known, params, self.variant.conditional, self.variable, ctx)
+            answer = self._answers[params] = (result, ctx.surcharge - charged)
+        else:
+            ctx.surcharge += answer[1]
+        return answer[0]
 
 
 class AsyncOracle(Contract):
@@ -473,7 +488,7 @@ class OracleProvider:
         )
 
     def _push_change(self, value: int, at: int) -> None:
-        payload = None  # one push for every subscriber sent one
+        push = None  # one push for every subscriber sent one
         signaled = []
         for subscriber, condition in self.subscriptions.items():
             if not self.oracle.is_subscribed(subscriber):
@@ -482,9 +497,11 @@ class OracleProvider:
                 if not exprlang.evaluate(condition, {self.variable: value}):
                     continue
                 signaled.append(subscriber)
-            if payload is None:
-                payload = self._push_payload(at, value)
-            self.chain.submit(Transaction(self.account, subscriber, "push", payload))
+            if push is None:
+                push = Transaction(self.account, subscriber, "push", self._push_payload(at, value))
+            else:
+                push = push.sent_to(subscriber)
+            self.chain.submit(push)
         for subscriber in signaled:
             del self.subscriptions[subscriber]
 
@@ -504,28 +521,31 @@ class OracleProvider:
         # that subscribe get one catch-up push
         callbacks: dict[tuple[int, bytes], Transaction] = {}
         catch_up = None
+        address = self.oracle.address
         for receipt in receipts:
             for log in receipt.logs:
-                if log.source != self.oracle.address:
+                if log.source != address:
                     continue
                 if log.topic == "query":
-                    corr = wordcodec.decode_word(log.payload, 0)
-                    consumer = wordcodec.decode_word(log.payload, 1)
+                    corr, consumer = wordcodec.decode_words(log.payload, 2)
                     params = log.payload[2 * wordcodec.WORD_SIZE :]
                     callback = callbacks.get((corr, params))
                     if callback is None:
                         callback = callbacks[corr, params] = self.respond(consumer, corr, params)
                     else:
-                        callback = callback._replace(to=consumer)
+                        callback = callback.sent_to(consumer)
                     self.chain.submit_deferred(callback)
                 elif log.topic == "subscribe":
                     subscriber = wordcodec.decode_word(log.payload, 0)
                     if self._register_subscription(subscriber, log.payload[wordcodec.WORD_SIZE :]):
                         if catch_up is None:
-                            catch_up = self._push_payload(block_ts, self.history.values[-1])
-                        self.chain.submit_deferred(
-                            Transaction(self.account, subscriber, "push", catch_up)
-                        )
+                            catch_up = Transaction(
+                                self.account, subscriber, "push",
+                                self._push_payload(block_ts, self.history.values[-1]),
+                            )
+                        else:
+                            catch_up = catch_up.sent_to(subscriber)
+                        self.chain.submit_deferred(catch_up)
 
     def _register_subscription(self, subscriber: int, params: bytes) -> bool:
         """Register a subscription; whether to push the current knowledge

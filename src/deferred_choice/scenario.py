@@ -20,6 +20,7 @@ import json
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields, replace
 from heapq import heapify, heappop, heappush
+from operator import attrgetter
 from typing import Any, NamedTuple
 
 from . import expr as exprlang
@@ -564,6 +565,9 @@ def _call(kind: str, preferred: int | None, event: int | None) -> tuple[str, byt
     return "try_trigger", encode_trigger(event if preferred is None else preferred, event)
 
 
+_gas_used = attrgetter("gas_used")
+
+
 def run(scenario: Scenario, schedule: GasSchedule | None = None) -> ExperimentReport:
     """Replay the scenario on a fresh chain; deterministic for a given input."""
     if not scenario._validated:
@@ -575,6 +579,9 @@ def run(scenario: Scenario, schedule: GasSchedule | None = None) -> ExperimentRe
         chain.deploy(contract)
         oracle_contracts.append(contract)
     providers = [OracleProvider(chain, contract) for contract in oracle_contracts]
+    # a sync oracle answers within the calling transaction and logs nothing
+    # for its provider to react to
+    reacting = [provider for provider in providers if not provider.variant.synchronous]
     choice_contracts = []
     for decl in scenario.choices:
         bindings = {
@@ -595,9 +602,9 @@ def run(scenario: Scenario, schedule: GasSchedule | None = None) -> ExperimentRe
     steps = iter(sorted(by_step))
     next_step = next(steps, None)
     end = max(by_step, default=0) + SETTLE_STEPS
-    # (kind, preferred, event) -> (function, payload): choices sent the same
-    # call share one payload
-    calls: dict[tuple[str, int | None, int | None], tuple[str, bytes]] = {}
+    # (kind, preferred, event) -> a transaction of that call: choices sent the
+    # same call share one payload, validated once
+    calls: dict[tuple[str, int | None, int | None], Transaction] = {}
 
     while True:
         # a block holding no transaction changes nothing: skip to the block
@@ -611,16 +618,16 @@ def run(scenario: Scenario, schedule: GasSchedule | None = None) -> ExperimentRe
                 providers[action.oracle].on_external_update(action.value, step)
             else:
                 key = (action.kind, action.preferred, action.event)
+                target = choice_contracts[action.choice].address
                 call = calls.get(key)
                 if call is None:
-                    call = calls[key] = _call(*key)
-                target = choice_contracts[action.choice].address
-                chain.submit(Transaction(SIM_ACCOUNT, target, *call))
+                    call = calls[key] = Transaction(SIM_ACCOUNT, target, *_call(*key))
+                chain.submit(call.sent_to(target))
         if step == next_step:
             next_step = next(steps, None)
         receipts = chain.step()
         if receipts:
-            for provider in providers:
+            for provider in reacting:
                 provider.after_block(receipts, chain.height)
 
     outcomes = []
@@ -652,6 +659,6 @@ def run(scenario: Scenario, schedule: GasSchedule | None = None) -> ExperimentRe
         ),
         outcomes=outcomes,
         gas_deploy=chain.deploy_gas_total,
-        gas_total=chain.deploy_gas_total + sum(r.gas_used for r in chain.receipts),
+        gas_total=chain.deploy_gas_total + sum(map(_gas_used, chain.receipts)),
         receipts=list(chain.receipts),
     )

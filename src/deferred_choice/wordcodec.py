@@ -35,6 +35,19 @@ def decode_word(data: bytes, index: int = 0) -> int:
     return int.from_bytes(word, "big")
 
 
+def decode_words(data: bytes, count: int, index: int = 0) -> list[int]:
+    """The ``count`` words from word ``index`` on, in one call."""
+    start = index * WORD_SIZE
+    stop = start + count * WORD_SIZE
+    if len(data) < stop:
+        missing = max(index, len(data) // WORD_SIZE)
+        raise CodecError(f"truncated payload: no word at index {missing}")
+    words = []
+    for at in range(start, stop, WORD_SIZE):
+        words.append(int.from_bytes(data[at : at + WORD_SIZE], "big"))
+    return words
+
+
 def encode_bool(flag: bool) -> bytes:
     return encode_word(1 if flag else 0)
 

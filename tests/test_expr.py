@@ -1,3 +1,8 @@
+import os
+import pickle
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -126,6 +131,34 @@ expressions = st.recursive(
 @given(expressions)
 def test_render_parse_round_trip(expr):
     assert parse(render(expr)) == expr
+
+
+@settings(max_examples=200, deadline=None)
+@given(expressions)
+def test_hash_is_kept_and_agrees_with_equality(expr):
+    """A node keeps its hash once computed; an equal tree built apart hashes
+    alike, and hashing changes no node's equality."""
+    rebuilt = parse(render(expr))
+    assert hash(expr) == hash(expr) == hash(rebuilt)
+    assert rebuilt == expr and {expr: 1}[rebuilt] == 1
+
+
+def test_pickled_node_hashes_in_another_process():
+    """The kept hash is not pickled: a process with another string-hash
+    seed finds an unpickled node among the nodes it builds itself."""
+    node = parse("x >= 3 && !(y < 2)")
+    hash(node)
+    script = (
+        "import pickle, sys\n"
+        "from deferred_choice.expr import parse\n"
+        "node = pickle.loads(sys.stdin.buffer.read())\n"
+        "assert {parse('x >= 3 && !(y < 2)'): 1}[node] == 1\n"
+    )
+    env = {**os.environ, "PYTHONHASHSEED": "1" if os.environ.get("PYTHONHASHSEED") != "1" else "2"}
+    env["PYTHONPATH"] = os.pathsep.join(sys.path)
+    subprocess.run(
+        [sys.executable, "-c", script], input=pickle.dumps(node), env=env, check=True, timeout=60
+    )
 
 
 @st.composite

@@ -227,6 +227,40 @@ def test_revert_records_reason_and_base_gas():
     assert receipt.gas_used == 21_000
 
 
+def test_reverted_receipts_keep_base_plus_calldata_gas():
+    """A reverted transaction pays its base and calldata gas, like an ok one
+    that does nothing, whether or not the chain has priced its payload."""
+    payload = b"\x00" * 32 + b"\x01" * 32
+    for schedule, intrinsic in (
+        (make_chain().schedule, 21_000 + 32 * 4 + 32 * 16),
+        (make_chain().schedule.with_overrides({"tx_base": 7, "per_zero_byte": 1}), 7 + 32 + 32 * 16),
+    ):
+        chain = Chain(schedule)
+        address = chain.deploy(Probe())
+        chain.submit_deferred(tx(99, "noop", payload))
+        chain.submit(tx(address, "fail", payload))
+        chain.submit(tx(address, "noop", payload))
+        chain.submit(tx(address, "fail", payload))
+        assert [(r.status, r.gas_used) for r in chain.step()] == [
+            ("reverted", intrinsic), ("reverted", intrinsic), ("ok", intrinsic), ("reverted", intrinsic)
+        ]
+
+
+def test_fan_out_readdressing_keeps_the_call():
+    original = tx(1, "push", b"\x01" * 64)
+    copy = original.sent_to(2)
+    assert type(copy) is Transaction
+    assert copy == original._replace(to=2)
+
+
+def test_default_schedules_share_no_deploy_table():
+    first = GasSchedule()
+    first.deploy_per_contract["storage-oracle"] = 1
+    assert GasSchedule().deploy_per_contract["storage-oracle"] == 280_000
+    with pytest.raises(AttributeError):
+        first.tx_base = 1  # frozen: a chain keeps what it derives from it
+
+
 def test_revert_does_not_abort_the_block():
     chain = make_chain()
     address = chain.deploy(Probe())

@@ -393,6 +393,51 @@ def test_storage_oracle_is_memoryless():
     assert "at:0" not in oracle.storage
 
 
+# --- sync answers: one per question between two sets --------------------------------
+
+SYNC_QUESTIONS = [
+    ("storage", b""),
+    ("storage-cond", wc.encode_text("d_w >= 2")),
+    ("onchain-history", wc.encode_word(73)),
+    ("onchain-history-cond", wc.encode_word(73) + wc.encode_text("d_w >= 2")),
+]
+
+
+def fresh_answer(variant_id, params, through):
+    """The answer and surcharge of a query to an oracle never asked before."""
+    chain, oracle, provider, _ = make_rig(variant_id)
+    feed_table_updates(chain, provider, through=through)
+    ctx = ctx_for(chain)
+    return oracle.query(ctx, params), ctx.surcharge
+
+
+@pytest.mark.parametrize("variant_id, params", SYNC_QUESTIONS)
+def test_sync_consumers_asking_alike_share_bytes_and_surcharge(variant_id, params):
+    chain, oracle, provider, _ = make_rig(variant_id)
+    feed_table_updates(chain, provider)
+    first, second = ctx_for(chain), ctx_for(chain)
+    first_answer = oracle.query(first, params)
+    second_answer = oracle.query(second, bytes(bytearray(params)))  # equal, not the same object
+    assert second_answer == first_answer
+    assert second.surcharge == first.surcharge > 0
+    assert (first_answer, first.surcharge) == fresh_answer(variant_id, params, 77)
+
+
+@pytest.mark.parametrize("variant_id, params", SYNC_QUESTIONS)
+def test_sync_answer_after_a_set_is_answered_again(variant_id, params):
+    chain, oracle, provider, _ = make_rig(variant_id)
+    feed_table_updates(chain, provider, through=74)
+    before = oracle.query(ctx_for(chain), params)
+    assert before == fresh_answer(variant_id, params, 74)[0]
+    advance_to(chain, provider, 76)
+    provider.on_external_update(2, 77)  # a set mined at 77
+    mine(chain, provider)
+    ctx = ctx_for(chain)
+    after = oracle.query(ctx, params)
+    assert after != before
+    assert (after, ctx.surcharge) == fresh_answer(variant_id, params, 77)
+
+
 # --- history: differential against a stateless reference ---------------------------
 
 CONDITION_TEXTS = (
@@ -558,9 +603,13 @@ def test_history_extend_reads_only_new_pairs():
     for at, value in ((1, 0), (3, 4), (6, 2)):
         served.append(at, value)
         payload = wc.encode_word(9) + served.since(2)  # after a correlation word
-        with mock.patch.object(wc, "decode_word", wraps=wc.decode_word) as decoded:
+        with (
+            mock.patch.object(wc, "decode_word", wraps=wc.decode_word) as word,
+            mock.patch.object(wc, "decode_words", wraps=wc.decode_words) as words,
+        ):
             consumer.extend(payload, 1)
-        assert decoded.call_count == 1 + 2
+        decoded = word.call_count + sum(call.args[1] for call in words.call_args_list)
+        assert decoded == 1 + 2
     assert (consumer.times, consumer.values) == ([1, 3, 6], [0, 4, 2])
 
 

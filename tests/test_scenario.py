@@ -18,8 +18,8 @@ from deferred_choice.experiments import (
     gen_cost,
     write_receipts_log,
 )
-from deferred_choice.ledger import Chain
-from deferred_choice.oracles import ALL_VARIANTS, OracleVariant
+from deferred_choice.ledger import Chain, GasSchedule
+from deferred_choice.oracles import ALL_VARIANTS, OracleProvider, OracleVariant
 from deferred_choice.scenario import (
     Action,
     ChoiceDecl,
@@ -131,6 +131,43 @@ def test_run_is_reproducible():
         for r in second.receipts
     ]
     assert first.gas_total == second.gas_total
+
+
+_GAS_CONSTANTS = (
+    "tx_base", "per_zero_byte", "per_nonzero_byte", "storage_write_new",
+    "storage_write_update", "log_base", "log_per_byte",
+)
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS, ids=lambda v: v.id)
+def test_each_run_charges_its_own_schedule(variant):
+    """Gas is linear in the schedule's constants, so doubling every one,
+    ``tx_base`` and ``per_zero_byte`` among them, doubles every receipt's
+    gas. The runs before and after, on the default schedule, charge alike,
+    so nothing a chain derives from its schedule (intrinsic gas per payload,
+    shared sync answers) reaches another run."""
+    scenario = gen_cost(3, 6, variant)  # consumers share payloads and questions
+    default = GasSchedule()
+    doubled = default.with_overrides({name: 2 * getattr(default, name) for name in _GAS_CONSTANTS})
+    before = run(scenario)
+    twice = run(scenario, doubled)
+    after = run(scenario)
+    assert [r.gas_used for r in twice.receipts] == [2 * r.gas_used for r in before.receipts]
+    assert [r.gas_used for r in after.receipts] == [r.gas_used for r in before.receipts]
+    overridden = run(scenario, default.with_overrides({"tx_base": 0, "per_zero_byte": 0}))
+    assert overridden.gas_total < before.gas_total
+
+
+def test_sync_providers_get_no_after_block():
+    """A sync oracle logs nothing for its provider, so the replay does not
+    hand it the mined receipts; every other provider gets them."""
+    for variant in ALL_VARIANTS:
+        with mock.patch.object(
+            OracleProvider, "after_block", autospec=True, side_effect=OracleProvider.after_block
+        ) as after_block:
+            report = run(table1(variant.id))
+        assert report.correct or variant.baseline, variant.id
+        assert (after_block.call_count == 0) == variant.synchronous, variant.id
 
 
 def test_far_trigger_mines_only_blocks_with_transactions():

@@ -42,6 +42,17 @@ def test_truncated_payloads():
 
 
 @settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(0, wc.WORD_MAX), max_size=6), st.integers(0, 3))
+def test_decode_words_agrees_with_decode_word(values, index):
+    data = wc.encode_words(*range(index)) + wc.encode_words(*values)
+    assert wc.decode_words(data, len(values), index) == [
+        wc.decode_word(data, index + offset) for offset in range(len(values))
+    ]
+    with pytest.raises(wc.CodecError, match=f"no word at index {index + len(values)}"):
+        wc.decode_words(data, len(values) + 1, index)
+
+
+@settings(max_examples=100, deadline=None)
 @given(st.text(max_size=80))
 def test_text_round_trip(text):
     encoded = wc.encode_text(text)
