@@ -45,7 +45,7 @@ from .semantics import (
     EventSpec,
     Message,
     RelativeTimer,
-    check_events,
+    check_bindings,
     pick_winner,
     prefer,
     timer_fire,
@@ -88,7 +88,7 @@ class DeferredChoiceContract(Contract):
         oracles: Mapping[int, SyncOracle | AsyncOracle],
     ):
         super().__init__()
-        check_events(events)
+        check_bindings(events, oracles, variant.architecture.delivery is Delivery.PUSH)
         self.events = tuple(events)
         self.variant = variant
         self.kind = f"{variant.id}-choice"
@@ -105,20 +105,6 @@ class DeferredChoiceContract(Contract):
         self.cond_ids = tuple(self._conditions)
         self._message_ids = tuple(e.id for e in self.events if isinstance(e.kind, Message))
         self._timer_fires: tuple[tuple[int, int], ...] = ()
-        for eid, condition in self._conditions.items():
-            if eid not in self.oracles:
-                raise ValueError(f"conditional event {eid} has no oracle binding")
-            oracle = self.oracles[eid]
-            referenced = exprlang.variables(condition)
-            if referenced != {oracle.variable}:
-                raise ValueError(
-                    f"event {eid} references {sorted(referenced)}, oracle provides "
-                    f"{oracle.variable!r}"
-                )
-        if self.delivery is Delivery.PUSH:
-            bound = [self.oracles[eid].address for eid in self.cond_ids]
-            if len(bound) != len(set(bound)):
-                raise ValueError("pub/sub allows one subscription per oracle")
         self._oracle_event = {self.oracles[eid].address: eid for eid in self.cond_ids}
         # mutable contract state (writes metered through the context)
         self.activation_ts: int | None = None
@@ -155,11 +141,10 @@ class DeferredChoiceContract(Contract):
         ctx.write(self.storage, "winner", winner)
         ctx.write(self.storage, "winner_detection_ts", detected_at)
         ctx.log(self.address, "winner", wordcodec.encode_words(winner, detected_at))
+        # a contract finalizes once, never in its activation, so it holds each one
         if self.delivery is Delivery.PUSH:
             for eid in self.cond_ids:
-                oracle = self.oracles[eid]
-                if oracle.is_subscribed(self.address):
-                    oracle.unsubscribe(ctx, self.address)
+                self.oracles[eid].unsubscribe(ctx, self.address)
 
     def _params(self, eid: int) -> bytes:
         """Query or subscription parameters of event ``eid``, built once: the

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Callable
 from pathlib import Path
 
 from .experiments import (
@@ -32,20 +33,35 @@ from .experiments import (
     write_report_csv,
 )
 from .ledger import GasSchedule, LedgerError
-from .oracles import ALL_VARIANTS, OracleVariant
+from .oracles import ALL_VARIANTS, OracleError, OracleVariant
 from .scenario import Scenario, ScenarioError, run
 
 DEFAULT_SEED = 11
 
 
-def _parse_int_list(text: str) -> list[int]:
-    return [int(part) for part in text.split(",") if part]
+def _integers(minimum: int, single: bool = False) -> Callable[[str], int | list[int]]:
+    """The argument type of a comma list of integers >= ``minimum``, or one if ``single``."""
+
+    def integers(text: str) -> int | list[int]:
+        values = [int(part) for part in ([text] if single else text.split(",")) if part]
+        if not values or min(values) < minimum:
+            raise argparse.ArgumentTypeError(f"expected integers >= {minimum}, got {text!r}")
+        return values[0] if single else values
+
+    return integers
 
 
-def _parse_variants(text: str) -> list[OracleVariant]:
+def _variants(text: str) -> list[OracleVariant]:
+    """The argument type of a non-empty comma list of variants, or 'all'."""
     if text.strip() == "all":
         return list(ALL_VARIANTS)
-    return [OracleVariant.parse(part) for part in text.split(",") if part]
+    try:
+        variants = [OracleVariant.parse(part) for part in text.split(",") if part]
+    except OracleError as error:
+        raise argparse.ArgumentTypeError(str(error)) from None
+    if not variants:
+        raise argparse.ArgumentTypeError(f"expected a comma list of variants, got {text!r}")
+    return variants
 
 
 class _InputError(Exception):
@@ -92,9 +108,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_correctness(args: argparse.Namespace) -> int:
     schedule = _load_schedule(args.gas_schedule)
-    variants = _parse_variants(args.variants)
-    ks = _parse_int_list(args.k)
-    results = run_correctness_experiment(args.n, ks, variants, args.seed, schedule)
+    results = run_correctness_experiment(args.n, args.k, args.variants, args.seed, schedule)
     rows = correctness_rows(results)
     out = _out_dir(args.out)
     write_correctness_csv(out / "report.csv", rows)
@@ -112,17 +126,11 @@ def cmd_correctness(args: argparse.Namespace) -> int:
 
 def cmd_cost(args: argparse.Namespace) -> int:
     schedule = _load_schedule(args.gas_schedule)
-    variants = _parse_variants(args.variants)
-    cs = _parse_int_list(args.c)
-    us = _parse_int_list(args.u)
-    if not cs or not us:
-        print("error: empty grid", file=sys.stderr)
-        return 2
-    reports = run_cost_experiment(cs, us, variants, schedule)
+    reports = run_cost_experiment(args.c, args.u, args.variants, schedule)
     out = _out_dir(args.out)
     write_report_csv(out / "report.csv", report_rows(reports))
     write_heatmap_csv(out / "heatmap.csv", heatmap_rows(reports))
-    print(f"wrote {len(reports)} cells for {len(variants)} variants to {out}")
+    print(f"wrote {len(reports)} cells for {len(args.variants)} variants to {out}")
     return 0
 
 
@@ -142,17 +150,23 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.set_defaults(func=cmd_run)
 
     corr = commands.add_parser("correctness", help="correctness experiment")
-    corr.add_argument("--n", type=int, default=60, help="scenarios per variant")
-    corr.add_argument("--k", default="5,10", help="comma list of event counts")
-    corr.add_argument("--variants", default="all", help="comma list or 'all'")
+    corr.add_argument(
+        "--n", type=_integers(1, single=True), default=60, help="scenarios per variant"
+    )
+    corr.add_argument("--k", type=_integers(2), default="5,10", help="comma list of event counts")
+    corr.add_argument("--variants", type=_variants, default="all", help="comma list or 'all'")
     corr.add_argument("--seed", type=int, default=DEFAULT_SEED)
     corr.add_argument("--out", default="out", help="output directory")
     corr.set_defaults(func=cmd_correctness)
 
     cost = commands.add_parser("cost", help="cost experiment grid")
-    cost.add_argument("--c", default="5,10,20", help="comma list of consumer counts")
-    cost.add_argument("--u", default="1,10,20,30", help="comma list of update counts")
-    cost.add_argument("--variants", default="all", help="comma list or 'all'")
+    cost.add_argument(
+        "--c", type=_integers(1), default="5,10,20", help="comma list of consumer counts"
+    )
+    cost.add_argument(
+        "--u", type=_integers(1), default="1,10,20,30", help="comma list of update counts"
+    )
+    cost.add_argument("--variants", type=_variants, default="all", help="comma list or 'all'")
     cost.add_argument("--out", default="out", help="output directory")
     cost.set_defaults(func=cmd_cost)
     return parser

@@ -401,8 +401,8 @@ class SyncOracle(Contract):
 class AsyncOracle(Contract):
     """Request-response, off-chain-history and pub/sub contracts: data lives
     with the provider; the contract only relays queries and subscriptions
-    through the log layer. Pub/sub subscriptions are flagged on-chain so
-    duplicates revert and deactivation is immediate."""
+    through the log layer. Pub/sub subscriptions are flagged on-chain, so a
+    duplicate subscribe and an unmatched unsubscribe revert."""
 
     def __init__(self, variant: OracleVariant, variable: str):
         super().__init__()
@@ -437,9 +437,6 @@ class AsyncOracle(Contract):
         ctx.write(self.storage, key, 0)
         ctx.log(self.address, "unsubscribe", wordcodec.encode_word(subscriber))
 
-    def is_subscribed(self, subscriber: int) -> bool:
-        return self.storage.get(f"sub:{subscriber}") == 1
-
 
 def make_oracle_contract(variant: OracleVariant, variable: str) -> Contract:
     if variant.synchronous:
@@ -466,8 +463,8 @@ class OracleProvider:
         self.variable: str = oracle.variable
         self.account = f"provider-{oracle.address}"
         self.history = History(self.variable)  # its last value is the current one
-        # subscriber -> its condition, None for a regular subscription that
-        # is pushed every change; a condition is dropped once it has signalled
+        # subscriber -> its condition (None: pushed every change), following the
+        # oracle's subscribe and unsubscribe logs; a condition goes once it signals
         self.subscriptions: dict[int, exprlang.Expr | None] = {}
         self.answers_history = self.variant.architecture.answer is Answer.HISTORY
         self.delivery = self.variant.architecture.delivery
@@ -491,8 +488,6 @@ class OracleProvider:
         push = None  # one push for every subscriber sent one
         signaled = []
         for subscriber, condition in self.subscriptions.items():
-            if not self.oracle.is_subscribed(subscriber):
-                continue
             if condition is not None:
                 if not exprlang.evaluate(condition, {self.variable: value}):
                     continue
@@ -546,6 +541,8 @@ class OracleProvider:
                         else:
                             catch_up = catch_up.sent_to(subscriber)
                         self.chain.submit_deferred(catch_up)
+                elif log.topic == "unsubscribe":
+                    self.subscriptions.pop(wordcodec.decode_word(log.payload, 0), None)
 
     def _register_subscription(self, subscriber: int, params: bytes) -> bool:
         """Register a subscription; whether to push the current knowledge

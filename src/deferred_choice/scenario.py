@@ -17,7 +17,6 @@ executor run state by state over the whole induced environment.
 from __future__ import annotations
 
 import json
-from collections.abc import Sequence
 from dataclasses import dataclass, field, fields, replace
 from heapq import heapify, heappop, heappush
 from operator import attrgetter
@@ -45,7 +44,7 @@ from .semantics import (
     EventSpec,
     Message,
     RelativeTimer,
-    check_events,
+    check_bindings,
     pick_winner,
     prefer,
     timer_fire,
@@ -128,46 +127,15 @@ class Scenario:
         one_subscription = self.variant.architecture.delivery is Delivery.PUSH
         for decl in self.choices:
             try:
-                check_events(decl.events)
+                check_bindings(decl.events, decl.oracle_for_event, one_subscription, self._oracle)
             except ContractViolation as error:
                 raise ScenarioError(str(error)) from None
-            bound: set[int] = set()
-            conditional: set[int] = set()
             for event in decl.events:
                 kind = event.kind
                 if isinstance(kind, AbsoluteTimer) and not _in_range(kind.deadline, DATA_MAX + 1):
                     raise ScenarioError(f"event {event.id}: bad deadline {kind.deadline!r}")
                 if isinstance(kind, RelativeTimer) and not _in_range(kind.delta, DATA_MAX + 1):
                     raise ScenarioError(f"event {event.id}: bad delta {kind.delta!r}")
-                if isinstance(kind, Conditional):
-                    if event.id not in decl.oracle_for_event:
-                        raise ScenarioError(
-                            f"conditional event {event.id} lacks an oracle binding"
-                        )
-                    index = decl.oracle_for_event[event.id]
-                    if not _in_range(index, len(self.oracles)):
-                        raise ScenarioError(f"oracle index {index!r} out of range")
-                    if one_subscription and index in bound:
-                        raise ScenarioError(
-                            f"{self.variant.id} allows one subscription per oracle, "
-                            f"but oracle {index} binds two events"
-                        )
-                    bound.add(index)
-                    conditional.add(event.id)
-                    referenced = exprlang.variables(event.kind.condition)
-                    provided = {self.oracles[index].variable}
-                    if referenced != provided:
-                        raise ScenarioError(
-                            f"event {event.id} references {sorted(referenced)} but the "
-                            f"bound oracle provides {sorted(provided)}"
-                        )
-            # a scenario file can bind conditional events only
-            for event_id in decl.oracle_for_event:
-                if event_id not in conditional:
-                    raise ScenarioError(
-                        f"oracle binding for event {event_id!r}, which is not a "
-                        "conditional event"
-                    )
         last_step = 0
         update_seen: dict[int, int] = {}
         first_update: dict[int, int] = {}
@@ -231,20 +199,18 @@ class Scenario:
                     first_message.setdefault(action.choice, action.step)
                 if action.preferred is not None and not _in_range(action.preferred, len(events)):
                     raise ScenarioError(f"unknown preferred event {action.preferred!r}")
-        # conditional oracles must be defined before the binding choice activates
-        for index, decl in enumerate(self.choices):
-            activation = activation_step.get(index)
-            if activation is None:
-                continue
-            for event in decl.events:
-                if isinstance(event.kind, Conditional):
-                    oracle = decl.oracle_for_event[event.id]
-                    first = first_update.get(oracle)
-                    if first is None or first > activation:
-                        raise ScenarioError(
-                            f"oracle {oracle} has no update at or before activation"
-                        )
+        # the oracles a choice binds must be updated by its activation
+        for index, activation in activation_step.items():
+            for oracle in self.choices[index].oracle_for_event.values():
+                first = first_update.get(oracle)
+                if first is None or first > activation:
+                    raise ScenarioError(f"oracle {oracle} has no update at or before activation")
         object.__setattr__(self, "_validated", True)
+
+    def _oracle(self, index: Any) -> OracleDecl:
+        if not _in_range(index, len(self.oracles)):
+            raise ScenarioError(f"oracle index {index!r} out of range")
+        return self.oracles[index]
 
     def with_variant(self, variant: OracleVariant) -> "Scenario":
         return replace(self, variant=variant, semantics=variant.semantics)

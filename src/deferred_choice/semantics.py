@@ -4,9 +4,10 @@ A deferred choice races a set of external events: messages (explicit,
 delivered by transactions), absolute / relative timers, and conditional
 events over the valuation of external variables. An event is detected from
 the activation of its choice on. This module holds the event kinds, the
-tie-break rules (``prefer`` and ``pick_winner``) and the timer rule
-(``timer_fire``) that both the on-chain contracts and the ground truth call. The continual and
-transaction-driven executors over dense environment traces, against which
+binding rule (``check_bindings``) that scenarios and contracts apply, and
+the tie-break rules (``prefer`` and ``pick_winner``) and the timer rule
+(``timer_fire``) that the contracts and the ground truth call. The
+continual and transaction-driven executors over dense traces, against which
 the ground truth is tested, live with the tests as their reference.
 
 Timestamps and data values are unsigned 64-bit words. ``NEVER`` is the
@@ -16,8 +17,9 @@ reachable timestamps are strictly below it.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Hashable, Mapping, Sequence
 from dataclasses import dataclass
+from typing import Any
 
 from . import expr as exprlang
 
@@ -80,6 +82,42 @@ def check_events(events: Sequence[EventSpec]) -> None:
     ids = [event.id for event in events]
     if ids != list(range(len(events))):
         raise ContractViolation(f"event ids must be 0..{len(events) - 1}, got {ids}")
+
+
+def check_bindings(
+    events: Sequence[EventSpec],
+    bound: Mapping[int, Hashable],
+    one_per_oracle: bool,
+    oracle_of: Callable[[Hashable], Any] = lambda oracle: oracle,
+) -> None:
+    """The binding rule of a deferred choice: its event ids run 0..k-1, each
+    conditional event and no other is bound to an oracle (``bound[id]``, or
+    what ``oracle_of`` resolves it to) whose ``variable`` its condition names
+    exactly, and with ``one_per_oracle`` (push delivery) no two share one."""
+    check_events(events)
+    conditions = {e.id: e.kind.condition for e in events if isinstance(e.kind, Conditional)}
+    shared: set[Hashable] = set()
+    for event_id, condition in conditions.items():
+        if event_id not in bound:
+            raise ContractViolation(f"conditional event {event_id} lacks an oracle binding")
+        variable = oracle_of(bound[event_id]).variable
+        if one_per_oracle and bound[event_id] in shared:
+            raise ContractViolation(
+                "push delivery allows one subscription per oracle, but the oracle of "
+                f"{variable!r} binds two events"
+            )
+        shared.add(bound[event_id])
+        referenced = exprlang.variables(condition)
+        if referenced != {variable}:
+            raise ContractViolation(
+                f"event {event_id} references {sorted(referenced)} but the bound oracle "
+                f"provides {[variable]}"
+            )
+    for event_id in bound:
+        if event_id not in conditions:
+            raise ContractViolation(
+                f"oracle binding for event {event_id!r}, which is not a conditional event"
+            )
 
 
 # --- shared rules -----------------------------------------------------------

@@ -25,7 +25,14 @@ from deferred_choice.oracles import (
     make_oracle_contract,
 )
 from deferred_choice.scenario import Action, ChoiceDecl, OracleDecl, Scenario, run
-from deferred_choice.semantics import AbsoluteTimer, Conditional, EventSpec, Message, RelativeTimer
+from deferred_choice.semantics import (
+    AbsoluteTimer,
+    Conditional,
+    ContractViolation,
+    EventSpec,
+    Message,
+    RelativeTimer,
+)
 
 TABLE1 = Path(__file__).resolve().parent.parent / "scenarios" / "table1.json"
 
@@ -416,7 +423,7 @@ def test_winner_write_once():
 
 def test_conditional_event_requires_binding():
     events = (EventSpec(0, Conditional(parse("x >= 1"))),)
-    with pytest.raises(ValueError):
+    with pytest.raises(ContractViolation):
         DeferredChoiceContract(
             events,
             OracleVariant.parse("onchain-history"),
@@ -427,7 +434,7 @@ def test_conditional_event_requires_binding():
 def test_expression_variables_must_match_oracle():
     oracle = make_oracle_contract(OracleVariant.parse("onchain-history"), "y")
     events = (EventSpec(0, Conditional(parse("x >= 1"))),)
-    with pytest.raises(ValueError):
+    with pytest.raises(ContractViolation):
         DeferredChoiceContract(
             events,
             OracleVariant.parse("onchain-history"),

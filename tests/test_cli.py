@@ -101,6 +101,10 @@ MALFORMED = {
     "unknown-variant": _set(("variant",), "carrier-pigeon"),
     "variant-number": _set(("variant",), 5),
     "pubsub-two-events-one-oracle": _pubsub_two_events_one_oracle,
+    # the binding rule: a condition names exactly its oracle's variable, and
+    # a binding names an oracle of the scenario
+    "condition-names-another-variable": _set(("choices", 0, "events", 1, "expr"), "y >= 2"),
+    "oracle-index-out-of-range": _set(("choices", 0, "events", 1, "oracle"), 5),
     "variable-twice": _set(("oracles",), [{"variable": "d_w"}, {"variable": "d_w"}]),
     "variable-list": _set(("oracles", 0, "variable"), ["d_w"]),
     "variable-non-ascii": _add_oracle("\u00c0"),
@@ -145,6 +149,17 @@ def test_malformed_scenario_rejected_and_run_exits_2(tmp_path, case):
     scenario = tmp_path / "bad.json"
     scenario.write_text(json.dumps(obj))
     assert main(["run", str(scenario), "--out", str(tmp_path / "out")]) == 2
+
+
+def test_condition_naming_another_variable_is_reported(tmp_path, capsys):
+    obj = json.loads(TABLE1.read_text())
+    MALFORMED["condition-names-another-variable"](obj)
+    scenario = tmp_path / "bad.json"
+    scenario.write_text(json.dumps(obj))
+    assert main(["run", str(scenario), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "error: event 1 references ['y'] but the bound oracle provides ['d_w']\n"
+    )
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_FILES))
@@ -291,6 +306,28 @@ def test_correctness_and_heatmap_csv_round_trip(tmp_path):
     heat_path = tmp_path / "heatmap.csv"
     write_heatmap_csv(heat_path, heat)
     assert read_heatmap_csv(heat_path) == heat
+
+
+BAD_ARGUMENTS = {
+    "k-empty-list": ["correctness", "--k", ","],
+    "k-one-event": ["correctness", "--k", "1"],
+    "n-zero": ["correctness", "--n", "0"],
+    "variants-empty-list": ["correctness", "--variants", ","],
+    "c-not-a-number": ["cost", "--c", "abc"],
+    "c-zero": ["cost", "--c", "0"],
+    "u-empty-list": ["cost", "--u", ","],
+    "variants-unknown": ["cost", "--variants", "bogus"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_ARGUMENTS))
+def test_bad_experiment_argument_exits_2_with_usage(tmp_path, capsys, case):
+    out = tmp_path / "out"
+    assert main([*BAD_ARGUMENTS[case], "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: deferred-choice ")
+    assert f"error: argument {BAD_ARGUMENTS[case][1]}: " in err
+    assert not out.exists()
 
 
 MALFORMED_SCHEDULES = {

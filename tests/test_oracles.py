@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 
 from deferred_choice import expr
 from deferred_choice import wordcodec as wc
+from deferred_choice.choice import DeferredChoiceContract, encode_activate, encode_trigger
 from deferred_choice.expr import evaluate, parse
-from deferred_choice.ledger import Chain, Contract, GasSchedule
+from deferred_choice.ledger import Chain, Contract, GasSchedule, Transaction
 from deferred_choice.oracles import (
     Architecture,
     AsyncOracle,
@@ -24,7 +25,7 @@ from deferred_choice.oracles import (
     SyncOracle,
     make_oracle_contract,
 )
-from deferred_choice.semantics import NEVER
+from deferred_choice.semantics import NEVER, Conditional, EventSpec, Message
 from reference import HistoryEntry, decode_pairs, earliest_satisfied, encode_pairs
 
 
@@ -282,6 +283,29 @@ def test_duplicate_subscription_reverts():
 
     with pytest.raises(Revert):
         oracle.subscribe(ctx, sink.address, b"")
+
+
+@pytest.mark.parametrize("variant_id", ["pubsub", "pubsub-cond"])
+def test_provider_drops_a_finalized_consumer_and_pushes_it_nothing(variant_id):
+    # the consumer waits on d_w >= 5 and a message decides it; its
+    # unsubscribe log takes it out of the provider's subscription set
+    chain, oracle, provider, _ = make_rig(variant_id)
+    events = (EventSpec(0, Conditional(parse("d_w >= 5"))), EventSpec(1, Message()))
+    consumer = DeferredChoiceContract(events, oracle.variant, {0: oracle})
+    chain.deploy(consumer)
+    advance_to(chain, provider, 1)
+    provider.on_external_update(0, 2)
+    mine(chain, provider)
+    chain.submit(Transaction("sim", consumer.address, "activate", encode_activate(None)))
+    mine(chain, provider)  # the activation subscribes
+    assert consumer.address in provider.subscriptions
+    mine(chain, provider)  # the catch-up push of a regular subscription
+    chain.submit(Transaction("sim", consumer.address, "try_trigger", encode_trigger(None, 1)))
+    mine(chain, provider)  # the message wins, and the winner unsubscribes
+    assert consumer.winner == 1
+    assert consumer.address not in provider.subscriptions
+    provider.on_external_update(7, chain.height + 1)  # would signal d_w >= 5
+    assert [r for r in mine(chain, provider) if r.tx.function == "push"] == []
 
 
 # --- cross-architecture properties ---------------------------------------------------

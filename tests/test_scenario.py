@@ -538,6 +538,15 @@ def test_oracle_binding_of_a_non_conditional_event_rejected(bindings):
         run(broken)
 
 
+def test_unbound_conditional_event_of_a_built_choice_rejected():
+    # event 1 is the conditional event of table1; a scenario file cannot
+    # leave it unbound, a directly built choice can
+    scenario = table1("onchain-history")
+    broken = replace(scenario, choices=(ChoiceDecl(scenario.choices[0].events, {}),))
+    with pytest.raises(ScenarioError, match="conditional event 1 lacks an oracle binding"):
+        broken.validate()
+
+
 def test_run_validates_a_json_scenario_once():
     text = TABLE1.read_text()
     with mock.patch.object(
