@@ -24,7 +24,6 @@ from .ledger import (
     Revert,
     Transaction,
     UnknownContractError,
-    gas_cost,
 )
 from .oracles import (
     ALL_VARIANTS,

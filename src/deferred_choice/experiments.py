@@ -9,9 +9,6 @@ Two experiment families are provided:
 * cost — ``c`` choices sharing a single oracle that receives ``u``
   updates; a trigger is sent to every choice at each fifth update and only
   the final update satisfies the condition.
-
-A third generator emits unconstrained random scenarios for the
-oracle-vs-reference equivalence suite.
 """
 
 from __future__ import annotations
@@ -35,7 +32,6 @@ from .scenario import (
 )
 from .semantics import (
     KIND_NAMES,
-    AbsoluteTimer,
     Conditional,
     EventSpec,
     Message,
@@ -43,8 +39,6 @@ from .semantics import (
 )
 
 _EVENT_SPACING = 3  # steps between consecutive event occurrences
-_RANDOM_MAX_EVENTS = 6  # per choice of a random equivalence scenario
-_RANDOM_MAX_STEPS = 50
 
 
 # --- correctness experiment ---------------------------------------------------
@@ -128,14 +122,17 @@ def run_correctness_experiment(
     seed: int,
     schedule: GasSchedule | None = None,
 ) -> dict[str, list[CorrectnessRecord]]:
-    """n scenarios per variant, split evenly across the requested k values."""
+    """n scenarios per variant, split evenly across the requested k values
+    (the first ``n % len(ks)`` get one more); a k value whose share is 0 is
+    skipped."""
     counts = [n // len(ks)] * len(ks)
     for i in range(n % len(ks)):
         counts[i] += 1
+    shares = [(k, count) for k, count in zip(ks, counts) if count]
     results: dict[str, list[CorrectnessRecord]] = {}
     for variant in variants:
         records = []
-        for k, count in zip(ks, counts):
+        for k, count in shares:
             for scenario in gen_correctness(count, k, variant, seed * 1000 + k):
                 report = run(scenario, schedule)
                 records.append(
@@ -276,100 +273,6 @@ def heatmap_rows(reports: Sequence[ExperimentReport]) -> list[HeatmapRow]:
             )
         )
     return rows
-
-
-# --- randomized equivalence scenarios -------------------------------------------
-
-
-def gen_random_scenarios(count: int, seed: int) -> list[Scenario]:
-    """Unconstrained random scenarios for the equivalence suite.
-
-    Event kinds, timer horizons, condition thresholds, update schedules and
-    trigger placement are all randomized; conditions start unsatisfied and
-    every run ends with a trigger after the last possible occurrence. The
-    returned scenarios carry a transaction-driven variant and can be
-    re-targeted with ``Scenario.with_variant``.
-    """
-    rng = random.Random(seed)
-    base_variant = OracleVariant(Architecture.ONCHAIN_HISTORY, False)
-    scenarios = []
-    for index in range(count):
-        k = rng.randint(1, _RANDOM_MAX_EVENTS)
-        activation = 2
-        slots = list(
-            range(activation + _EVENT_SPACING, _RANDOM_MAX_STEPS - 1, _EVENT_SPACING)
-        )
-        final = slots[-1]
-        open_slots = slots[:-1]
-        rng.shuffle(open_slots)
-        events: list[EventSpec] = []
-        bindings: dict[int, int] = {}
-        oracles: list[OracleDecl] = []
-        actions: list[Action] = [Action(step=activation, kind="activate", choice=0)]
-        for eid in range(k):
-            kind = rng.choice(
-                ("message", "absolute-timer", "relative-timer", "conditional")
-            )
-            if kind == "message":
-                events.append(EventSpec(eid, Message()))
-                if open_slots and rng.random() < 0.8:
-                    actions.append(
-                        Action(
-                            step=open_slots.pop(), kind="message", choice=0, event=eid
-                        )
-                    )
-            elif kind == "absolute-timer":
-                events.append(
-                    EventSpec(eid, AbsoluteTimer(rng.randint(activation, final + 5)))
-                )
-            elif kind == "relative-timer":
-                events.append(
-                    EventSpec(eid, RelativeTimer(rng.randint(0, final - activation + 5)))
-                )
-            else:
-                oracle_index = len(oracles)
-                variable = f"x{oracle_index}"
-                oracles.append(OracleDecl(variable))
-                threshold = rng.randint(1, 5)
-                events.append(
-                    EventSpec(
-                        eid,
-                        Conditional(exprlang.parse(f"{variable} >= {threshold}")),
-                    )
-                )
-                bindings[eid] = oracle_index
-                actions.append(
-                    Action(step=1, kind="update", oracle=oracle_index, value=0)
-                )
-                steps = rng.sample(
-                    range(activation + 1, final), k=min(rng.randint(0, 3), final - activation - 1)
-                )
-                for at in sorted(steps):
-                    actions.append(
-                        Action(
-                            step=at,
-                            kind="update",
-                            oracle=oracle_index,
-                            value=rng.randint(0, 7),
-                        )
-                    )
-        for _ in range(rng.randint(0, 2)):
-            if open_slots:
-                actions.append(Action(step=open_slots.pop(), kind="trigger", choice=0))
-        actions.append(Action(step=final, kind="trigger", choice=0))
-        actions.sort(key=lambda a: (a.step, 0 if a.kind == "update" else 1))
-        scenarios.append(
-            Scenario(
-                scenario_id=f"rand-{index:04d}",
-                variant=base_variant,
-                semantics=base_variant.semantics,
-                oracles=tuple(oracles),
-                choices=(ChoiceDecl(tuple(events), bindings),),
-                timeline=tuple(actions),
-                seed=seed,
-            )
-        )
-    return scenarios
 
 
 # --- CSV and receipt serialization ------------------------------------------------

@@ -55,31 +55,6 @@ class ExprEvalError(ExprError):
     """Evaluation touched a variable missing from the valuation."""
 
 
-def _hash_once(cls):
-    """Keep the generated hash of each node of the frozen dataclass ``cls``
-    once it is first computed: a node is a key of scan caches, and the
-    generated ``__hash__`` rebuilds the tuple of its fields, and rehashes
-    its subtree, on every lookup. Equality stays field by field. A pickled
-    node leaves the kept hash behind, since string hashes differ between
-    processes."""
-    generated = cls.__hash__
-
-    def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:
-            object.__setattr__(self, "_hash", generated(self))
-            return self._hash
-
-    def __getstate__(self) -> dict:
-        return {name: value for name, value in vars(self).items() if name != "_hash"}
-
-    cls.__hash__ = __hash__
-    cls.__getstate__ = __getstate__
-    return cls
-
-
-@_hash_once
 @dataclass(frozen=True)
 class Comparison:
     var: str
@@ -93,20 +68,17 @@ class Comparison:
             raise ExprError(f"constant out of range: {self.value}")
 
 
-@_hash_once
 @dataclass(frozen=True)
 class Not:
     operand: "Expr"
 
 
-@_hash_once
 @dataclass(frozen=True)
 class And:
     left: "Expr"
     right: "Expr"
 
 
-@_hash_once
 @dataclass(frozen=True)
 class Or:
     left: "Expr"

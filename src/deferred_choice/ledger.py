@@ -17,7 +17,7 @@ receipts are immutable named tuples.
 from __future__ import annotations
 
 import json
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
 from dataclasses import dataclass, field, fields, replace
 from typing import NamedTuple
 
@@ -197,27 +197,10 @@ def _gas(key: str, value: object) -> int:
     return value
 
 
-def gas_cost(
-    schedule: GasSchedule,
-    tx: Transaction,
-    storage_writes_new: int,
-    storage_writes_update: int,
-    logs: Sequence[LogEntry],
-) -> int:
-    """Base + calldata bytes + storage terms + log terms: what a chain
-    charges a transaction that has no surcharge."""
-    total = schedule.tx_base + schedule.byte_cost(tx.payload)
-    total += storage_writes_new * schedule.storage_write_new
-    total += storage_writes_update * schedule.storage_write_update
-    for log in logs:
-        total += schedule.log_cost(log)
-    return total
-
-
 class ExecutionContext:
     """Per-transaction accounting: block time, logs, and the gas of storage
     writes and logs (``gas``) and of surcharges (``surcharge``), each
-    metered when it happens; ``gas_cost`` is the same sum in closed form."""
+    metered when it happens."""
 
     __slots__ = ("block_time", "schedule", "logs", "gas", "surcharge")
 

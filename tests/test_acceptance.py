@@ -3,10 +3,14 @@
 Run with ``pytest tests/test_acceptance.py -v -s``.
 """
 
+import importlib.util
 import random
 import time
 from pathlib import Path
 
+import pytest
+
+import deferred_choice
 from deferred_choice import wordcodec as wc
 from deferred_choice.cli import DEFAULT_SEED, main
 from deferred_choice.expr import (
@@ -19,7 +23,6 @@ from deferred_choice.expr import (
     render,
 )
 from deferred_choice.experiments import (
-    gen_random_scenarios,
     heatmap_rows,
     run_correctness_experiment,
     run_cost_experiment,
@@ -31,6 +34,7 @@ from reference import negate_comparison
 
 TRANSACTION_DRIVEN_VARIANTS = tuple(v for v in ALL_VARIANTS if not v.baseline)
 TABLE1 = Path(__file__).resolve().parent.parent / "scenarios" / "table1.json"
+FUZZGEN = Path(__file__).resolve().parent.parent / "bench" / "fuzzgen.py"
 
 
 def table1(variant_id):
@@ -87,24 +91,132 @@ def test_criterion_2_correctness_table():
     )
 
 
-def test_criterion_3_oracle_equivalence():
+def fuzz_scenarios(count, seed):
+    """``count`` scenarios of the benchmark's fuzz generator at ``seed``:
+    several choices sharing one to three oracles, all six comparison
+    operators, ``&&``/``||``/``!`` and preferences on every kind of choice
+    transaction."""
+    spec = importlib.util.spec_from_file_location("fuzzgen", FUZZGEN)
+    fuzzgen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(fuzzgen)
+    return fuzzgen.generate(deferred_choice, count, seed)
+
+
+def shape_case(scenario_id, variables, events, timeline):
+    """A one-choice scenario; ``events`` and ``timeline`` are written as in a
+    scenario file, a timeline entry as (step, action, fields)."""
+    return Scenario.from_obj(
+        {
+            "id": scenario_id,
+            "variant": "onchain-history",
+            "semantics": "transaction-driven",
+            "oracles": [{"variable": name} for name in variables],
+            "choices": [{"events": events}],
+            "timeline": [{"step": step, "action": action, **fields} for step, action, fields in timeline],
+        }
+    )
+
+
+def update(step, oracle, value):
+    return (step, "update", {"oracle": oracle, "value": value})
+
+
+def wake(step, action="trigger", **fields):
+    return (step, action, {"choice": 0, **fields})
+
+
+# shapes the fuzz generator never draws, each with its ground truth
+SHAPE_CASES = (
+    (
+        shape_case(
+            "single-event",
+            ["x0"],
+            [{"kind": "conditional", "expr": "x0 >= 3", "oracle": 0}],
+            [update(1, 0, 0), wake(2, "activate"), update(4, 0, 2), wake(5),
+             update(7, 0, 5), wake(10)],
+        ),
+        (0, 7),
+    ),
+    (
+        shape_case(
+            "six-events",
+            ["x0", "x1"],
+            [
+                {"kind": "message"},
+                {"kind": "absolute-timer", "deadline": 12},
+                {"kind": "relative-timer", "delta": 8},
+                {"kind": "conditional", "expr": "x0 == 4", "oracle": 0},
+                {"kind": "conditional", "expr": "x1 > 6", "oracle": 1},
+                {"kind": "message"},
+            ],
+            [update(1, 0, 0), update(1, 1, 3), wake(2, "activate"), wake(5),
+             update(7, 0, 4), update(8, 1, 7), wake(9, "message", event=0), wake(14)],
+        ),
+        (3, 7),
+    ),
+    # the deadline is one step past the last step, so the timer never fires
+    (
+        shape_case(
+            "timer-after-last-step",
+            ["x0"],
+            [
+                {"kind": "absolute-timer", "deadline": 15},
+                {"kind": "conditional", "expr": "x0 >= 5", "oracle": 0},
+            ],
+            [update(1, 0, 0), wake(2, "activate"), wake(8), update(13, 0, 6), wake(14)],
+        ),
+        (1, 13),
+    ),
+    (
+        shape_case(
+            "nothing-detected",
+            ["x0"],
+            [
+                {"kind": "message"},
+                {"kind": "conditional", "expr": "x0 > 8", "oracle": 0},
+                {"kind": "message"},
+            ],
+            [update(1, 0, 0), wake(2, "activate"), update(4, 0, 3), wake(5),
+             update(9, 0, 8), wake(12)],
+        ),
+        (None, 12),  # the reference stops at the last step
+    ),
+)
+
+
+def test_criterion_3_shape_cases_have_their_shape():
+    for scenario, truth in SHAPE_CASES:
+        assert ground_truth(scenario) == [truth], scenario.scenario_id
+
+
+EQUIVALENCE_INPUTS = {
+    "fuzz-20_24": lambda: fuzz_scenarios(500, 20_24),
+    "fuzz-2104": lambda: fuzz_scenarios(300, 2104),
+    "fuzz-90517": lambda: fuzz_scenarios(300, 90517),
+    "shapes": lambda: [scenario for scenario, _ in SHAPE_CASES],
+}
+
+
+@pytest.mark.parametrize("inputs", sorted(EQUIVALENCE_INPUTS))
+def test_criterion_3_oracle_equivalence(inputs):
     started = time.monotonic()
-    scenarios = gen_random_scenarios(500, seed=20_24)
+    scenarios = EQUIVALENCE_INPUTS[inputs]()
     checked = 0
+    wrong = []
     for scenario in scenarios:
         for variant in TRANSACTION_DRIVEN_VARIANTS:
-            outcome = run(scenario.with_variant(variant)).outcomes[0]
-            assert outcome.winner == outcome.truth, (
-                scenario.scenario_id,
-                variant.id,
-                outcome.winner,
-                outcome.truth,
-            )
-            checked += 1
+            for outcome in run(scenario.with_variant(variant)).outcomes:
+                if not outcome.correct:
+                    wrong.append(
+                        (scenario.scenario_id, variant.id, outcome.choice, outcome.winner, outcome.truth)
+                    )
+                checked += 1
+    assert wrong == []
     elapsed = time.monotonic() - started
     print(
-        f"\n[criterion 3] PASS - {checked} runs over {len(scenarios)} scenarios "
-        f"agree with the reference executor in {elapsed:.1f}s"
+        f"\n[criterion 3] PASS - {checked} choices over {len(scenarios)} {inputs} "
+        f"scenarios x {len(TRANSACTION_DRIVEN_VARIANTS)} variants agree with the "
+        f"reference executor in {elapsed:.1f}s"
     )
 
 

@@ -243,6 +243,15 @@ def test_correctness_single_scenario_smoke_is_fast(tmp_path):
     assert time.monotonic() - started < 1.0
 
 
+def test_correctness_with_fewer_scenarios_than_event_counts(tmp_path):
+    # n = 1 split across two k values: k=5 gets the scenario, k=10 none
+    out = tmp_path / "corr"
+    assert main(["correctness", "--n", "1", "--k", "5,10", "--out", str(out)]) == 0
+    rows = read_correctness_csv(out / "report.csv")
+    assert len(rows) == 5
+    assert all(row.regular_total == row.conditional_total == 1 for row in rows)
+
+
 def test_cost_smoke_and_parse_back(tmp_path):
     out = tmp_path / "cost"
     assert (

@@ -136,16 +136,16 @@ def test_render_parse_round_trip(expr):
 @settings(max_examples=200, deadline=None)
 @given(expressions)
 def test_hash_is_kept_and_agrees_with_equality(expr):
-    """A node keeps its hash once computed; an equal tree built apart hashes
-    alike, and hashing changes no node's equality."""
+    """A node hashes alike every time, an equal tree built apart hashes
+    alike, and the two are interchangeable as dictionary keys."""
     rebuilt = parse(render(expr))
     assert hash(expr) == hash(expr) == hash(rebuilt)
     assert rebuilt == expr and {expr: 1}[rebuilt] == 1
 
 
 def test_pickled_node_hashes_in_another_process():
-    """The kept hash is not pickled: a process with another string-hash
-    seed finds an unpickled node among the nodes it builds itself."""
+    """A process with another string-hash seed finds an unpickled node
+    among the nodes it builds itself."""
     node = parse("x >= 3 && !(y < 2)")
     hash(node)
     script = (

@@ -15,7 +15,6 @@ from deferred_choice.ledger import (
     Revert,
     Transaction,
     UnknownContractError,
-    gas_cost,
     receipt_line,
 )
 from deferred_choice.scenario import Action
@@ -70,31 +69,6 @@ def tx(to, function="noop", payload=b""):
 def test_gas_schedule_override_rejects_malformed_values(overrides, named):
     with pytest.raises(LedgerError, match=re.escape(named)):
         GasSchedule().with_overrides(overrides)
-
-
-# --- gas_cost -------------------------------------------------------------
-
-
-def test_gas_cost_base_only():
-    schedule = GasSchedule()
-    assert gas_cost(schedule, tx(1), 0, 0, ()) == 21_000
-
-
-def test_gas_cost_zero_word_payload():
-    schedule = GasSchedule()
-    assert gas_cost(schedule, tx(1, payload=b"\x00" * 32), 0, 0, ()) == 21_128
-
-
-def test_gas_cost_nonzero_word_and_new_write():
-    schedule = GasSchedule()
-    assert gas_cost(schedule, tx(1, payload=b"\x01" * 32), 1, 0, ()) == 41_512
-
-
-def test_gas_cost_update_write_and_log():
-    schedule = GasSchedule()
-    log = LogEntry(1, "t", b"\x00" * 32)
-    expected = 21_000 + 5_000 + 375 + 8 * 32
-    assert gas_cost(schedule, tx(1), 0, 1, [log]) == expected
 
 
 # --- deploy -------------------------------------------------------------
@@ -278,6 +252,15 @@ def test_write_costs_new_then_update():
     first, second = chain.step()
     assert first.gas_used == 21_000 + 20_000
     assert second.gas_used == 21_000 + 5_000
+
+
+def test_log_costs_base_plus_per_byte():
+    chain = make_chain()
+    address = chain.deploy(Probe())
+    chain.submit(tx(address, "log", b"\x00" * 32))
+    (receipt,) = chain.step()
+    # base, one zero calldata word, and the log's base and per-byte terms
+    assert receipt.gas_used == 21_000 + 4 * 32 + 375 + 8 * 32
 
 
 def test_payloads_word_aligned():
