@@ -8,12 +8,16 @@ the two axes of its oracle architecture (see ``oracles``):
   a tie. With a history since activation (on-chain or off-chain history,
   pub/sub) a ``transaction-driven`` contract dates each event at the
   earliest timestamp it could have been detected, so it picks the true
-  first event even when transactions arrive late; a regular variant reads
-  each served history slice into its own ``oracles.History`` and asks it,
+  first event even when transactions arrive late; a regular variant asks,
   as a conditional oracle would, for the earliest satisfying change point
-  since activation. With only the current value (storage,
-  request-response) a ``continual`` contract is the naive baseline: it
-  dates everything it sees at the waking transaction;
+  since activation. It reads each served history slice into the one
+  ``oracles.History`` its oracle keeps for its activation timestamp, built
+  only from served bytes and shared with every consumer that activated
+  then, and is answered from the change points it was served alone; a
+  payload that reader read last is not decoded again. With only the
+  current value (storage, request-response) a ``continual`` contract is
+  the naive baseline: it dates everything it sees at the waking
+  transaction;
 * the delivery fixes how an evaluation runs. A sync contract reads its
   oracles inline and can finalize within the waking transaction; a
   callback contract issues correlated queries and finishes the evaluation
@@ -35,6 +39,7 @@ from .oracles import (  # SemanticsKind is re-exported for bench/fuzzgen.py
     Delivery,
     History,
     OracleVariant,
+    Scan,
     SemanticsKind,
     SyncOracle,
 )
@@ -117,10 +122,11 @@ class DeferredChoiceContract(Contract):
         self._preferred_at: dict[int, int] = {}
         self._cond_found: dict[int, int] = {}
         self._cond_clear: dict[int, int] = {}
-        # host-side only: the query parameters of each event, and the history
-        # its served slices were read into (regular history variants)
+        # host-side only: the query parameters of each event, and the shared
+        # reader of its served slices with its condition's scan there
+        # (regular history variants)
         self._params_of: dict[int, bytes] = {}
-        self._histories: dict[int, History] = {}
+        self._histories: dict[int, tuple[History, Scan]] = {}
         self._pending: dict[int, int] = {}
         self._corr_seq = 0
 
@@ -164,21 +170,23 @@ class DeferredChoiceContract(Contract):
     def _read(self, eid: int, payload: bytes, index: int) -> int | bool:
         """The oracle's answer for event ``eid`` at word ``index`` of
         ``payload``: from a history, the earliest detection since activation
-        or NEVER; from the current value, whether the condition holds."""
+        or NEVER; from the current value, whether the condition holds.
+        Consumers sent one payload decode its words once."""
+        if self.has_history and not self.variant.conditional:
+            # consumers that activated together are served one window: they
+            # read it into one reader and share a scan per condition, each
+            # answered from the change points it was served
+            shared = self._histories.get(eid)
+            if shared is None:
+                reader = self.oracles[eid].reader(self.activation_ts)
+                scan = reader.scan(self.activation_ts, self._conditions[eid])
+                shared = self._histories[eid] = (reader, scan)
+            reader, scan = shared
+            return scan.first(self.activation_ts, reader.extend(payload, index))[0]
+        word = _words(payload, index + 1)[index]
         if self.variant.conditional:
-            if self.has_history:
-                return wordcodec.decode_word(payload, index)
-            return wordcodec.decode_bool(payload, index)
-        if not self.has_history:
-            value = wordcodec.decode_word(payload, index)
-            return exprlang.evaluate(self._conditions[eid], {self.oracles[eid].variable: value})
-        # slices start at the change point in force at activation, and no
-        # later one lands at or before it, so each slice extends the last
-        history = self._histories.get(eid)
-        if history is None:
-            history = self._histories[eid] = History(self.oracles[eid].variable)
-        history.extend(payload, index)
-        return history.earliest(self.activation_ts, self._conditions[eid])[0]
+            return word if self.has_history else word != 0
+        return exprlang.evaluate(self._conditions[eid], {self.oracles[eid].variable: word})
 
     def _note(self, ctx: ExecutionContext, eid: int, answer: int | bool, horizon: int) -> None:
         """Record event ``eid``'s answer, which holds through ``horizon``.
@@ -287,7 +295,9 @@ class DeferredChoiceContract(Contract):
     def _oracle_callback(self, ctx: ExecutionContext, payload: bytes) -> None:
         if self.winner is not None:
             return  # late callbacks are accepted and ignored
-        corr = wordcodec.decode_word(payload, 0)
+        # the correlation word and the answer's first word, decoded once
+        # for every consumer a fan-out sends this payload
+        corr = _words(payload, 2)[0]
         if corr not in self._pending:
             raise Revert(f"unknown correlation id {corr}")
         eid = self._pending.pop(corr)

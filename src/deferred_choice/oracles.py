@@ -38,13 +38,19 @@ pushes) are mined in the block of the change timestamp.
 
 Both history architectures keep their change points in one ``History``:
 each point is held once and encoded at most once, the first time a served
-slice needs it; a regular history's consumer reads each served slice into
-a ``History`` of its own. A query's window starts at the change point in
-force at its ``from_ts``. A conditional history query resumes the scan that
-the same condition from the same window start stopped at. This saves host
-work only: the bytes served and charged, and therefore gas, are those of a
+slice needs it. A query's window starts at the change point in force at
+its ``from_ts``. A conditional history query resumes the scan that the
+same condition from the same window start stopped at. This saves host work
+only: the bytes served and charged, and therefore gas, are those of a
 fresh encoding of the window and a scan of it from its start, which
 charges the change points examined.
+
+On the consumer side an oracle contract keeps one reader per ``from_ts``
+(``OracleContract.reader``): a ``History`` built only from the slices
+served for that window, which every regular consumer that activated then
+reads into, with one ``Scan`` per condition. Each consumer is answered
+from the first ``count`` change points of its own slice, never from points
+it was not served, and a payload the reader read last is not decoded again.
 
 A provider's fan-outs share their bytes too. Within one block it answers
 each distinct query once and sends every consumer that asked it a callback
@@ -188,6 +194,16 @@ class Scan:
         self.advance(change + 1)
         return self.hit and change == self.stop
 
+    def first(self, from_ts: int, count: int) -> tuple[int, int]:
+        """When the condition first holds among the change points before
+        ``count``, dated no earlier than ``from_ts``, or NEVER; and the
+        number of change points examined. A scan that another asker took
+        further answers for those points alone."""
+        self.advance(count)
+        if self.hit and self.stop < count:
+            return max(self.times[self.stop], from_ts), self.stop - self.start + 1
+        return NEVER, count - self.start
+
     def advance(self, limit: int) -> None:
         """Test the change points from ``stop`` on, up to the first that
         satisfies the condition or to ``limit``."""
@@ -221,6 +237,10 @@ class History:
         self._updated = -1  # the time of the latest update; timestamps are not negative
         self._words = bytearray()  # encoded (at, value) pairs, oldest first
         self._scans: dict[tuple[int, exprlang.Expr], Scan] = {}
+        # of the slices ``extend`` reads: the encoded time of their first
+        # change point, and the payload, word index and count read last
+        self._head: bytes | None = None
+        self._last: tuple[bytes, int, int] | None = None
 
     def append(self, at: int, value: int) -> bool:
         """Record an update to ``value`` at ``at``; whether it is a change
@@ -237,19 +257,36 @@ class History:
         self.values.append(value)
         return True
 
-    def extend(self, payload: bytes, index: int) -> None:
-        """Append the change points this history lacks from the slice served
-        at word ``index`` of ``payload``, which starts at this history's
-        first change point; only the new pairs are decoded."""
+    def extend(self, payload: bytes, index: int) -> int:
+        """Read the slice served at word ``index`` of ``payload``; its number
+        of change points. Every slice starts at this history's first change
+        point, or ``OracleError`` is raised; the pairs this history lacks
+        are appended. Only those are decoded, and a payload that was read
+        last is not decoded again: a fan-out hands every reader one."""
+        last = self._last
+        if last is not None and last[0] is payload and last[1] == index:
+            return last[2]
         count = wordcodec.decode_word(payload, index)
         if len(payload) < (index + 1 + 2 * count) * wordcodec.WORD_SIZE:
             raise wordcodec.CodecError(f"truncated history slice of {count} pairs")
         known = len(self.times)
+        if count and known:
+            start = (index + 1) * wordcodec.WORD_SIZE
+            head = payload[start : start + wordcodec.WORD_SIZE]
+            if self._head is None:
+                self._head = wordcodec.encode_word(self.times[0])
+            if head != self._head:
+                raise OracleError(
+                    f"slice of {self.variable} starts at {wordcodec.decode_word(head)}, "
+                    f"not at {self.times[0]}"
+                )
         if count > known:
             words = wordcodec.decode_words(payload, 2 * (count - known), index + 1 + 2 * known)
             self.times += words[::2]
             self.values += words[1::2]
             self._updated = words[-2]
+        self._last = (payload, index, count)
+        return count
 
     def _encoded(self, start: int, stop: int) -> bytes:
         """The change points [start, stop) as a count word followed by each
@@ -293,12 +330,7 @@ class History:
 
         The window starts at the change point in force at ``from_ts``, and
         a hit there counts from ``from_ts``."""
-        scan = self.scan(from_ts, condition)
-        scan.advance(len(self.times))
-        visited = scan.stop - scan.start + scan.hit
-        if scan.hit:
-            return max(self.times[scan.stop], from_ts), visited
-        return NEVER, visited
+        return self.scan(from_ts, condition).first(from_ts, len(self.times))
 
 
 def answer_query(
@@ -345,7 +377,31 @@ def answer_query(
 # --- on-chain halves --------------------------------------------------------
 
 
-class SyncOracle(Contract):
+class OracleContract(Contract):
+    """What both on-chain halves share: the variant, the variable, and the
+    consumer-side readers of the history slices the oracle serves."""
+
+    def __init__(self, variant: OracleVariant, variable: str):
+        super().__init__()
+        self.variant = variant
+        self.variable = variable
+        self.kind = f"{variant.id}-oracle"
+        # host-side only: from_ts -> the reader of the slices served from then
+        self._readers: dict[int, History] = {}
+
+    def reader(self, from_ts: int) -> History:
+        """The ``History`` that consumers asking for the window at
+        ``from_ts`` read their served slices into. Every such consumer is
+        served that one window, so they share one reader, built from the
+        served bytes alone, and one ``Scan`` per condition on it. It lives
+        as long as this contract, which is one replay."""
+        reader = self._readers.get(from_ts)
+        if reader is None:
+            reader = self._readers[from_ts] = History(self.variable)
+        return reader
+
+
+class SyncOracle(OracleContract):
     """Storage and on-chain-history contracts: data lives on-chain and
     queries answer within the calling transaction.
 
@@ -354,12 +410,9 @@ class SyncOracle(Contract):
     """
 
     def __init__(self, variant: OracleVariant, variable: str):
-        super().__init__()
         if not variant.synchronous:
             raise OracleError(f"{variant.id} is not a synchronous oracle")
-        self.variant = variant
-        self.variable = variable
-        self.kind = f"{variant.id}-oracle"
+        super().__init__(variant, variable)
         # a storage oracle keeps only the current value
         self.history = History(variable) if variant.architecture.answer is Answer.HISTORY else None
         # params -> (result, surcharge) of each question asked since the last set
@@ -398,19 +451,16 @@ class SyncOracle(Contract):
         return answer[0]
 
 
-class AsyncOracle(Contract):
+class AsyncOracle(OracleContract):
     """Request-response, off-chain-history and pub/sub contracts: data lives
     with the provider; the contract only relays queries and subscriptions
     through the log layer. Pub/sub subscriptions are flagged on-chain, so a
     duplicate subscribe and an unmatched unsubscribe revert."""
 
     def __init__(self, variant: OracleVariant, variable: str):
-        super().__init__()
         if variant.synchronous:
             raise OracleError(f"{variant.id} is not an asynchronous oracle")
-        self.variant = variant
-        self.variable = variable
-        self.kind = f"{variant.id}-oracle"
+        super().__init__(variant, variable)
         self.pushes = variant.architecture.delivery is Delivery.PUSH
 
     def query(self, ctx: ExecutionContext, params: bytes) -> bytes:
@@ -438,7 +488,7 @@ class AsyncOracle(Contract):
         ctx.log(self.address, "unsubscribe", wordcodec.encode_word(subscriber))
 
 
-def make_oracle_contract(variant: OracleVariant, variable: str) -> Contract:
+def make_oracle_contract(variant: OracleVariant, variable: str) -> OracleContract:
     if variant.synchronous:
         return SyncOracle(variant, variable)
     return AsyncOracle(variant, variable)
@@ -456,7 +506,7 @@ class OracleProvider:
     responses for the next block.
     """
 
-    def __init__(self, chain: Chain, oracle: Contract):
+    def __init__(self, chain: Chain, oracle: OracleContract):
         self.chain = chain
         self.oracle = oracle
         self.variant: OracleVariant = oracle.variant

@@ -479,6 +479,9 @@ class ChoiceOutcome:
     choice: int
     winner: int | None
     truth: int | None
+    # when the ground truth detects its winner: the last step if it detects
+    # none, None if the choice is never activated
+    truth_ts: int | None
     activation_ts: int | None
     observed_ts: int | None
     winner_detection_ts: int | None
@@ -597,12 +600,15 @@ def run(scenario: Scenario, schedule: GasSchedule | None = None) -> ExperimentRe
                 provider.after_block(receipts, chain.height)
 
     outcomes = []
-    for index, (contract, (truth, _)) in enumerate(zip(choice_contracts, ground_truth(scenario))):
+    for index, (contract, (truth, truth_ts)) in enumerate(
+        zip(choice_contracts, ground_truth(scenario))
+    ):
         outcomes.append(
             ChoiceOutcome(
                 choice=index,
                 winner=contract.winner,
                 truth=truth,
+                truth_ts=truth_ts,
                 activation_ts=contract.activation_ts,
                 observed_ts=contract.observed_ts,
                 winner_detection_ts=contract.winner_detection_ts,

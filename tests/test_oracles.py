@@ -641,3 +641,62 @@ def test_history_extend_rejects_truncated_slice():
     payload = encode_pairs([(1, 0), (2, 5)])[: -wc.WORD_SIZE]
     with pytest.raises(wc.CodecError):
         History("d_w").extend(payload, 0)
+
+
+# --- shared consumer-side readers ---------------------------------------------
+
+
+def served_slices(pairs):
+    """The slice served from the first change point after each append."""
+    served = History("d_w")
+    slices = []
+    for at, value in pairs:
+        served.append(at, value)
+        slices.append(served.since(0))
+    return slices
+
+
+def test_shared_reader_answers_each_reader_from_its_own_count():
+    """A reader that was served fewer change points than the shared history
+    holds gets no answer from the points it was not served."""
+    short, long = served_slices([(1, 0), (3, 1), (6, 4)])[1:]
+    reader = History("d_w")
+    scan = reader.scan(2, parse("d_w >= 4"))
+    assert reader.extend(long, 0) == 3
+    assert reader.extend(short, 0) == 2
+    assert scan.first(2, 2) == (NEVER, 2)  # the hit at 6 lies past its count
+    assert scan.first(2, 3) == (6, 3)
+    assert reader.times == [1, 3, 6]
+
+
+def test_shared_reader_decodes_a_repeated_payload_once():
+    """Readers handed one payload object decode it once, and get its count."""
+    payload = wc.encode_word(7) + served_slices([(1, 0), (3, 1)])[-1]
+    reader = History("d_w")
+    assert reader.extend(payload, 1) == 2
+    with (
+        mock.patch.object(wc, "decode_word", wraps=wc.decode_word) as word,
+        mock.patch.object(wc, "decode_words", wraps=wc.decode_words) as words,
+    ):
+        assert reader.extend(payload, 1) == 2
+    assert word.call_count == words.call_count == 0
+    # an equal payload that is another object is read again
+    assert reader.extend(bytes(bytearray(payload)), 1) == 2
+    assert (reader.times, reader.values) == ([1, 3], [0, 1])
+
+
+def test_shared_reader_rejects_a_slice_with_another_first_change_point():
+    reader = History("d_w")
+    reader.extend(encode_pairs([(1, 0), (3, 1)]), 0)
+    with pytest.raises(OracleError, match="starts at 3, not at 1"):
+        reader.extend(encode_pairs([(3, 1), (6, 4)]), 0)
+    assert reader.extend(encode_pairs([(1, 0), (3, 1), (6, 4)]), 0) == 3
+
+
+@pytest.mark.parametrize("variant_id", ["onchain-history", "offchain-history"])
+def test_oracle_keeps_one_reader_per_window_start(variant_id):
+    oracle = make_oracle_contract(OracleVariant.parse(variant_id), "d_w")
+    first = oracle.reader(73)
+    assert oracle.reader(73) is first
+    assert oracle.reader(74) is not first
+    assert make_oracle_contract(oracle.variant, "d_w").reader(73) is not first

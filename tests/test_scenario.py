@@ -418,6 +418,86 @@ def test_ground_truth_evaluates_a_repeated_value_once():
     assert evaluate.call_count == 2
 
 
+@pytest.mark.parametrize("variant", ALL_VARIANTS, ids=lambda v: v.id)
+def test_outcome_keeps_the_truth_timestamp(variant):
+    # table1's deadline at 76 fires before d_w reaches 2 at 77
+    (outcome,) = run(table1(variant.id)).outcomes
+    assert (outcome.truth, outcome.truth_ts) == (0, 76)
+
+
+def test_unactivated_choice_has_no_truth_timestamp():
+    event = (EventSpec(0, Conditional(exprlang.parse("x0 >= 1"))),)
+    scenario = race_scenario(
+        ["x0"],
+        [ChoiceDecl(event, {0: 0}), ChoiceDecl(event, {0: 0})],
+        [Action(1, "update", oracle=0, value=0),
+         Action(2, "activate", choice=0),
+         Action(3, "update", oracle=0, value=1),
+         Action(5, "trigger", choice=0)],
+    )
+    first, second = run(scenario).outcomes
+    assert (first.truth, first.truth_ts) == (0, 3)
+    assert (second.truth, second.truth_ts, second.activation_ts) == (None, None, None)
+
+
+# three choices share x0: choices 0 and 1 activate together with different
+# conditions and read one window; choice 2 activates later, after x0 changed,
+# so its window starts at another change point
+SHARED_X0_CHOICES = [
+    ChoiceDecl((EventSpec(0, Conditional(exprlang.parse("x0 >= 3"))),
+                EventSpec(1, AbsoluteTimer(8))), {0: 0}),
+    ChoiceDecl((EventSpec(0, Conditional(exprlang.parse("x0 == 1"))),
+                EventSpec(1, AbsoluteTimer(9))), {0: 0}),
+    ChoiceDecl((EventSpec(0, AbsoluteTimer(12)),
+                EventSpec(1, Conditional(exprlang.parse("x0 >= 4")))), {1: 0}),
+]
+SHARED_X0_TIMELINE = [
+    *(Action(step, "update", oracle=0, value=value)
+      for step, value in ((1, 0), (3, 1), (5, 3), (7, 2), (9, 4))),
+    Action(2, "activate", choice=0), Action(2, "activate", choice=1),
+    Action(4, "activate", choice=2),
+    Action(4, "trigger", choice=0), Action(6, "trigger", choice=0),
+    Action(6, "trigger", choice=1), Action(6, "trigger", choice=2),
+    Action(8, "trigger", choice=2), Action(10, "trigger", choice=0),
+    Action(10, "trigger", choice=2),
+]
+
+
+def _decided(outcome):
+    return outcome.winner, outcome.winner_detection_ts, outcome.finalized_at
+
+
+@pytest.mark.parametrize("variant_id", ["onchain-history", "offchain-history"])
+def test_choices_sharing_a_reader_decide_as_each_alone(variant_id):
+    variant = OracleVariant.parse(variant_id)
+    shared = run(race_scenario(["x0"], SHARED_X0_CHOICES, SHARED_X0_TIMELINE)
+                 .with_variant(variant))
+    assert [(o.truth, o.truth_ts) for o in shared.outcomes] == [(0, 5), (0, 3), (1, 9)]
+    for index, outcome in enumerate(shared.outcomes):
+        alone = run(race_scenario(
+            ["x0"],
+            [SHARED_X0_CHOICES[index]],
+            [a if a.kind == "update" else a._replace(choice=0)
+             for a in SHARED_X0_TIMELINE if a.kind == "update" or a.choice == index],
+        ).with_variant(variant))
+        assert _decided(outcome) == _decided(alone.outcomes[0])
+        assert (outcome.winner, outcome.winner_detection_ts) == (outcome.truth, outcome.truth_ts)
+
+
+@pytest.mark.parametrize("variant_id", ["onchain-history", "offchain-history"])
+def test_regular_history_consumers_scan_each_change_point_once(variant_id):
+    # consumers that activate together share one reader and one scan of
+    # their condition, so the evaluations do not grow with their number
+    counts = []
+    for c in (1, 20):
+        scenario = gen_cost(c, 10, OracleVariant.parse(variant_id))
+        with mock.patch.object(exprlang, "evaluate", wraps=exprlang.evaluate) as evaluate:
+            report = run(scenario)
+        assert report.correct
+        counts.append(evaluate.call_count)
+    assert counts[0] == counts[1]
+
+
 # --- validation ----------------------------------------------------------------
 
 
