@@ -54,7 +54,7 @@ from .semantics import (
     EventSpec,
     Message,
     RelativeTimer,
-    pick_winner,
+    decide,
     prefer,
     timer_fire,
 )

@@ -1,28 +1,26 @@
 """Deferred-choice consumer contracts.
 
-A choice contract races its events on-chain. What it can do follows from
-the two axes of its oracle architecture (see ``oracles``):
+A choice contract races its events on-chain. It keeps one record,
+``detected``: each message, condition and fired timer enters it once,
+dated when the contract first learns of it. ``_rank`` decides on that
+record with ``semantics.decide`` once no unseen event could still come
+first. The two axes of its oracle architecture (see ``oracles``) fix the
+rest:
 
-* the answer fixes the semantics. Every contract decides with ``_rank``:
-  the earliest detection wins, and the preference at its timestamp breaks
-  a tie. With a history since activation (on-chain or off-chain history,
-  pub/sub) a ``transaction-driven`` contract dates each event at the
-  earliest timestamp it could have been detected, so it picks the true
-  first event even when transactions arrive late; a regular variant asks,
-  as a conditional oracle would, for the earliest satisfying change point
-  since activation. It reads each served history slice into the one
-  ``oracles.History`` its oracle keeps for its activation timestamp, built
-  only from served bytes and shared with every consumer that activated
-  then, and is answered from the change points it was served alone; a
-  payload that reader read last is not decoded again. With only the
-  current value (storage, request-response) a ``continual`` contract is
-  the naive baseline: it dates everything it sees at the waking
-  transaction;
-* the delivery fixes how an evaluation runs. A sync contract reads its
-  oracles inline and can finalize within the waking transaction; a
-  callback contract issues correlated queries and finishes the evaluation
-  once every callback has arrived; a push contract accumulates pushed
-  change points instead of querying.
+* the answer fixes how detections are dated, and so the semantics. An
+  answer reads as a timestamp, NEVER if not detected. With a history since
+  activation (on-chain or off-chain history, pub/sub) a
+  ``transaction-driven`` contract dates each event at the earliest
+  timestamp it could have been detected, a timer at its fire time; a
+  regular variant reads each served slice into the one ``oracles.History``
+  its oracle keeps for its activation timestamp and scans it there. With
+  only the current value (storage, request-response) a ``continual``
+  contract is the naive baseline: a condition that holds is dated at the
+  answer's horizon, a fired timer at the wake that first sees it;
+* the delivery fixes how an evaluation runs and the entry points: a sync
+  contract reads its oracles inline; a callback contract issues correlated
+  queries and takes ``oracle_callback``; a push contract takes ``push``
+  and accumulates pushed change points instead of querying.
 """
 
 from __future__ import annotations
@@ -51,7 +49,7 @@ from .semantics import (
     Message,
     RelativeTimer,
     check_bindings,
-    pick_winner,
+    decide,
     prefer,
     timer_fire,
 )
@@ -109,18 +107,20 @@ class DeferredChoiceContract(Contract):
         }
         self.cond_ids = tuple(self._conditions)
         self._message_ids = tuple(e.id for e in self.events if isinstance(e.kind, Message))
-        self._timer_fires: tuple[tuple[int, int], ...] = ()
         self._oracle_event = {self.oracles[eid].address: eid for eid in self.cond_ids}
+        self._entry_points = _ENTRY_POINTS[self.delivery]
         # mutable contract state (writes metered through the context)
         self.activation_ts: int | None = None
         self.observed_ts: int | None = None
         self.winner: int | None = None
         self.winner_detection_ts: int | None = None
         self.finalized_at: int | None = None
-        self.message_detections: dict[int, int] = {}
+        # what the contract has detected, each event dated once when it first
+        # learns it; timers wait as (fire time, event id) in fire order
+        self.detected: dict[int, int] = {}
+        self._timers: list[tuple[int, int]] = []
         # host-side only: the tie-break preference at each waking timestamp
         self._preferred_at: dict[int, int] = {}
-        self._cond_found: dict[int, int] = {}
         self._cond_clear: dict[int, int] = {}
         # host-side only: the query parameters of each event, and the shared
         # reader of its served slices with its condition's scan there
@@ -167,11 +167,11 @@ class DeferredChoiceContract(Contract):
             self._params_of[eid] = params
         return params
 
-    def _read(self, eid: int, payload: bytes, index: int) -> int | bool:
-        """The oracle's answer for event ``eid`` at word ``index`` of
-        ``payload``: from a history, the earliest detection since activation
-        or NEVER; from the current value, whether the condition holds.
-        Consumers sent one payload decode its words once."""
+    def _read(self, eid: int, payload: bytes, index: int, horizon: int) -> int:
+        """When the answer for event ``eid`` at word ``index`` of ``payload``
+        dates it: from a history, its earliest detection since activation;
+        from the current value, ``horizon`` if the condition holds; else
+        NEVER. Consumers sent one payload decode its words once."""
         if self.has_history and not self.variant.conditional:
             # consumers that activated together are served one window: they
             # read it into one reader and share a scan per condition, each
@@ -184,32 +184,32 @@ class DeferredChoiceContract(Contract):
             reader, scan = shared
             return scan.first(self.activation_ts, reader.extend(payload, index))[0]
         word = _words(payload, index + 1)[index]
-        if self.variant.conditional:
-            return word if self.has_history else word != 0
-        return exprlang.evaluate(self._conditions[eid], {self.oracles[eid].variable: word})
+        if self.has_history:  # a conditional history answers the date itself
+            return word
+        holds = word if self.variant.conditional else exprlang.evaluate(
+            self._conditions[eid], {self.oracles[eid].variable: word}
+        )
+        return horizon if holds else NEVER
 
-    def _note(self, ctx: ExecutionContext, eid: int, answer: int | bool, horizon: int) -> None:
-        """Record event ``eid``'s answer, which holds through ``horizon``.
-
-        A current value dates a condition that holds at ``horizon``. With a
-        history, answers that arrive in their own transaction (callbacks,
-        pushes) are kept in contract storage; other answers are used within
-        the evaluation that made them."""
-        if not self.has_history:
-            answer = horizon if answer else NEVER
-        if answer == NEVER:
+    def _note(self, ctx: ExecutionContext, eid: int, at: int, horizon: int) -> None:
+        """Record event ``eid`` as detected at ``at`` if it is not yet, or as
+        not detected through ``horizon`` if ``at`` is NEVER. With a history,
+        answers that arrive in their own transaction (callbacks, pushes) are
+        kept in contract storage; other answers are used within the
+        evaluation that made them."""
+        if at == NEVER:
             self._cond_clear[eid] = max(self._cond_clear.get(eid, 0), horizon)
             if self._stores_answers:
                 ctx.write(self.storage, f"clear:{eid}", self._cond_clear[eid])
-        else:
-            self._cond_found[eid] = answer
+        elif eid not in self.detected:
+            self.detected[eid] = at
             if self._stores_answers:
-                ctx.write(self.storage, f"cond:{eid}", answer)
+                ctx.write(self.storage, f"cond:{eid}", at)
 
     # -- dispatch ------------------------------------------------------------
 
     def handle(self, ctx: ExecutionContext, function: str, payload: bytes) -> None:
-        entry = _ENTRY_POINTS.get(function)
+        entry = self._entry_points.get(function)
         if entry is None:
             raise Revert(f"unknown function {function!r}")
         entry(self, ctx, payload)
@@ -222,8 +222,8 @@ class DeferredChoiceContract(Contract):
         now = ctx.block_time
         prefer(self._preferred_at, now, _optional(_words(payload, 1)[0]))
         self.activation_ts = now
-        self._timer_fires = tuple(
-            (e.id, timer_fire(e.kind, now))
+        self._timers = sorted(
+            (timer_fire(e.kind, now), e.id)
             for e in self.events
             if isinstance(e.kind, (AbsoluteTimer, RelativeTimer))
         )
@@ -254,8 +254,8 @@ class DeferredChoiceContract(Contract):
             raise Revert("evaluation in progress")
         now = ctx.block_time
         prefer(self._preferred_at, now, preferred, message_event)
-        if message_event is not None and message_event not in self.message_detections:
-            self.message_detections[message_event] = now
+        if message_event is not None and message_event not in self.detected:
+            self.detected[message_event] = now
             if self.has_history:
                 ctx.write(self.storage, f"msgdet:{message_event}", now)
         self._evaluate(ctx, now)
@@ -264,10 +264,10 @@ class DeferredChoiceContract(Contract):
         clear_floor = None
         if self.delivery is Delivery.SYNC:
             for eid in self.cond_ids:
-                answer = self._read(eid, self.oracles[eid].query(ctx, self._params(eid)), 0)
-                self._note(ctx, eid, answer, now)
+                at = self._read(eid, self.oracles[eid].query(ctx, self._params(eid)), 0, now)
+                self._note(ctx, eid, at, now)
         elif self.delivery is Delivery.CALLBACK:
-            needed = tuple(eid for eid in self.cond_ids if eid not in self._cond_found)
+            needed = tuple(eid for eid in self.cond_ids if eid not in self.detected)
             if needed:
                 self._issue_queries(ctx, needed, now)
                 return
@@ -303,7 +303,7 @@ class DeferredChoiceContract(Contract):
         eid = self._pending.pop(corr)
         ctx.write(self.storage, f"pending:{corr}", 0)
         horizon = self.storage["inflight_horizon"]
-        self._note(ctx, eid, self._read(eid, payload, 1), horizon)
+        self._note(ctx, eid, self._read(eid, payload, 1, horizon), horizon)
         if self._pending:
             return
         ctx.write(self.storage, "inflight_horizon", 0)
@@ -323,7 +323,7 @@ class DeferredChoiceContract(Contract):
         if oracle_address not in self._oracle_event:
             raise Revert(f"push from unbound oracle {oracle_address}")
         eid = self._oracle_event[oracle_address]
-        if eid not in self._cond_found:
+        if eid not in self.detected:
             holds = self.variant.conditional or exprlang.evaluate(
                 self._conditions[eid], {self.oracles[eid].variable: words[2]}
             )
@@ -346,55 +346,50 @@ class DeferredChoiceContract(Contract):
         timer_now: int | None = None,
         settled: int | None = None,
     ) -> None:
-        """Finalize on the earliest detection known at ``horizon`` unless a
-        condition not yet found, clear only through its last answer or
+        """Finalize on ``decide`` over what is detected at ``horizon`` unless
+        a condition not yet detected, clear only through its last answer or
         ``clear_floor``, or a transaction after ``settled`` could still
-        precede or tie it. Timers count as fired up to ``timer_now``."""
+        precede or tie the earliest. A timer fired by ``timer_now`` is
+        detected at its fire time with a history, else at ``timer_now``."""
         if timer_now is None:
             timer_now = horizon
-        detections: dict[int, int] = {}
-        messages = self.message_detections
-        undelivered_message = False
-        for eid in self._message_ids:
-            if eid in messages:
-                detections[eid] = messages[eid]
-            else:
-                undelivered_message = True
-        found = self._cond_found
-        for eid in self.cond_ids:
-            if eid in found:
-                detections[eid] = found[eid]
-        for eid, fire in self._timer_fires:
-            if fire <= timer_now:
-                # without a history a fired timer is seen at the wake
-                detections[eid] = fire if self.has_history else horizon
-        if not detections:
+        detected = self.detected
+        while self._timers and self._timers[0][0] <= timer_now:
+            fire, eid = self._timers.pop(0)
+            detected[eid] = fire if self.has_history else timer_now
+        if not detected:
             self._observe(ctx, horizon)
             return
+        winner, at, tied = decide(detected, self._preferred_at)
         blocker = NEVER
         for eid in self.cond_ids:
-            if eid not in found:
+            if eid not in detected:
                 known_clear = self._cond_clear[eid]  # set for each at activation
                 if clear_floor is not None:
                     known_clear = max(known_clear, clear_floor)
                 blocker = min(blocker, known_clear)
-        best = min(detections.values())
-        pool = {eid for eid, at in detections.items() if at == best}
-        if settled is not None and (undelivered_message or len(pool) > 1):
+        if settled is not None and (tied or any(e not in detected for e in self._message_ids)):
             # a transaction later in this block could still deliver a message
             # that ties, or name the event that breaks a tie; wait for a wake
             # that rules it out
             blocker = min(blocker, settled)
-        if best > blocker:
+        if at > blocker:
             self._observe(ctx, horizon)
             return
-        self._finalize(ctx, pick_winner(pool, self._preferred_at.get(best)), best, horizon)
+        self._finalize(ctx, winner, at, horizon)
 
 
-# function selector -> entry point of ``DeferredChoiceContract.handle``
+# function selector -> entry point of ``DeferredChoiceContract.handle``, per
+# delivery: only a callback contract takes callbacks, only a push one pushes
 _ENTRY_POINTS = {
-    "activate": DeferredChoiceContract._activate,
-    "try_trigger": DeferredChoiceContract._try_trigger,
-    "oracle_callback": DeferredChoiceContract._oracle_callback,
-    "push": DeferredChoiceContract._push,
+    delivery: {
+        "activate": DeferredChoiceContract._activate,
+        "try_trigger": DeferredChoiceContract._try_trigger,
+        **entries,
+    }
+    for delivery, entries in (
+        (Delivery.SYNC, {}),
+        (Delivery.CALLBACK, {"oracle_callback": DeferredChoiceContract._oracle_callback}),
+        (Delivery.PUSH, {"push": DeferredChoiceContract._push}),
+    )
 }

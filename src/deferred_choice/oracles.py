@@ -17,10 +17,13 @@ pubsub              history since activation  push
 The answer is what the oracle can tell a sleeping contract: only the value
 in force now, or every change point since the contract activated. Only a
 history answer lets a contract rank events by the time they happened, so
-the answer axis fixes the ``SemanticsKind``. The delivery is how the answer
-reaches the contract: a read within the calling transaction, a query event
-answered by a callback transaction, or a push on every change. Every other
-difference between the architectures is read from these two fields.
+the answer axis fixes the ``SemanticsKind`` and the dating: a history
+dates a condition at its first satisfying change point and a timer at its
+fire time, a current value both at the wake that sees them. The delivery
+is how the answer reaches the contract: a read within the calling
+transaction, a query event answered by a callback transaction, or a push
+on every change. Every other difference between the architectures is read
+from these two fields.
 
 Each architecture comes in a regular and a conditional variant. Regular
 variants hand values (or value histories) to the consumer, which

@@ -45,7 +45,7 @@ from .semantics import (
     Message,
     RelativeTimer,
     check_bindings,
-    pick_winner,
+    decide,
     prefer,
     timer_fire,
 )
@@ -266,16 +266,16 @@ class Scenario:
             variant = OracleVariant.parse(obj["variant"])
             semantics = SemanticsKind(obj["semantics"])
             oracles = []
-            for oracle_obj in obj.get("oracles", []):
+            for oracle_obj in _array(obj, "oracles"):
                 _check_keys(oracle_obj, _ORACLE_KEYS, "oracle")
                 oracles.append(OracleDecl(oracle_obj["variable"]))
             choices = []
-            for choice_obj in obj.get("choices", []):
+            for choice_obj in _array(obj, "choices"):
                 _check_keys(choice_obj, _CHOICE_KEYS, "choice")
                 events = []
                 bindings: dict[int, int] = {}
-                for eid, event_obj in enumerate(choice_obj["events"]):
-                    kind_type = _KIND_TYPES.get(event_obj["kind"])
+                for eid, event_obj in enumerate(_array(choice_obj, "events")):
+                    kind_type = _KIND_TYPES.get(_object(event_obj, f"event {eid}")["kind"])
                     if kind_type is None:
                         raise ScenarioError(f"unknown event kind {event_obj['kind']!r}")
                     _check_keys(event_obj, _EVENT_KEYS[kind_type], f"event {eid}")
@@ -287,7 +287,7 @@ class Scenario:
                     events.append(EventSpec(eid, kind))
                 choices.append(ChoiceDecl(tuple(events), bindings))
             timeline = []
-            for a in obj.get("timeline", []):
+            for a in _array(obj, "timeline"):
                 _check_keys(a, _ACTION_KEYS, "action")
                 timeline.append(
                     Action(
@@ -342,8 +342,22 @@ _KEY, _ITEM, _ITEM_KEY, _EVENT = "  ", "    ", "      ", "        "
 _quote = json.encoder.encode_basestring_ascii
 
 
-def _check_keys(obj: dict[str, Any], allowed: frozenset[str], where: str) -> None:
-    if not allowed.issuperset(obj):
+def _object(value: Any, where: str) -> dict[str, Any]:
+    if not isinstance(value, dict):
+        raise ScenarioError(f"{where} is not an object")
+    return value
+
+
+def _array(obj: dict[str, Any], key: str) -> list[Any]:
+    """The JSON array under ``key``; an absent key reads []."""
+    value = obj.get(key, [])
+    if not isinstance(value, list):
+        raise ScenarioError(f"{key} is not an array")
+    return value
+
+
+def _check_keys(obj: Any, allowed: frozenset[str], where: str) -> None:
+    if not allowed.issuperset(_object(obj, where)):
         unknown = ", ".join(sorted(repr(key) for key in obj if key not in allowed))
         raise ScenarioError(f"{where} has unknown keys {unknown}")
 
@@ -465,9 +479,8 @@ def ground_truth(scenario: Scenario) -> list[tuple[int | None, int | None]]:
         if not detected:
             results.append((None, end))
             continue
-        first = min(detected.values())
-        pool = {event_id for event_id, at in detected.items() if at == first}
-        results.append((pick_winner(pool, preferred_at[index].get(first)), first))
+        winner, first, _ = decide(detected, preferred_at[index])
+        results.append((winner, first))
     return results
 
 

@@ -5,10 +5,11 @@ delivered by transactions), absolute / relative timers, and conditional
 events over the valuation of external variables. An event is detected from
 the activation of its choice on. This module holds the event kinds, the
 binding rule (``check_bindings``) that scenarios and contracts apply, and
-the tie-break rules (``prefer`` and ``pick_winner``) and the timer rule
-(``timer_fire``) that the contracts and the ground truth call. The
-continual and transaction-driven executors over dense traces, against which
-the ground truth is tested, live with the tests as their reference.
+the rules the contracts and the ground truth call, which differ only in
+how they date what they detect: ``prefer``, ``timer_fire`` and the one
+decision rule ``decide``. The continual and transaction-driven executors
+over dense traces, against which the ground truth is tested, live with
+the tests as their reference.
 
 Timestamps and data values are unsigned 64-bit words. ``NEVER`` is the
 largest representable word and doubles as the "not detected" sentinel;
@@ -144,10 +145,13 @@ def prefer(
         preferred_at.setdefault(at, named)
 
 
-def pick_winner(detected: set[int], preferred: int | None) -> int | None:
-    """Deterministic tie-break: the preferred event if detected, else lowest id."""
-    if not detected:
-        return None
-    if preferred is not None and preferred in detected:
-        return preferred
-    return min(detected)
+def decide(detected: Mapping[int, int], preferred_at: Mapping[int, int]) -> tuple[int, int, bool]:
+    """The decision rule of a deferred choice over its non-empty
+    ``detected`` record (event id -> detection timestamp): the earliest
+    detection wins, and of events tied with it the preference at that
+    timestamp, if it is one of them, else the lowest id. Returns the winner,
+    its timestamp and whether another event tied with it."""
+    at = min(detected.values())
+    tied = [event_id for event_id, detected_at in detected.items() if detected_at == at]
+    preferred = preferred_at.get(at)
+    return (preferred if preferred in tied else min(tied)), at, len(tied) > 1

@@ -37,7 +37,6 @@ from deferred_choice.semantics import (
     RelativeTimer,
     SemanticsError,
     check_events,
-    pick_winner,
 )
 
 ExplicitLog = Sequence[tuple[int, int]]  # (event id, timestamp) per delivered message
@@ -144,6 +143,16 @@ def detected_set(
     explicit_now: frozenset[int] | set[int],
 ) -> set[int]:
     return {e.id for e in events if detect(e, activation, state, explicit_now)}
+
+
+def pick_winner(detected: set[int], preferred: int | None) -> int | None:
+    """The tie-break, stated here apart from ``semantics.decide``: the
+    preferred event if detected, else the lowest id; None if none is."""
+    if not detected:
+        return None
+    if preferred is not None and preferred in detected:
+        return preferred
+    return min(detected)
 
 
 def initial_state(

@@ -12,6 +12,7 @@ import pytest
 
 import deferred_choice
 from deferred_choice import wordcodec as wc
+from deferred_choice.choice import DeferredChoiceContract
 from deferred_choice.cli import DEFAULT_SEED, main
 from deferred_choice.expr import (
     And,
@@ -218,6 +219,37 @@ def test_criterion_3_oracle_equivalence(inputs):
         f"scenarios x {len(TRANSACTION_DRIVEN_VARIANTS)} variants agree with the "
         f"reference executor in {elapsed:.1f}s"
     )
+
+
+def test_criterion_3_detections_recorded_once(monkeypatch):
+    """Over criterion 3's fuzz inputs at seed 2104 under every variant, no
+    call changes a detection a contract recorded before it, and a decided
+    contract's winner is dated as its record dates it."""
+    handle = DeferredChoiceContract.handle
+    contracts = {}
+    changed = []
+
+    def recording(contract, ctx, function, payload):
+        contracts[id(contract)] = contract
+        before = dict(contract.detected)
+        try:
+            handle(contract, ctx, function, payload)
+        finally:
+            if any(contract.detected[eid] != at for eid, at in before.items()):
+                changed.append((contract.kind, function, before, dict(contract.detected)))
+
+    monkeypatch.setattr(DeferredChoiceContract, "handle", recording)
+    decided = 0
+    for scenario in EQUIVALENCE_INPUTS["fuzz-2104"]():
+        for variant in ALL_VARIANTS:
+            contracts.clear()
+            run(scenario.with_variant(variant))
+            for contract in contracts.values():
+                if contract.winner is not None:
+                    decided += 1
+                    assert contract.winner_detection_ts == contract.detected[contract.winner]
+    assert changed == []
+    assert decided > 5000
 
 
 def test_criterion_4_earliest_detection_against_brute_force():

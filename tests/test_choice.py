@@ -21,6 +21,7 @@ from deferred_choice.oracles import (
     Answer,
     Architecture,
     Delivery,
+    OracleProvider,
     OracleVariant,
     make_oracle_contract,
 )
@@ -391,6 +392,69 @@ def test_pubsub_unsubscribes_after_winner():
         r for r in report.receipts if r.tx.function == "push" and r.mined_at > final
     ]
     assert late_pushes == []
+
+
+# --- entry points per delivery -------------------------------------------------------
+
+
+def _replay_with_stray_call(variant, function, payload):
+    """Table1's events with d_w held at 0 from block 1 and the choice
+    activated at block 2; at block 4 a ``function`` call with ``payload``,
+    then a trigger. Returns the contract and every receipt."""
+    chain = Chain()
+    oracle = make_oracle_contract(variant, "d_w")
+    chain.deploy(oracle)
+    provider = OracleProvider(chain, oracle)
+    contract = DeferredChoiceContract(table1_scenario().choices[0].events, variant, {E_W: oracle})
+    chain.deploy(contract)
+    provider.on_external_update(0, 1)
+    receipts = []
+    for block in range(1, 7):
+        if block == 2:
+            chain.submit(Transaction("sim", contract.address, "activate", encode_activate(None)))
+        if block == 4:
+            chain.submit(Transaction("sim", contract.address, function, payload(oracle)))
+            chain.submit(
+                Transaction("sim", contract.address, "try_trigger", encode_trigger(None, None))
+            )
+        mined = chain.step()
+        if not variant.synchronous:
+            provider.after_block(mined, chain.height)
+        receipts += mined
+    return contract, receipts
+
+
+@pytest.mark.parametrize(
+    "variant",
+    [v for v in ALL_VARIANTS if v.architecture.delivery is not Delivery.PUSH],
+    ids=lambda v: v.id,
+)
+def test_push_exists_only_for_push_delivery(variant):
+    # a stray push of the value 0 naming the bound oracle: a contract that
+    # took it could finalize event 1 (d_w >= 2), which never held
+    contract, receipts = _replay_with_stray_call(
+        variant, "push", lambda oracle: wc.encode_words(oracle.address, 4, 0)
+    )
+    pushes = [(r.status, r.revert_reason) for r in receipts if r.tx.function == "push"]
+    assert pushes == [("reverted", "unknown function 'push'")]
+    assert contract.winner is None
+    assert all(r.status == "ok" for r in receipts if r.tx.function != "push")
+
+
+@pytest.mark.parametrize(
+    "variant",
+    [v for v in ALL_VARIANTS if v.architecture.delivery is not Delivery.CALLBACK],
+    ids=lambda v: v.id,
+)
+def test_oracle_callback_exists_only_for_callback_delivery(variant):
+    contract, receipts = _replay_with_stray_call(
+        variant, "oracle_callback", lambda oracle: wc.encode_words(1, 0)
+    )
+    callbacks = [
+        (r.status, r.revert_reason) for r in receipts if r.tx.function == "oracle_callback"
+    ]
+    assert callbacks == [("reverted", "unknown function 'oracle_callback'")]
+    assert contract.winner is None
 
 
 # --- construction guards ------------------------------------------------------------

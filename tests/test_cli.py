@@ -116,6 +116,11 @@ MALFORMED = {
     "preferred-misspelt": _set(("timeline", 4, "prefered"), 3),
     "deadline-misspelt": _set(("choices", 0, "events", 0, "dealine"), 5),
     "unknown-top-level-key": _set(("bogus",), 1),
+    # the lists of a scenario file are JSON arrays of objects
+    "timeline-object": _set(("timeline",), {}),
+    "timeline-string": _set(("timeline",), ""),
+    "oracles-string": _set(("oracles",), "ab"),
+    "action-not-object": _set(("timeline", 0), "update"),
     # fields the action's kind does not take
     "trigger-with-event": _stray(None, event=3),
     "activate-with-event": _stray(1, event=3),
@@ -160,6 +165,24 @@ def test_condition_naming_another_variable_is_reported(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: event 1 references ['y'] but the bound oracle provides ['d_w']\n"
     )
+
+
+@pytest.mark.parametrize(
+    "case, error",
+    [
+        ("timeline-object", "timeline is not an array"),
+        ("timeline-string", "timeline is not an array"),
+        ("oracles-string", "oracles is not an array"),
+        ("action-not-object", "action is not an object"),
+    ],
+)
+def test_non_array_or_non_object_is_reported_by_name(tmp_path, capsys, case, error):
+    obj = json.loads(TABLE1.read_text())
+    MALFORMED[case](obj)
+    scenario = tmp_path / "bad.json"
+    scenario.write_text(json.dumps(obj))
+    assert main(["run", str(scenario), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {error}\n"
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_FILES))

@@ -18,6 +18,7 @@ from deferred_choice.semantics import (
     EventSpec,
     Message,
     RelativeTimer,
+    decide,
 )
 from reference import (
     ChoiceState,
@@ -30,6 +31,7 @@ from reference import (
     earliest_any_detection,
     earliest_detection,
     initial_state,
+    pick_winner,
     run_continual,
     successor,
     transaction_step,
@@ -233,6 +235,38 @@ def test_transaction_step_rejects_decided_state():
 def test_run_continual_table_trace():
     final = run_continual(EVENTS, trace(73, 78), [(E_C, 78)], {78: E_C})
     assert final == ChoiceState(S1, S4, E_D)
+
+
+# --- decision rule -------------------------------------------------------------------
+
+
+def test_decide_earliest_detection_wins():
+    assert decide({0: 76, 1: 77, 2: 78}, {}) == (0, 76, False)
+    # a preference breaks only a tie at its own timestamp
+    assert decide({3: 5, 1: 9}, {9: 1}) == (3, 5, False)
+
+
+def test_decide_tie_goes_to_the_preference_at_its_timestamp():
+    assert decide({0: 6, 1: 6, 2: 6}, {6: 2}) == (2, 6, True)
+
+
+def test_decide_tie_goes_to_lowest_id_unless_a_tied_event_is_preferred():
+    assert decide({2: 6, 1: 6}, {}) == (1, 6, True)
+    assert decide({2: 6, 1: 6}, {5: 2}) == (1, 6, True)  # preferred at another time
+    assert decide({2: 6, 1: 6, 0: 9}, {6: 0}) == (1, 6, True)  # preferred, not tied
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.dictionaries(st.integers(0, 5), st.integers(0, 4), min_size=1),
+    st.dictionaries(st.integers(0, 4), st.integers(0, 6)),
+)
+def test_decide_agrees_with_the_reference_tie_break(detected, preferred_at):
+    winner, at, tied = decide(detected, preferred_at)
+    pool = {eid for eid, detected_at in detected.items() if detected_at == at}
+    assert at == min(detected.values())
+    assert tied == (len(pool) > 1)
+    assert winner == pick_winner(pool, preferred_at.get(at))
 
 
 # --- properties --------------------------------------------------------------------
