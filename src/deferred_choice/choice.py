@@ -12,8 +12,8 @@ rest:
   activation (on-chain or off-chain history, pub/sub) a
   ``transaction-driven`` contract dates each event at the earliest
   timestamp it could have been detected, a timer at its fire time; a
-  regular variant reads each served slice into the one ``oracles.History``
-  its oracle keeps for its activation timestamp and scans it there. With
+  regular variant scans its condition over each served slice, an answer
+  its oracle contract keeps for every consumer handed that payload. With
   only the current value (storage, request-response) a ``continual``
   contract is the naive baseline: a condition that holds is dated at the
   answer's horizon, a fired timer at the wake that first sees it;
@@ -35,9 +35,7 @@ from .oracles import (  # SemanticsKind is re-exported for bench/fuzzgen.py
     Answer,
     AsyncOracle,
     Delivery,
-    History,
     OracleVariant,
-    Scan,
     SemanticsKind,
     SyncOracle,
 )
@@ -122,11 +120,8 @@ class DeferredChoiceContract(Contract):
         # host-side only: the tie-break preference at each waking timestamp
         self._preferred_at: dict[int, int] = {}
         self._cond_clear: dict[int, int] = {}
-        # host-side only: the query parameters of each event, and the shared
-        # reader of its served slices with its condition's scan there
-        # (regular history variants)
+        # host-side only: the query parameters of each event
         self._params_of: dict[int, bytes] = {}
-        self._histories: dict[int, tuple[History, Scan]] = {}
         self._pending: dict[int, int] = {}
         self._corr_seq = 0
 
@@ -173,16 +168,9 @@ class DeferredChoiceContract(Contract):
         from the current value, ``horizon`` if the condition holds; else
         NEVER. Consumers sent one payload decode its words once."""
         if self.has_history and not self.variant.conditional:
-            # consumers that activated together are served one window: they
-            # read it into one reader and share a scan per condition, each
-            # answered from the change points it was served
-            shared = self._histories.get(eid)
-            if shared is None:
-                reader = self.oracles[eid].reader(self.activation_ts)
-                scan = reader.scan(self.activation_ts, self._conditions[eid])
-                shared = self._histories[eid] = (reader, scan)
-            reader, scan = shared
-            return scan.first(self.activation_ts, reader.extend(payload, index))[0]
+            return self.oracles[eid].first_held(
+                payload, index, self._conditions[eid], self.activation_ts
+            )
         word = _words(payload, index + 1)[index]
         if self.has_history:  # a conditional history answers the date itself
             return word

@@ -10,7 +10,8 @@ Subcommands:
   report.csv and a globally min-max normalized heatmap.csv.
 
 ``--gas-schedule`` accepts a JSON file overriding schedule constants, e.g.
-``{"tx_base": 30000, "deploy_per_contract": {"storage-oracle": 1}}``.
+``{"tx_base": 30000, "deploy_per_contract": {"storage-oracle": 1}}``;
+``deploy_per_contract`` names only kinds that some variant deploys.
 """
 
 from __future__ import annotations
@@ -74,7 +75,11 @@ def _load_schedule(path: str | None) -> GasSchedule:
         return schedule
     try:
         with open(path, encoding="utf-8") as handle:
-            return schedule.with_overrides(json.load(handle))
+            loaded = schedule.with_overrides(json.load(handle))
+        unknown = sorted(set(loaded.deploy_per_contract) - set(schedule.deploy_per_contract))
+        if unknown:
+            raise LedgerError(f"deploy_per_contract names kinds nothing deploys: {unknown}")
+        return loaded
     # ValueError covers undecodable text and JSON, and over-long integers
     except (OSError, ValueError, RecursionError, LedgerError) as error:
         raise _InputError(f"gas schedule {path}: {error}") from None
@@ -82,7 +87,10 @@ def _load_schedule(path: str | None) -> GasSchedule:
 
 def _out_dir(path: str) -> Path:
     out = Path(path)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as error:
+        raise _InputError(f"output directory {path}: {error}") from None
     return out
 
 

@@ -48,12 +48,11 @@ only: the bytes served and charged, and therefore gas, are those of a
 fresh encoding of the window and a scan of it from its start, which
 charges the change points examined.
 
-On the consumer side an oracle contract keeps one reader per ``from_ts``
-(``OracleContract.reader``): a ``History`` built only from the slices
-served for that window, which every regular consumer that activated then
-reads into, with one ``Scan`` per condition. Each consumer is answered
-from the first ``count`` change points of its own slice, never from points
-it was not served, and a payload the reader read last is not decoded again.
+A regular consumer answers itself from the bytes it was served alone
+(``OracleContract.first_held``): it reads the slice into a ``History`` of
+its own and scans its condition there. Consumers handed one payload for
+one condition and window share that answer: the oracle contract keeps it
+for as long as the contract lives, which is one replay.
 
 A provider's fan-outs share their bytes too. Within one block it answers
 each distinct query once and sends every consumer that asked it a callback
@@ -197,13 +196,12 @@ class Scan:
         self.advance(change + 1)
         return self.hit and change == self.stop
 
-    def first(self, from_ts: int, count: int) -> tuple[int, int]:
-        """When the condition first holds among the change points before
-        ``count``, dated no earlier than ``from_ts``, or NEVER; and the
-        number of change points examined. A scan that another asker took
-        further answers for those points alone."""
+    def first(self, from_ts: int) -> tuple[int, int]:
+        """When the condition first holds, dated no earlier than ``from_ts``,
+        or NEVER; and the number of change points examined."""
+        count = len(self.times)
         self.advance(count)
-        if self.hit and self.stop < count:
+        if self.hit:
             return max(self.times[self.stop], from_ts), self.stop - self.start + 1
         return NEVER, count - self.start
 
@@ -226,7 +224,7 @@ class History:
     time order, each held once.
 
     The one owner of the variable's representation: ``append`` decides what
-    is a change point, ``since`` writes a served slice and ``extend`` reads
+    is a change point, ``since`` writes a served slice and ``served`` reads
     one. Pairs are encoded into one growing buffer the first time a served
     slice needs them. A condition has one ``Scan`` per window start, so
     asking again, from any time in that window, examines only the change
@@ -240,10 +238,6 @@ class History:
         self._updated = -1  # the time of the latest update; timestamps are not negative
         self._words = bytearray()  # encoded (at, value) pairs, oldest first
         self._scans: dict[tuple[int, exprlang.Expr], Scan] = {}
-        # of the slices ``extend`` reads: the encoded time of their first
-        # change point, and the payload, word index and count read last
-        self._head: bytes | None = None
-        self._last: tuple[bytes, int, int] | None = None
 
     def append(self, at: int, value: int) -> bool:
         """Record an update to ``value`` at ``at``; whether it is a change
@@ -260,36 +254,15 @@ class History:
         self.values.append(value)
         return True
 
-    def extend(self, payload: bytes, index: int) -> int:
-        """Read the slice served at word ``index`` of ``payload``; its number
-        of change points. Every slice starts at this history's first change
-        point, or ``OracleError`` is raised; the pairs this history lacks
-        are appended. Only those are decoded, and a payload that was read
-        last is not decoded again: a fan-out hands every reader one."""
-        last = self._last
-        if last is not None and last[0] is payload and last[1] == index:
-            return last[2]
+    @classmethod
+    def served(cls, variable: str, payload: bytes, index: int) -> History:
+        """The history of ``variable`` in the slice served at word ``index``
+        of ``payload``. A truncated slice raises ``CodecError``."""
         count = wordcodec.decode_word(payload, index)
-        if len(payload) < (index + 1 + 2 * count) * wordcodec.WORD_SIZE:
-            raise wordcodec.CodecError(f"truncated history slice of {count} pairs")
-        known = len(self.times)
-        if count and known:
-            start = (index + 1) * wordcodec.WORD_SIZE
-            head = payload[start : start + wordcodec.WORD_SIZE]
-            if self._head is None:
-                self._head = wordcodec.encode_word(self.times[0])
-            if head != self._head:
-                raise OracleError(
-                    f"slice of {self.variable} starts at {wordcodec.decode_word(head)}, "
-                    f"not at {self.times[0]}"
-                )
-        if count > known:
-            words = wordcodec.decode_words(payload, 2 * (count - known), index + 1 + 2 * known)
-            self.times += words[::2]
-            self.values += words[1::2]
-            self._updated = words[-2]
-        self._last = (payload, index, count)
-        return count
+        words = wordcodec.decode_words(payload, 2 * count, index + 1)
+        history = cls(variable)
+        history.times, history.values = words[::2], words[1::2]
+        return history
 
     def _encoded(self, start: int, stop: int) -> bytes:
         """The change points [start, stop) as a count word followed by each
@@ -333,7 +306,7 @@ class History:
 
         The window starts at the change point in force at ``from_ts``, and
         a hit there counts from ``from_ts``."""
-        return self.scan(from_ts, condition).first(from_ts, len(self.times))
+        return self.scan(from_ts, condition).first(from_ts)
 
 
 def answer_query(
@@ -382,26 +355,29 @@ def answer_query(
 
 class OracleContract(Contract):
     """What both on-chain halves share: the variant, the variable, and the
-    consumer-side readers of the history slices the oracle serves."""
+    consumer-side answers to the history slices the oracle serves."""
 
     def __init__(self, variant: OracleVariant, variable: str):
         super().__init__()
         self.variant = variant
         self.variable = variable
         self.kind = f"{variant.id}-oracle"
-        # host-side only: from_ts -> the reader of the slices served from then
-        self._readers: dict[int, History] = {}
+        # host-side only: (payload, index, condition, from_ts) -> first_held
+        self._first_held: dict[tuple[bytes, int, exprlang.Expr, int], int] = {}
 
-    def reader(self, from_ts: int) -> History:
-        """The ``History`` that consumers asking for the window at
-        ``from_ts`` read their served slices into. Every such consumer is
-        served that one window, so they share one reader, built from the
-        served bytes alone, and one ``Scan`` per condition on it. It lives
-        as long as this contract, which is one replay."""
-        reader = self._readers.get(from_ts)
-        if reader is None:
-            reader = self._readers[from_ts] = History(self.variable)
-        return reader
+    def first_held(
+        self, payload: bytes, index: int, condition: exprlang.Expr, from_ts: int
+    ) -> int:
+        """When ``condition`` first holds, no earlier than ``from_ts``, in
+        the slice served at word ``index`` of ``payload``, or NEVER. Every
+        consumer handed that payload gets one answer, which lives as long as
+        this contract, so one replay."""
+        key = (payload, index, condition, from_ts)
+        found = self._first_held.get(key)
+        if found is None:
+            history = History.served(self.variable, payload, index)
+            found = self._first_held[key] = history.earliest(from_ts, condition)[0]
+        return found
 
 
 class SyncOracle(OracleContract):

@@ -4,7 +4,7 @@ Every payload is a sequence of 32-byte words with scalar values stored
 big-endian in the low-order bytes. Expression text is a length word
 followed by UTF-8 bytes zero-padded to the next word boundary. A history
 slice is a count word followed by that many (timestamp, value) word pairs;
-``oracles.History`` both writes it (``since``) and reads it (``extend``).
+``oracles.History`` both writes it (``since``) and reads it (``served``).
 """
 
 from __future__ import annotations

@@ -370,6 +370,7 @@ MALFORMED_SCHEDULES = {
     "unknown-key": '{"tx_bse": 5}',
     "not-an-object": "[1, 2]",
     "deploy-costs-not-an-object": '{"deploy_per_contract": 7}',
+    "deploy-cost-of-no-contract-kind": '{"deploy_per_contract": {"storage-orcale": 1}}',
     "invalid-json": '{"tx_base": ',
     "not-utf8": b'{"tx_base": "\xff"}',
     "integer-5000-digits": '{"tx_base": ' + "9" * 5000 + "}",
@@ -391,6 +392,27 @@ def test_malformed_gas_schedule_exits_2(tmp_path, capsys, case):
         assert main(["--gas-schedule", str(schedule), *command, "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith(f"error: gas schedule {schedule}: ")
     assert not out.exists()
+
+
+def test_gas_schedule_names_the_kind_nothing_deploys(tmp_path, capsys):
+    schedule = tmp_path / "schedule.json"
+    schedule.write_text(MALFORMED_SCHEDULES["deploy-cost-of-no-contract-kind"])
+    out = tmp_path / "out"
+    assert main(["--gas-schedule", str(schedule), "run", str(TABLE1), "--out", str(out)]) == 2
+    assert "'storage-orcale'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["run", str(TABLE1)], ["correctness", "--n", "1", "--k", "2"], ["cost", "--c", "1", "--u", "1"]],
+    ids=lambda command: command[0],
+)
+def test_out_naming_a_file_exits_2(tmp_path, capsys, command):
+    out = tmp_path / "taken"
+    out.write_text("kept")
+    assert main([*command, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: output directory {out}: ")
+    assert out.read_text() == "kept"
 
 
 def test_gas_schedule_override(tmp_path):

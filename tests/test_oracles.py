@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from deferred_choice import expr
 from deferred_choice import wordcodec as wc
 from deferred_choice.choice import DeferredChoiceContract, encode_activate, encode_trigger
+from deferred_choice.experiments import gen_cost
 from deferred_choice.expr import evaluate, parse
 from deferred_choice.ledger import Chain, Contract, GasSchedule, Transaction
 from deferred_choice.oracles import (
@@ -25,6 +26,7 @@ from deferred_choice.oracles import (
     SyncOracle,
     make_oracle_contract,
 )
+from deferred_choice.scenario import run as replay
 from deferred_choice.semantics import NEVER, Conditional, EventSpec, Message
 from reference import HistoryEntry, decode_pairs, earliest_satisfied, encode_pairs
 
@@ -356,8 +358,7 @@ def test_conditional_agrees_with_scan_over_regular_slice():
         text = f"d_w >= {rng.randint(1, 5)}"
         condition = parse(text)
         found, _ = history.earliest(from_ts, condition)
-        consumer = History("d_w")
-        consumer.extend(history.since(from_ts), 0)
+        consumer = History.served("d_w", history.since(from_ts), 0)
         assert consumer.earliest(from_ts, condition)[0] == found
 
 
@@ -548,10 +549,9 @@ def history_runs(draw):
 def test_history_matches_stateless_reference(run):
     questions, ops = run
     history = History("d_w")
+    oracle = make_oracle_contract(OracleVariant.parse("onchain-history"), "d_w")
     pairs = []  # the change points: an update that repeats the value is none
     at = -1
-    consumers = [None] * len(questions)
-    starts = [None] * len(questions)
     for op in ops:
         if op[0] == "append":
             at += op[1]
@@ -570,20 +570,16 @@ def test_history_matches_stateless_reference(run):
         window = history.since(from_ts)
         assert window == encode_pairs(in_window)
         # the consumer reads slices at word 0 (on-chain) or after a
-        # correlation word (callback), always from the same from_ts; no
-        # append lands at or before its activation, so its window start
-        # never moves, and here a consumer whose window start moved starts over
-        if starts[number] != in_window[:1]:
-            starts[number], consumers[number] = in_window[:1], History("d_w")
+        # correlation word (callback)
         index = number % 2
         payload = wc.encode_word(number) * index + window
-        consumer = consumers[number]
-        consumer.extend(payload, index)
+        consumer = History.served("d_w", payload, index)
         assert list(zip(consumer.times, consumer.values)) == in_window
         hit = reference_slice_hit(payload, index, condition)
         # a hit on the change point in force at from_ts counts from from_ts
         expected = NEVER if hit == NEVER else max(hit, from_ts)
         assert consumer.earliest(from_ts, condition)[0] == expected
+        assert oracle.first_held(payload, index, condition, from_ts) == expected
     assert list(zip(history.times, history.values)) == pairs
 
 
@@ -619,31 +615,13 @@ def test_history_append_records_change_points_only():
     assert history.since(0) == served == encode_pairs([(2, 0), (5, 1)])
 
 
-def test_history_extend_reads_only_new_pairs():
-    """Each slice extends the last, so ``extend`` decodes its count word and
-    the pairs it does not hold yet."""
-    served = History("d_w")
-    consumer = History("d_w")
-    for at, value in ((1, 0), (3, 4), (6, 2)):
-        served.append(at, value)
-        payload = wc.encode_word(9) + served.since(2)  # after a correlation word
-        with (
-            mock.patch.object(wc, "decode_word", wraps=wc.decode_word) as word,
-            mock.patch.object(wc, "decode_words", wraps=wc.decode_words) as words,
-        ):
-            consumer.extend(payload, 1)
-        decoded = word.call_count + sum(call.args[1] for call in words.call_args_list)
-        assert decoded == 1 + 2
-    assert (consumer.times, consumer.values) == ([1, 3, 6], [0, 4, 2])
-
-
-def test_history_extend_rejects_truncated_slice():
+def test_history_served_rejects_truncated_slice():
     payload = encode_pairs([(1, 0), (2, 5)])[: -wc.WORD_SIZE]
     with pytest.raises(wc.CodecError):
-        History("d_w").extend(payload, 0)
+        History.served("d_w", payload, 0)
 
 
-# --- shared consumer-side readers ---------------------------------------------
+# --- consumer-side answers ------------------------------------------------------
 
 
 def served_slices(pairs):
@@ -656,47 +634,47 @@ def served_slices(pairs):
     return slices
 
 
-def test_shared_reader_answers_each_reader_from_its_own_count():
-    """A reader that was served fewer change points than the shared history
-    holds gets no answer from the points it was not served."""
+def test_first_held_answers_each_slice_from_its_own_points():
+    """A consumer served fewer change points than another gets no answer
+    from the points it was not served."""
     short, long = served_slices([(1, 0), (3, 1), (6, 4)])[1:]
-    reader = History("d_w")
-    scan = reader.scan(2, parse("d_w >= 4"))
-    assert reader.extend(long, 0) == 3
-    assert reader.extend(short, 0) == 2
-    assert scan.first(2, 2) == (NEVER, 2)  # the hit at 6 lies past its count
-    assert scan.first(2, 3) == (6, 3)
-    assert reader.times == [1, 3, 6]
-
-
-def test_shared_reader_decodes_a_repeated_payload_once():
-    """Readers handed one payload object decode it once, and get its count."""
-    payload = wc.encode_word(7) + served_slices([(1, 0), (3, 1)])[-1]
-    reader = History("d_w")
-    assert reader.extend(payload, 1) == 2
-    with (
-        mock.patch.object(wc, "decode_word", wraps=wc.decode_word) as word,
-        mock.patch.object(wc, "decode_words", wraps=wc.decode_words) as words,
-    ):
-        assert reader.extend(payload, 1) == 2
-    assert word.call_count == words.call_count == 0
-    # an equal payload that is another object is read again
-    assert reader.extend(bytes(bytearray(payload)), 1) == 2
-    assert (reader.times, reader.values) == ([1, 3], [0, 1])
-
-
-def test_shared_reader_rejects_a_slice_with_another_first_change_point():
-    reader = History("d_w")
-    reader.extend(encode_pairs([(1, 0), (3, 1)]), 0)
-    with pytest.raises(OracleError, match="starts at 3, not at 1"):
-        reader.extend(encode_pairs([(3, 1), (6, 4)]), 0)
-    assert reader.extend(encode_pairs([(1, 0), (3, 1), (6, 4)]), 0) == 3
+    oracle = make_oracle_contract(OracleVariant.parse("onchain-history"), "d_w")
+    condition = parse("d_w >= 4")
+    assert oracle.first_held(long, 0, condition, 2) == 6
+    assert oracle.first_held(short, 0, condition, 2) == NEVER  # 6 lies past its slice
+    assert oracle.first_held(long, 0, parse("d_w >= 1"), 2) == 3
 
 
 @pytest.mark.parametrize("variant_id", ["onchain-history", "offchain-history"])
-def test_oracle_keeps_one_reader_per_window_start(variant_id):
+def test_first_held_decodes_a_repeated_payload_once(variant_id):
+    """Consumers handed one payload for one condition and window get one
+    answer: the slice is decoded and scanned once per oracle contract, so
+    once per replay, and a fresh contract reads it again."""
+    payload = wc.encode_word(7) + served_slices([(1, 0), (3, 1)])[-1]
+    condition = parse("d_w >= 1")
     oracle = make_oracle_contract(OracleVariant.parse(variant_id), "d_w")
-    first = oracle.reader(73)
-    assert oracle.reader(73) is first
-    assert oracle.reader(74) is not first
-    assert make_oracle_contract(oracle.variant, "d_w").reader(73) is not first
+    assert oracle.first_held(payload, 1, condition, 2) == 3
+    with (
+        mock.patch.object(wc, "decode_word", wraps=wc.decode_word) as word,
+        mock.patch.object(wc, "decode_words", wraps=wc.decode_words) as words,
+        mock.patch.object(expr, "evaluate", wraps=evaluate) as evaluated,
+    ):
+        assert oracle.first_held(payload, 1, condition, 2) == 3
+        assert oracle.first_held(bytes(bytearray(payload)), 1, condition, 2) == 3
+        assert word.call_count == words.call_count == evaluated.call_count == 0
+        fresh = make_oracle_contract(oracle.variant, "d_w")
+        assert fresh.first_held(payload, 1, condition, 2) == 3
+        assert (word.call_count, words.call_count, evaluated.call_count) == (1, 1, 2)
+
+
+@pytest.mark.parametrize("variant_id", ["onchain-history", "offchain-history"])
+def test_regular_history_replays_do_equal_work(variant_id):
+    """Answers live for one replay: a replay repeated at once does the work
+    of the first, none of it answered from a memo the first one filled."""
+    scenario = gen_cost(20, 10, OracleVariant.parse(variant_id))
+    counts = []
+    for _ in range(2):
+        with mock.patch.object(expr, "evaluate", wraps=evaluate) as evaluated:
+            assert replay(scenario).correct
+        counts.append(evaluated.call_count)
+    assert counts[0] == counts[1]

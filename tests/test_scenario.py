@@ -486,8 +486,8 @@ def test_choices_sharing_a_reader_decide_as_each_alone(variant_id):
 
 @pytest.mark.parametrize("variant_id", ["onchain-history", "offchain-history"])
 def test_regular_history_consumers_scan_each_change_point_once(variant_id):
-    # consumers that activate together share one reader and one scan of
-    # their condition, so the evaluations do not grow with their number
+    # consumers that activate together are handed one payload per answer
+    # and share its scan, so the evaluations do not grow with their number
     counts = []
     for c in (1, 20):
         scenario = gen_cost(c, 10, OracleVariant.parse(variant_id))
