@@ -7,37 +7,34 @@ record with ``semantics.decide`` once no unseen event could still come
 first. The two axes of its oracle architecture (see ``oracles``) fix the
 rest:
 
-* the answer fixes how detections are dated, and so the semantics. An
-  answer reads as a timestamp, NEVER if not detected. With a history since
-  activation (on-chain or off-chain history, pub/sub) a
+* the answer fixes how detections are dated, and so the semantics. The
+  contract asks with the parameters its oracle contract builds
+  (``OracleContract.params``) and hands each answer to that contract's
+  ``dated``, which reads it as a timestamp, NEVER if not detected. With a
+  history since activation (on-chain or off-chain history, pub/sub) a
   ``transaction-driven`` contract dates each event at the earliest
-  timestamp it could have been detected, a timer at its fire time; a
-  regular variant scans its condition over each served slice, an answer
-  its oracle contract keeps for every consumer handed that payload. With
+  timestamp it could have been detected, a timer at its fire time. With
   only the current value (storage, request-response) a ``continual``
   contract is the naive baseline: a condition that holds is dated at the
   answer's horizon, a fired timer at the wake that first sees it;
-* the delivery fixes how an evaluation runs and the entry points: a sync
-  contract reads its oracles inline; a callback contract issues correlated
-  queries and takes ``oracle_callback``; a push contract takes ``push``
-  and accumulates pushed change points instead of querying.
+* the delivery fixes the transport and the entry points: a sync contract
+  reads its oracles inline; a callback contract issues correlated queries
+  and takes ``oracle_callback``; a push contract takes ``push`` and
+  accumulates pushed change points instead of querying.
 """
 
 from __future__ import annotations
 
-import functools
 from collections.abc import Mapping, Sequence
 
-from . import expr as exprlang
 from . import wordcodec
 from .ledger import Contract, ExecutionContext, Revert
 from .oracles import (  # SemanticsKind is re-exported for bench/fuzzgen.py
-    Answer,
-    AsyncOracle,
     Delivery,
+    OracleContract,
     OracleVariant,
     SemanticsKind,
-    SyncOracle,
+    leading_words,
 )
 from .semantics import (
     NEVER,
@@ -60,14 +57,6 @@ def _optional(value: int) -> int | None:
     return None if value == NIL else value
 
 
-@functools.lru_cache(maxsize=1024)
-def _words(payload: bytes, count: int) -> tuple[int, ...]:
-    """The first ``count`` words of ``payload``. An activate, trigger or push
-    payload is shared by every contract it is sent to, so each is decoded
-    once while it stays among the most recently used."""
-    return tuple(wordcodec.decode_words(payload, count))
-
-
 def encode_activate(preferred: int | None) -> bytes:
     return wordcodec.encode_word(NIL if preferred is None else preferred)
 
@@ -86,7 +75,7 @@ class DeferredChoiceContract(Contract):
         self,
         events: Sequence[EventSpec],
         variant: OracleVariant,
-        oracles: Mapping[int, SyncOracle | AsyncOracle],
+        oracles: Mapping[int, OracleContract],
     ):
         super().__init__()
         check_bindings(events, oracles, variant.architecture.delivery is Delivery.PUSH)
@@ -95,7 +84,7 @@ class DeferredChoiceContract(Contract):
         self.kind = f"{variant.id}-choice"
         self.oracles = dict(oracles)
         # the architecture's row, resolved once per contract
-        self.has_history = variant.architecture.answer is Answer.HISTORY
+        self.has_history = not variant.baseline
         self.delivery = variant.architecture.delivery
         # history answers that arrive in their own transaction are stored
         self._stores_answers = self.has_history and self.delivery is not Delivery.SYNC
@@ -148,36 +137,14 @@ class DeferredChoiceContract(Contract):
                 self.oracles[eid].unsubscribe(ctx, self.address)
 
     def _params(self, eid: int) -> bytes:
-        """Query or subscription parameters of event ``eid``, built once: the
-        activation time when the contract queries a history, then the
-        condition text of a conditional variant. A subscription names no
-        time; it starts when it is made."""
+        """Query or subscription parameters of event ``eid``, built once by
+        its oracle contract."""
         params = self._params_of.get(eid)
         if params is None:
-            params = b""
-            if self.has_history and self.delivery is not Delivery.PUSH:
-                params = wordcodec.encode_word(self.activation_ts)
-            if self.variant.conditional:
-                params += wordcodec.encode_text(exprlang.render(self._conditions[eid]))
-            self._params_of[eid] = params
-        return params
-
-    def _read(self, eid: int, payload: bytes, index: int, horizon: int) -> int:
-        """When the answer for event ``eid`` at word ``index`` of ``payload``
-        dates it: from a history, its earliest detection since activation;
-        from the current value, ``horizon`` if the condition holds; else
-        NEVER. Consumers sent one payload decode its words once."""
-        if self.has_history and not self.variant.conditional:
-            return self.oracles[eid].first_held(
-                payload, index, self._conditions[eid], self.activation_ts
+            params = self._params_of[eid] = self.oracles[eid].params(
+                self._conditions[eid], self.activation_ts
             )
-        word = _words(payload, index + 1)[index]
-        if self.has_history:  # a conditional history answers the date itself
-            return word
-        holds = word if self.variant.conditional else exprlang.evaluate(
-            self._conditions[eid], {self.oracles[eid].variable: word}
-        )
-        return horizon if holds else NEVER
+        return params
 
     def _note(self, ctx: ExecutionContext, eid: int, at: int, horizon: int) -> None:
         """Record event ``eid`` as detected at ``at`` if it is not yet, or as
@@ -208,7 +175,7 @@ class DeferredChoiceContract(Contract):
         if self.activation_ts is not None:
             raise Revert("already activated")
         now = ctx.block_time
-        prefer(self._preferred_at, now, _optional(_words(payload, 1)[0]))
+        prefer(self._preferred_at, now, _optional(leading_words(payload, 1)[0]))
         self.activation_ts = now
         self._timers = sorted(
             (timer_fire(e.kind, now), e.id)
@@ -232,7 +199,7 @@ class DeferredChoiceContract(Contract):
         if self.winner is not None:
             ctx.log(self.address, "already_decided")
             return
-        preferred, message_event = map(_optional, _words(payload, 2))
+        preferred, message_event = map(_optional, leading_words(payload, 2))
         if message_event is not None:
             if message_event >= len(self.events) or not isinstance(
                 self.events[message_event].kind, Message
@@ -252,7 +219,9 @@ class DeferredChoiceContract(Contract):
         clear_floor = None
         if self.delivery is Delivery.SYNC:
             for eid in self.cond_ids:
-                at = self._read(eid, self.oracles[eid].query(ctx, self._params(eid)), 0, now)
+                oracle = self.oracles[eid]
+                answer = oracle.query(ctx, self._params(eid))
+                at = oracle.dated(answer, 0, self._conditions[eid], self.activation_ts, now)
                 self._note(ctx, eid, at, now)
         elif self.delivery is Delivery.CALLBACK:
             needed = tuple(eid for eid in self.cond_ids if eid not in self.detected)
@@ -285,13 +254,16 @@ class DeferredChoiceContract(Contract):
             return  # late callbacks are accepted and ignored
         # the correlation word and the answer's first word, decoded once
         # for every consumer a fan-out sends this payload
-        corr = _words(payload, 2)[0]
+        corr = leading_words(payload, 2)[0]
         if corr not in self._pending:
             raise Revert(f"unknown correlation id {corr}")
         eid = self._pending.pop(corr)
         ctx.write(self.storage, f"pending:{corr}", 0)
         horizon = self.storage["inflight_horizon"]
-        self._note(ctx, eid, self._read(eid, payload, 1, horizon), horizon)
+        at = self.oracles[eid].dated(
+            payload, 1, self._conditions[eid], self.activation_ts, horizon
+        )
+        self._note(ctx, eid, at, horizon)
         if self._pending:
             return
         ctx.write(self.storage, "inflight_horizon", 0)
@@ -304,18 +276,16 @@ class DeferredChoiceContract(Contract):
             raise Revert("not activated")
         if self.winner is not None:
             return  # pushes racing the decision are ignored
-        # a conditional push signals the condition; a regular one carries
-        # the new value
-        words = _words(payload, 2 if self.variant.conditional else 3)
-        oracle_address, at = words[0], words[1]
+        # the (oracle, at) header; its oracle contract reads the rest
+        oracle_address, at = leading_words(payload, 2)
         if oracle_address not in self._oracle_event:
             raise Revert(f"push from unbound oracle {oracle_address}")
         eid = self._oracle_event[oracle_address]
         if eid not in self.detected:
-            holds = self.variant.conditional or exprlang.evaluate(
-                self._conditions[eid], {self.oracles[eid].variable: words[2]}
+            found = self.oracles[eid].dated(
+                payload, 2, self._conditions[eid], self.activation_ts, at
             )
-            self._note(ctx, eid, at if holds else NEVER, at)
+            self._note(ctx, eid, found, at)
         # other oracles and message transactions may still land in this very
         # block, so a push only certifies the world through the previous step;
         # in the block after activation the other catch-up pushes of the

@@ -86,6 +86,7 @@ def _load_schedule(path: str | None) -> GasSchedule:
 
 
 def _out_dir(path: str) -> Path:
+    """The output directory, made before any work, so an unusable one fails at once."""
     out = Path(path)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -94,17 +95,24 @@ def _out_dir(path: str) -> Path:
     return out
 
 
+def _write(writer: Callable[[Path, object], None], path: Path, rows: object) -> None:
+    """Write ``rows`` to ``path`` with ``writer``; an unwritable path is an input error."""
+    try:
+        writer(path, rows)
+    except OSError as error:
+        raise _InputError(f"output file {path}: {error}") from None
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     schedule = _load_schedule(args.gas_schedule)
     try:
         scenario = Scenario.from_json(Path(args.scenario).read_bytes())
-        report = run(scenario, schedule)
     except (OSError, ScenarioError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+        raise _InputError(error) from None
     out = _out_dir(args.out)
-    write_report_csv(out / "report.csv", report_rows([report]))
-    write_receipts_log(out / "receipts.log", [report])
+    report = run(scenario, schedule)
+    _write(write_report_csv, out / "report.csv", report_rows([report]))
+    _write(write_receipts_log, out / "receipts.log", [report])
     winner = "nil" if report.winner is None else report.winner
     print(
         f"{scenario.scenario_id}: winner={winner} truth="
@@ -116,10 +124,10 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_correctness(args: argparse.Namespace) -> int:
     schedule = _load_schedule(args.gas_schedule)
+    out = _out_dir(args.out)
     results = run_correctness_experiment(args.n, args.k, args.variants, args.seed, schedule)
     rows = correctness_rows(results)
-    out = _out_dir(args.out)
-    write_correctness_csv(out / "report.csv", rows)
+    _write(write_correctness_csv, out / "report.csv", rows)
     for row in rows:
         regular = f"{row.regular_pct:5.1f}%" if row.regular_total else "    -"
         conditional = (
@@ -134,10 +142,10 @@ def cmd_correctness(args: argparse.Namespace) -> int:
 
 def cmd_cost(args: argparse.Namespace) -> int:
     schedule = _load_schedule(args.gas_schedule)
-    reports = run_cost_experiment(args.c, args.u, args.variants, schedule)
     out = _out_dir(args.out)
-    write_report_csv(out / "report.csv", report_rows(reports))
-    write_heatmap_csv(out / "heatmap.csv", heatmap_rows(reports))
+    reports = run_cost_experiment(args.c, args.u, args.variants, schedule)
+    _write(write_report_csv, out / "report.csv", report_rows(reports))
+    _write(write_heatmap_csv, out / "heatmap.csv", heatmap_rows(reports))
     print(f"wrote {len(reports)} cells for {len(args.variants)} variants to {out}")
     return 0
 

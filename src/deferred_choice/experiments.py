@@ -389,10 +389,6 @@ def write_heatmap_csv(path: str | Path, rows: Iterable[HeatmapRow]) -> None:
     _write_csv(path, HeatmapRow, rows)
 
 
-def read_heatmap_csv(path: str | Path) -> list[HeatmapRow]:
-    return _read_csv(path, HeatmapRow)
-
-
 def write_receipts_log(path: str | Path, reports: Iterable[ExperimentReport]) -> None:
     """Line-delimited JSON, one record per receipt."""
     with open(path, "w") as handle:

@@ -48,11 +48,13 @@ only: the bytes served and charged, and therefore gas, are those of a
 fresh encoding of the window and a scan of it from its start, which
 charges the change points examined.
 
-A regular consumer answers itself from the bytes it was served alone
-(``OracleContract.first_held``): it reads the slice into a ``History`` of
-its own and scans its condition there. Consumers handed one payload for
-one condition and window share that answer: the oracle contract keeps it
-for as long as the contract lives, which is one replay.
+Each delivery has its own contract class: ``SyncOracle`` (``query``,
+``set``), ``CallbackOracle`` (``request``) and ``PushOracle``
+(``subscribe``, ``unsubscribe``). Each owns the answer protocol:
+``params`` builds what a consumer asks with, ``answer`` (or a push's
+``pushed``) what the oracle replies, and ``dated`` how a reply dates a
+condition. It reads a regular history slice from the bytes served alone;
+consumers handed one payload share the date for one replay.
 
 A provider's fan-outs share their bytes too. Within one block it answers
 each distinct query once and sends every consumer that asked it a callback
@@ -66,6 +68,7 @@ for its provider, so a replay hands only the other providers its blocks.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -78,7 +81,7 @@ from .semantics import NEVER
 
 
 class OracleError(Exception):
-    """Misuse of an oracle interface (e.g. synchronous query on an async one)."""
+    """Misuse of an oracle interface (e.g. an update out of time order)."""
 
 
 class Answer(str, Enum):
@@ -309,75 +312,96 @@ class History:
         return self.scan(from_ts, condition).first(from_ts)
 
 
-def answer_query(
-    known: int | History,
-    params: bytes,
-    conditional: bool,
-    variable: str,
-    ctx: ExecutionContext | None = None,
-) -> bytes:
-    """Answer a query on the current value ``known`` or on a history.
-
-    A history query names the ``from_ts`` word first; a conditional query
-    then names its condition text, and the result is a boolean for the
-    current value and the earliest satisfying timestamp (or NEVER) for a
-    history. An on-chain read passes its ``ctx``, which is charged for the
-    parameters, the bytes scanned to produce the answer and the result; an
-    off-chain answer passes none, and the scanned bytes are not built.
-    """
-    scan = b""
-    if isinstance(known, History):
-        from_ts = wordcodec.decode_word(params, 0)
-        if conditional:
-            condition = exprlang.parse(wordcodec.decode_text(params, 1))
-            found, visited = known.earliest(from_ts, condition)
-            result = wordcodec.encode_word(found)
-            if ctx is not None:
-                scan = known.since(from_ts, visited)
-        else:
-            result = scan = known.since(from_ts)
-    elif conditional:
-        condition = exprlang.parse(wordcodec.decode_text(params, 0))
-        result = wordcodec.encode_bool(exprlang.evaluate(condition, {variable: known}))
-        if ctx is not None:
-            scan = wordcodec.encode_word(known)
-    else:
-        result = scan = wordcodec.encode_word(known)
-    if ctx is not None:
-        ctx.charge_bytes(params)
-        ctx.charge_bytes(scan)
-        ctx.charge_bytes(result)
-    return result
-
-
 # --- on-chain halves --------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=1024)
+def leading_words(payload: bytes, count: int) -> tuple[int, ...]:
+    """The first ``count`` words of ``payload``, decoded once for all the
+    contracts a payload fans out to while it stays recently used."""
+    return tuple(wordcodec.decode_words(payload, count))
+
+
 class OracleContract(Contract):
-    """What both on-chain halves share: the variant, the variable, and the
-    consumer-side answers to the history slices the oracle serves."""
+    """What every on-chain half shares: the variant, the variable, and the
+    answer protocol. A consumer asks with ``params`` and reads each reply
+    with ``dated``; it only carries the bytes."""
 
     def __init__(self, variant: OracleVariant, variable: str):
         super().__init__()
         self.variant = variant
         self.variable = variable
         self.kind = f"{variant.id}-oracle"
-        # host-side only: (payload, index, condition, from_ts) -> first_held
-        self._first_held: dict[tuple[bytes, int, exprlang.Expr, int], int] = {}
+        # a consumer queries a window of the history; a push carries one change
+        arch = variant.architecture
+        self._windowed = arch.answer is Answer.HISTORY and arch.delivery is not Delivery.PUSH
+        # host-side only: (payload, index, condition, from_ts) -> date of a served slice
+        self._slice_dates: dict[tuple[bytes, int, exprlang.Expr, int], int] = {}
 
-    def first_held(
-        self, payload: bytes, index: int, condition: exprlang.Expr, from_ts: int
+    def params(self, condition: exprlang.Expr, from_ts: int) -> bytes:
+        """The parameters asking about ``condition`` since ``from_ts``: the
+        window word when a history is queried, then the condition text of a
+        conditional variant."""
+        params = wordcodec.encode_word(from_ts) if self._windowed else b""
+        if self.variant.conditional:
+            params += wordcodec.encode_text(exprlang.render(condition))
+        return params
+
+    def answer(
+        self, known: int | History, params: bytes, ctx: ExecutionContext | None = None
+    ) -> bytes:
+        """Answer ``params`` on the current value ``known`` or on a history:
+        a regular query with the value or the window's slice, a conditional
+        one with a boolean on the current value and the earliest satisfying
+        timestamp (or NEVER) on a history. An on-chain read passes its
+        ``ctx``, charged for the parameters, the bytes scanned to produce the
+        answer and the result; an off-chain answer passes none, and the
+        scanned bytes are not built."""
+        conditional, scan = self.variant.conditional, b""
+        if isinstance(known, History):
+            from_ts = wordcodec.decode_word(params, 0)
+            if conditional:
+                condition = exprlang.parse(wordcodec.decode_text(params, 1))
+                found, visited = known.earliest(from_ts, condition)
+                result = wordcodec.encode_word(found)
+                if ctx is not None:
+                    scan = known.since(from_ts, visited)
+            else:
+                result = scan = known.since(from_ts)
+        elif conditional:
+            condition = exprlang.parse(wordcodec.decode_text(params, 0))
+            result = wordcodec.encode_bool(exprlang.evaluate(condition, {self.variable: known}))
+            if ctx is not None:
+                scan = wordcodec.encode_word(known)
+        else:
+            result = scan = wordcodec.encode_word(known)
+        if ctx is not None:
+            ctx.charge_bytes(params)
+            ctx.charge_bytes(scan)
+            ctx.charge_bytes(result)
+        return result
+
+    def dated(
+        self, payload: bytes, index: int, condition: exprlang.Expr, from_ts: int, horizon: int
     ) -> int:
-        """When ``condition`` first holds, no earlier than ``from_ts``, in
-        the slice served at word ``index`` of ``payload``, or NEVER. Every
-        consumer handed that payload gets one answer, which lives as long as
-        this contract, so one replay."""
-        key = (payload, index, condition, from_ts)
-        found = self._first_held.get(key)
-        if found is None:
-            history = History.served(self.variable, payload, index)
-            found = self._first_held[key] = history.earliest(from_ts, condition)[0]
-        return found
+        """When the answer at word ``index`` of ``payload`` dates
+        ``condition``, or NEVER: a served slice at its first change point that
+        holds, no earlier than ``from_ts`` (kept for this contract's replay);
+        a conditional history by the date it answers; a current value at
+        ``horizon`` if it holds."""
+        conditional = self.variant.conditional
+        if self._windowed and not conditional:
+            key = (payload, index, condition, from_ts)
+            found = self._slice_dates.get(key)
+            if found is None:
+                history = History.served(self.variable, payload, index)
+                found = self._slice_dates[key] = history.earliest(from_ts, condition)[0]
+            return found
+        word = leading_words(payload, index + 1)[index]
+        if self._windowed:
+            return word
+        holds = word if conditional else exprlang.evaluate(condition, {self.variable: word})
+        return horizon if holds else NEVER
 
 
 class SyncOracle(OracleContract):
@@ -389,8 +413,6 @@ class SyncOracle(OracleContract):
     """
 
     def __init__(self, variant: OracleVariant, variable: str):
-        if not variant.synchronous:
-            raise OracleError(f"{variant.id} is not a synchronous oracle")
         super().__init__(variant, variable)
         # a storage oracle keeps only the current value
         self.history = History(variable) if variant.architecture.answer is Answer.HISTORY else None
@@ -423,36 +445,47 @@ class SyncOracle(OracleContract):
         if answer is None:
             charged = ctx.surcharge
             known = self.storage.get("value", 0) if self.history is None else self.history
-            result = answer_query(known, params, self.variant.conditional, self.variable, ctx)
+            result = self.answer(known, params, ctx)
             answer = self._answers[params] = (result, ctx.surcharge - charged)
         else:
             ctx.surcharge += answer[1]
         return answer[0]
 
 
-class AsyncOracle(OracleContract):
-    """Request-response, off-chain-history and pub/sub contracts: data lives
-    with the provider; the contract only relays queries and subscriptions
-    through the log layer. Pub/sub subscriptions are flagged on-chain, so a
-    duplicate subscribe and an unmatched unsubscribe revert."""
-
-    def __init__(self, variant: OracleVariant, variable: str):
-        if variant.synchronous:
-            raise OracleError(f"{variant.id} is not an asynchronous oracle")
-        super().__init__(variant, variable)
-        self.pushes = variant.architecture.delivery is Delivery.PUSH
-
-    def query(self, ctx: ExecutionContext, params: bytes) -> bytes:
-        raise OracleError("synchronous query on an asynchronous oracle")
+class CallbackOracle(OracleContract):
+    """Request-response and off-chain-history contracts: data lives with the
+    provider; a request is logged as a query event, which the provider
+    answers with a callback transaction."""
 
     def request(self, ctx: ExecutionContext, consumer: int, corr: int, params: bytes) -> None:
-        if self.pushes:
-            raise OracleError("pub/sub oracles are driven by subscriptions, not queries")
         ctx.log(self.address, "query", wordcodec.encode_words(corr, consumer) + params)
 
+
+class PushOracle(OracleContract):
+    """Pub/sub contracts: a subscription is logged for the provider, which
+    pushes each change point (a conditional one only the first that holds).
+    Subscriptions are flagged on-chain, so a duplicate subscribe and an
+    unmatched unsubscribe revert."""
+
+    def dated(
+        self, payload: bytes, index: int, condition: exprlang.Expr, from_ts: int, horizon: int
+    ) -> int:
+        """A pushed change point dates ``condition`` at ``horizon`` if it
+        holds; a conditional push is the bare signal, so it holds."""
+        if self.variant.conditional or exprlang.evaluate(
+            condition, {self.variable: leading_words(payload, index + 1)[index]}
+        ):
+            return horizon
+        return NEVER
+
+    def pushed(self, at: int, value: int) -> bytes:
+        """A push of ``value`` at ``at``: the value itself to a regular
+        subscriber, the bare signal to a conditional one."""
+        if self.variant.conditional:
+            return wordcodec.encode_words(self.address, at)
+        return wordcodec.encode_words(self.address, at, value)
+
     def subscribe(self, ctx: ExecutionContext, subscriber: int, params: bytes) -> None:
-        if not self.pushes:
-            raise OracleError("only pub/sub oracles accept subscriptions")
         key = f"sub:{subscriber}"
         if self.storage.get(key) == 1:
             raise Revert("already subscribed")
@@ -467,10 +500,13 @@ class AsyncOracle(OracleContract):
         ctx.log(self.address, "unsubscribe", wordcodec.encode_word(subscriber))
 
 
+_CONTRACT_CLASS = {
+    Delivery.SYNC: SyncOracle, Delivery.CALLBACK: CallbackOracle, Delivery.PUSH: PushOracle
+}
+
+
 def make_oracle_contract(variant: OracleVariant, variable: str) -> OracleContract:
-    if variant.synchronous:
-        return SyncOracle(variant, variable)
-    return AsyncOracle(variant, variable)
+    return _CONTRACT_CLASS[variant.architecture.delivery](variant, variable)
 
 
 # --- off-chain half ---------------------------------------------------------
@@ -522,19 +558,12 @@ class OracleProvider:
                     continue
                 signaled.append(subscriber)
             if push is None:
-                push = Transaction(self.account, subscriber, "push", self._push_payload(at, value))
+                push = Transaction(self.account, subscriber, "push", self.oracle.pushed(at, value))
             else:
                 push = push.sent_to(subscriber)
             self.chain.submit(push)
         for subscriber in signaled:
             del self.subscriptions[subscriber]
-
-    def _push_payload(self, at: int, value: int) -> bytes:
-        """A push of ``value`` at ``at``: the value itself to a regular
-        subscriber, the bare signal to a conditional one."""
-        if self.variant.conditional:
-            return wordcodec.encode_words(self.oracle.address, at)
-        return wordcodec.encode_words(self.oracle.address, at, value)
 
     # -- log reactions ---------------------------------------------------------
 
@@ -565,7 +594,7 @@ class OracleProvider:
                         if catch_up is None:
                             catch_up = Transaction(
                                 self.account, subscriber, "push",
-                                self._push_payload(block_ts, self.history.values[-1]),
+                                self.oracle.pushed(block_ts, self.history.values[-1]),
                             )
                         else:
                             catch_up = catch_up.sent_to(subscriber)
@@ -595,13 +624,11 @@ class OracleProvider:
     def respond(self, consumer: int, corr: int, params: bytes) -> Transaction:
         """Build the callback transaction answering query ``corr`` of
         ``consumer`` with parameters ``params``."""
-        if self.delivery is not Delivery.CALLBACK:
-            raise OracleError(f"{self.variant.id} does not answer queries")
         if self.answers_history:
             known = self.history
         else:
             known = self.history.values[-1] if self.history.values else 0
-        result = answer_query(known, params, self.variant.conditional, self.variable)
+        result = self.oracle.answer(known, params)
         return Transaction(
             self.account, consumer, "oracle_callback", wordcodec.encode_word(corr) + result
         )

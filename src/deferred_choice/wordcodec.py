@@ -52,10 +52,6 @@ def encode_bool(flag: bool) -> bytes:
     return encode_word(1 if flag else 0)
 
 
-def decode_bool(data: bytes, index: int = 0) -> bool:
-    return decode_word(data, index) != 0
-
-
 def encode_text(text: str) -> bytes:
     raw = text.encode("utf-8")
     padding = (-len(raw)) % WORD_SIZE

@@ -16,7 +16,8 @@ activation on, so this module states the timer rule independently of
 ``semantics.timer_fire``. The tests check the package's closed-form ground
 truth (``scenario.ground_truth``) against ``run_continual`` over the trace
 ``induced_trace`` builds, and the oracle histories against
-``earliest_satisfied`` and the pair codec ``encode_pairs``/``decode_pairs``.
+``earliest_satisfied`` and the pair codec ``encode_pairs``/``decode_pairs``
+(and ``decode_bool``, the boolean answer word).
 """
 
 from __future__ import annotations
@@ -377,6 +378,11 @@ def decode_pairs(data: bytes, index: int = 0) -> list[tuple[int, int]]:
         (wordcodec.decode_word(data, index + 1 + 2 * i), wordcodec.decode_word(data, index + 2 + 2 * i))
         for i in range(count)
     ]
+
+
+def decode_bool(data: bytes, index: int = 0) -> bool:
+    """A boolean word, as a conditional current-value answer carries it."""
+    return wordcodec.decode_word(data, index) != 0
 
 
 _NEGATED_OP = {"<": ">=", "<=": ">", "==": "!=", "!=": "==", ">=": "<", ">": "<="}

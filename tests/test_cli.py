@@ -1,17 +1,24 @@
+import csv
 import json
 from pathlib import Path
 
 import pytest
 
+from deferred_choice import cli
 from deferred_choice.cli import main
-from deferred_choice.experiments import (
-    read_correctness_csv,
-    read_heatmap_csv,
-    read_report_csv,
-)
+from deferred_choice.experiments import HeatmapRow, read_correctness_csv, read_report_csv
 from deferred_choice.scenario import Scenario, ScenarioError
 
 TABLE1 = Path(__file__).resolve().parent.parent / "scenarios" / "table1.json"
+
+
+def read_heatmap_csv(path):
+    """The rows of a written heatmap.csv; the program never reads one back."""
+    with open(path, newline="") as handle:
+        return [
+            HeatmapRow(row["variant"], int(row["c"]), int(row["u"]), float(row["normalized"]))
+            for row in csv.DictReader(handle)
+        ]
 
 
 def test_run_table1(tmp_path):
@@ -402,17 +409,34 @@ def test_gas_schedule_names_the_kind_nothing_deploys(tmp_path, capsys):
     assert "'storage-orcale'" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
+COMMANDS = pytest.mark.parametrize(
     "command",
     [["run", str(TABLE1)], ["correctness", "--n", "1", "--k", "2"], ["cost", "--c", "1", "--u", "1"]],
     ids=lambda command: command[0],
 )
-def test_out_naming_a_file_exits_2(tmp_path, capsys, command):
+
+
+@COMMANDS
+def test_out_naming_a_file_exits_2(tmp_path, capsys, monkeypatch, command):
+    """An unusable output directory fails before the replay or experiment
+    runs."""
+    ran = []
+    for work in ("run", "run_correctness_experiment", "run_cost_experiment"):
+        monkeypatch.setattr(cli, work, lambda *args, work=work: ran.append(work))
     out = tmp_path / "taken"
     out.write_text("kept")
     assert main([*command, "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith(f"error: output directory {out}: ")
     assert out.read_text() == "kept"
+    assert ran == []
+
+
+@COMMANDS
+def test_report_file_that_cannot_be_written_exits_2(tmp_path, capsys, command):
+    blocked = tmp_path / "out" / "report.csv"
+    blocked.mkdir(parents=True)
+    assert main([*command, "--out", str(blocked.parent)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: output file {blocked}: ")
 
 
 def test_gas_schedule_override(tmp_path):

@@ -17,18 +17,20 @@ from deferred_choice.experiments import gen_cost
 from deferred_choice.expr import evaluate, parse
 from deferred_choice.ledger import Chain, Contract, GasSchedule, Transaction
 from deferred_choice.oracles import (
-    Architecture,
-    AsyncOracle,
+    ALL_VARIANTS,
+    CallbackOracle,
+    Delivery,
     History,
     OracleError,
     OracleProvider,
     OracleVariant,
+    PushOracle,
     SyncOracle,
     make_oracle_contract,
 )
 from deferred_choice.scenario import run as replay
 from deferred_choice.semantics import NEVER, Conditional, EventSpec, Message
-from reference import HistoryEntry, decode_pairs, earliest_satisfied, encode_pairs
+from reference import HistoryEntry, decode_bool, decode_pairs, earliest_satisfied, encode_pairs
 
 
 class Sink(Contract):
@@ -193,13 +195,26 @@ def test_storage_conditional_query():
     chain, oracle, provider, _ = make_rig("storage-cond")
     feed_table_updates(chain, provider, through=74)
     result = oracle.query(ctx_for(chain), wc.encode_text("d_w >= 2"))
-    assert wc.decode_bool(result) is False
+    assert decode_bool(result) is False
 
 
-def test_sync_query_on_async_oracle_rejected():
-    chain, oracle, provider, _ = make_rig("request-response")
-    with pytest.raises(OracleError):
-        oracle.query(ctx_for(chain), b"")
+# each delivery's contract class and the entry points a consumer or provider calls
+DELIVERY_CONTRACTS = {
+    Delivery.SYNC: (SyncOracle, {"query", "set"}),
+    Delivery.CALLBACK: (CallbackOracle, {"request"}),
+    Delivery.PUSH: (PushOracle, {"subscribe", "unsubscribe"}),
+}
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS, ids=lambda variant: variant.id)
+def test_oracle_contract_exposes_exactly_its_delivery_entry_points(variant):
+    """A call another delivery takes finds no method: a sync query on a
+    callback oracle, a request to a push one, a subscription to a sync one."""
+    oracle = make_oracle_contract(variant, "d_w")
+    cls, entry_points = DELIVERY_CONTRACTS[variant.architecture.delivery]
+    assert type(oracle) is cls
+    every = set().union(*(names for _, names in DELIVERY_CONTRACTS.values()))
+    assert {name for name in every if callable(getattr(oracle, name, None))} == entry_points
 
 
 # --- async_query / provider_respond ------------------------------------------------
@@ -477,6 +492,8 @@ CONDITION_TEXTS = (
     "!(d_w == 3)",
 )
 
+HORIZON = 99  # a served regular history slice dates a condition without it
+
 
 def in_force_later(pairs, i, from_ts):
     """Whether change point ``i`` is replaced at or before ``from_ts``, so
@@ -579,7 +596,7 @@ def test_history_matches_stateless_reference(run):
         # a hit on the change point in force at from_ts counts from from_ts
         expected = NEVER if hit == NEVER else max(hit, from_ts)
         assert consumer.earliest(from_ts, condition)[0] == expected
-        assert oracle.first_held(payload, index, condition, from_ts) == expected
+        assert oracle.dated(payload, index, condition, from_ts, HORIZON) == expected
     assert list(zip(history.times, history.values)) == pairs
 
 
@@ -640,9 +657,9 @@ def test_first_held_answers_each_slice_from_its_own_points():
     short, long = served_slices([(1, 0), (3, 1), (6, 4)])[1:]
     oracle = make_oracle_contract(OracleVariant.parse("onchain-history"), "d_w")
     condition = parse("d_w >= 4")
-    assert oracle.first_held(long, 0, condition, 2) == 6
-    assert oracle.first_held(short, 0, condition, 2) == NEVER  # 6 lies past its slice
-    assert oracle.first_held(long, 0, parse("d_w >= 1"), 2) == 3
+    assert oracle.dated(long, 0, condition, 2, HORIZON) == 6
+    assert oracle.dated(short, 0, condition, 2, HORIZON) == NEVER  # 6 lies past its slice
+    assert oracle.dated(long, 0, parse("d_w >= 1"), 2, HORIZON) == 3
 
 
 @pytest.mark.parametrize("variant_id", ["onchain-history", "offchain-history"])
@@ -653,17 +670,17 @@ def test_first_held_decodes_a_repeated_payload_once(variant_id):
     payload = wc.encode_word(7) + served_slices([(1, 0), (3, 1)])[-1]
     condition = parse("d_w >= 1")
     oracle = make_oracle_contract(OracleVariant.parse(variant_id), "d_w")
-    assert oracle.first_held(payload, 1, condition, 2) == 3
+    assert oracle.dated(payload, 1, condition, 2, HORIZON) == 3
     with (
         mock.patch.object(wc, "decode_word", wraps=wc.decode_word) as word,
         mock.patch.object(wc, "decode_words", wraps=wc.decode_words) as words,
         mock.patch.object(expr, "evaluate", wraps=evaluate) as evaluated,
     ):
-        assert oracle.first_held(payload, 1, condition, 2) == 3
-        assert oracle.first_held(bytes(bytearray(payload)), 1, condition, 2) == 3
+        assert oracle.dated(payload, 1, condition, 2, HORIZON) == 3
+        assert oracle.dated(bytes(bytearray(payload)), 1, condition, 2, HORIZON) == 3
         assert word.call_count == words.call_count == evaluated.call_count == 0
         fresh = make_oracle_contract(oracle.variant, "d_w")
-        assert fresh.first_held(payload, 1, condition, 2) == 3
+        assert fresh.dated(payload, 1, condition, 2, HORIZON) == 3
         assert (word.call_count, words.call_count, evaluated.call_count) == (1, 1, 2)
 
 
@@ -678,3 +695,55 @@ def test_regular_history_replays_do_equal_work(variant_id):
             assert replay(scenario).correct
         counts.append(evaluated.call_count)
     assert counts[0] == counts[1]
+
+
+# architectures whose consumers query a window of the history
+WINDOWED = {"onchain-history", "offchain-history"}
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS, ids=lambda variant: variant.id)
+def test_params_name_the_window_and_the_condition_the_variant_needs(variant):
+    """The window word only when a history is queried rather than pushed;
+    the condition text only for a conditional variant."""
+    oracle = make_oracle_contract(variant, "d_w")
+    window = wc.encode_word(73) if variant.architecture.value in WINDOWED else b""
+    text = wc.encode_text("d_w >= 1") if variant.conditional else b""
+    assert oracle.params(parse("d_w >= 1"), 73) == window + text
+
+
+def dated_answer(variant, text):
+    """How the answer a consumer activated at 73 is handed at 78 dates
+    ``text``, asked with its oracle's parameters; None if the oracle sends
+    nothing."""
+    chain, oracle, provider, sink = make_rig(variant.id)
+    feed_table_updates(chain, provider, through=78)
+    condition = parse(text)
+    params = oracle.params(condition, 73)
+    delivery = variant.architecture.delivery
+    if delivery is Delivery.SYNC:
+        payload, index, horizon = oracle.query(ctx_for(chain), params), 0, 78
+    elif delivery is Delivery.CALLBACK:
+        payload, index, horizon = provider.respond(sink.address, 1, params).payload, 1, 78
+    else:
+        ctx = ctx_for(chain)
+        oracle.subscribe(ctx, sink.address, params)
+        provider.after_block([type("R", (), {"status": "ok", "logs": ctx.logs})()], chain.height)
+        mine(chain, provider)
+        if not sink.received:
+            return None
+        payload, index = sink.received[-1][2], 2
+        horizon = wc.decode_word(payload, 1)
+    return oracle.dated(payload, index, condition, 73, horizon)
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS, ids=lambda variant: variant.id)
+def test_dated_gives_the_change_time_the_horizon_or_never(variant):
+    """d_w is 1 from 74 and 2 from 77. A queried history dates ``d_w >= 1``
+    at its change time 74; a current value or a pushed change point at the
+    answer's horizon 78. A condition that never held is NEVER, and a
+    conditional push oracle sends nothing for it."""
+    assert dated_answer(variant, "d_w >= 1") == (
+        74 if variant.architecture.value in WINDOWED else 78
+    )
+    never = None if variant.id == "pubsub-cond" else NEVER
+    assert dated_answer(variant, "d_w >= 5") == never
