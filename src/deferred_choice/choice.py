@@ -276,15 +276,14 @@ class DeferredChoiceContract(Contract):
             raise Revert("not activated")
         if self.winner is not None:
             return  # pushes racing the decision are ignored
-        # the (oracle, at) header; its oracle contract reads the rest
-        oracle_address, at = leading_words(payload, 2)
+        # decoded once: the (oracle, at) header, then the change its oracle reads
+        words = leading_words(payload, len(payload) // wordcodec.WORD_SIZE)
+        oracle_address, at = words[0], words[1]
         if oracle_address not in self._oracle_event:
             raise Revert(f"push from unbound oracle {oracle_address}")
         eid = self._oracle_event[oracle_address]
         if eid not in self.detected:
-            found = self.oracles[eid].dated(
-                payload, 2, self._conditions[eid], self.activation_ts, at
-            )
+            found = self.oracles[eid].change_dated(words, 2, self._conditions[eid], at)
             self._note(ctx, eid, found, at)
         # other oracles and message transactions may still land in this very
         # block, so a push only certifies the world through the previous step;

@@ -71,8 +71,9 @@ from __future__ import annotations
 import functools
 import itertools
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+from operator import lt, ne
 
 from . import expr as exprlang
 from . import wordcodec
@@ -129,10 +130,12 @@ class Architecture(str, Enum):
 class OracleVariant:
     architecture: Architecture
     conditional: bool = False
+    # the wire name, derived once per variant: contracts and report rows read it
+    id: str = field(init=False, repr=False, compare=False)
 
-    @property
-    def id(self) -> str:
-        return self.architecture.value + ("-cond" if self.conditional else "")
+    def __post_init__(self) -> None:
+        suffix = "-cond" if self.conditional else ""
+        object.__setattr__(self, "id", self.architecture.value + suffix)
 
     @property
     def synchronous(self) -> bool:
@@ -152,16 +155,12 @@ class OracleVariant:
             return SemanticsKind.CONTINUAL
         return SemanticsKind.TRANSACTION_DRIVEN
 
-    @classmethod
-    def parse(cls, text: str) -> "OracleVariant":
-        name = text.strip()
-        conditional = name.endswith("-cond")
-        if conditional:
-            name = name[: -len("-cond")]
-        try:
-            return cls(Architecture(name), conditional)
-        except ValueError:
-            raise OracleError(f"unknown oracle variant {text!r}") from None
+    @staticmethod
+    def parse(text: str) -> "OracleVariant":
+        variant = _VARIANTS.get(text.strip())
+        if variant is None:
+            raise OracleError(f"unknown oracle variant {text!r}")
+        return variant
 
 
 ALL_VARIANTS: tuple[OracleVariant, ...] = tuple(
@@ -169,6 +168,7 @@ ALL_VARIANTS: tuple[OracleVariant, ...] = tuple(
     for arch in Architecture
     for conditional in (False, True)
 )
+_VARIANTS = {variant.id: variant for variant in ALL_VARIANTS}
 
 
 _PAIR_SIZE = 2 * wordcodec.WORD_SIZE
@@ -227,11 +227,11 @@ class History:
     time order, each held once.
 
     The one owner of the variable's representation: ``append`` decides what
-    is a change point, ``since`` writes a served slice and ``served`` reads
-    one. Pairs are encoded into one growing buffer the first time a served
-    slice needs them. A condition has one ``Scan`` per window start, so
-    asking again, from any time in that window, examines only the change
-    points appended since.
+    is a change point (``extend`` for many updates at once), ``since``
+    writes a served slice and ``served`` reads one. Pairs are encoded into
+    one growing buffer the first time a served slice needs them. A condition
+    has one ``Scan`` per window start, so asking again, from any time in that
+    window, examines only the change points appended since.
     """
 
     def __init__(self, variable: str):
@@ -256,6 +256,19 @@ class History:
         self.times.append(at)
         self.values.append(value)
         return True
+
+    def extend(self, times: list[int], values: list[int]) -> None:
+        """``append`` each update ``(times[i], values[i])`` in turn, in one pass
+        when the times are in order: the same change points and errors."""
+        if not times or not all(map(lt, [self._updated, *times], times)):
+            for at, value in zip(times, values):
+                self.append(at, value)
+            return
+        # an update is a change point if its value differs from the one before
+        changed = list(map(ne, values, [self.values[-1] if self.values else None, *values]))
+        self.times += itertools.compress(times, changed)
+        self.values += itertools.compress(values, changed)
+        self._updated = times[-1]
 
     @classmethod
     def served(cls, variable: str, payload: bytes, index: int) -> History:
@@ -470,11 +483,16 @@ class PushOracle(OracleContract):
     def dated(
         self, payload: bytes, index: int, condition: exprlang.Expr, from_ts: int, horizon: int
     ) -> int:
-        """A pushed change point dates ``condition`` at ``horizon`` if it
-        holds; a conditional push is the bare signal, so it holds."""
-        if self.variant.conditional or exprlang.evaluate(
-            condition, {self.variable: leading_words(payload, index + 1)[index]}
-        ):
+        """``change_dated`` of the push ``payload``, decoded."""
+        words = leading_words(payload, len(payload) // wordcodec.WORD_SIZE)
+        return self.change_dated(words, index, condition, horizon)
+
+    def change_dated(
+        self, words: tuple[int, ...], index: int, condition: exprlang.Expr, horizon: int
+    ) -> int:
+        """``horizon`` if the decoded push ``words`` shows ``condition`` holds, else
+        NEVER: a regular push by its value at word ``index``, a conditional one always."""
+        if self.variant.conditional or exprlang.evaluate(condition, {self.variable: words[index]}):
             return horizon
         return NEVER
 

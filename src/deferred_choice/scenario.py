@@ -8,10 +8,10 @@ mining only the blocks that hold a transaction, and then reports, per
 choice, the on-chain winner next to the ground-truth winner of the
 continual semantics over the environment induced from the timeline
 (timestamps from step indices, valuations piecewise-constant between
-updates). The ground truth is computed once per scenario
-(``ground_truth``) and reads each variable through an ``oracles.History``
-of its change points; the tests check it against a dense continual
-executor run state by state over the whole induced environment.
+updates). Each replay computes the ground truth afresh (``ground_truth``)
+in one walk of the timeline, each variable's updates filled in bulk into an
+``oracles.History`` of change points; the tests check it against a dense
+continual executor run state by state over the whole induced environment.
 """
 
 from __future__ import annotations
@@ -85,13 +85,9 @@ class Action(NamedTuple):
     event: int | None = None
 
 
-# the fields an action of each kind does not take, and must leave unset
-_UNTAKEN_FIELDS = {
-    "update": ("choice", "preferred", "event"),
-    "activate": ("oracle", "value", "event"),
-    "trigger": ("oracle", "value", "event"),
-    "message": ("oracle", "value"),
-}
+# per kind, the indexes of the ``Action`` fields it must leave unset
+_UNTAKEN_FIELDS = {"update": (4, 5, 6), "activate": (2, 3, 6), "trigger": (2, 3, 6),
+                   "message": (2, 3)}
 
 
 @dataclass(frozen=True)
@@ -121,8 +117,7 @@ class Scenario:
             if not isinstance(decl.variable, str) or not exprlang.IDENTIFIER.fullmatch(decl.variable):
                 raise ScenarioError(f"bad variable {decl.variable!r}: variables are identifiers")
         # the ground truth keys change points by variable name
-        names = {o.variable for o in self.oracles}
-        if len(names) != len(self.oracles):
+        if len({decl.variable for decl in self.oracles}) != len(self.oracles):
             raise ScenarioError("oracle variables must be distinct names")
         one_subscription = self.variant.architecture.delivery is Delivery.PUSH
         for decl in self.choices:
@@ -136,69 +131,64 @@ class Scenario:
                     raise ScenarioError(f"event {event.id}: bad deadline {kind.deadline!r}")
                 if isinstance(kind, RelativeTimer) and not _in_range(kind.delta, DATA_MAX + 1):
                     raise ScenarioError(f"event {event.id}: bad delta {kind.delta!r}")
+        oracle_count, choices = len(self.oracles), self.choices
         last_step = 0
-        update_seen: dict[int, int] = {}
+        update_seen: dict[int, int] = {}  # per oracle: the step of its latest update
+        choice_tx_seen: dict[int, int] = {}  # per choice: the step of its latest transaction
         first_update: dict[int, int] = {}
-        choice_tx_seen: set[tuple[int, int]] = set()
         activation_step: dict[int, int] = {}
         first_message: dict[int, int] = {}
         for action in self.timeline:
-            if not _in_range(action.step, NEVER) or action.step == 0:  # NEVER: "not detected"
-                raise ScenarioError(f"bad step {action.step!r}: steps are integers from 1 to 2**64-2")
-            if action.step < last_step:
+            step, kind, oracle, value, choice, preferred, event = action
+            if type(step) is not int or not 0 < step < NEVER:  # NEVER: "not detected"
+                raise ScenarioError(f"bad step {step!r}: steps are integers from 1 to 2**64-2")
+            if step < last_step:
                 raise ScenarioError("timeline steps must be non-decreasing")
-            last_step = action.step
-            untaken = _UNTAKEN_FIELDS.get(action.kind) if type(action.kind) is str else None
+            last_step = step
+            untaken = _UNTAKEN_FIELDS.get(kind) if type(kind) is str else None
             if untaken is None:
-                raise ScenarioError(f"unknown action kind {action.kind!r}")
-            for name in untaken:
-                if getattr(action, name) is not None:
+                raise ScenarioError(f"unknown action kind {kind!r}")
+            for index in untaken:
+                if action[index] is not None:
                     raise ScenarioError(
-                        f"{action.kind} action at step {action.step} takes no {name!r}"
+                        f"{kind} action at step {step} takes no {Action._fields[index]!r}"
                     )
-            if action.kind == "update":
-                if not _in_range(action.oracle, len(self.oracles)):
-                    raise ScenarioError(f"unknown oracle {action.oracle!r}")
-                if not _in_range(action.value, DATA_MAX + 1):
-                    raise ScenarioError(f"bad value {action.value!r}: values are 64-bit words")
-                if update_seen.get(action.oracle) == action.step:
+            if kind == "update":
+                if type(oracle) is not int or not 0 <= oracle < oracle_count:
+                    raise ScenarioError(f"unknown oracle {oracle!r}")
+                if type(value) is not int or not 0 <= value <= DATA_MAX:
+                    raise ScenarioError(f"bad value {value!r}: values are 64-bit words")
+                if update_seen.get(oracle) == step:
+                    raise ScenarioError(f"oracle {oracle} updated twice at step {step}")
+                update_seen[oracle] = step
+                first_update.setdefault(oracle, step)
+                continue
+            if type(choice) is not int or not 0 <= choice < len(choices):
+                raise ScenarioError(f"unknown choice {choice!r}")
+            # one transaction per choice per block keeps tie-breaking
+            # well-defined (the block's preferred event is unambiguous)
+            if choice_tx_seen.get(choice) == step:
+                raise ScenarioError(f"choice {choice} has two transactions at step {step}")
+            choice_tx_seen[choice] = step
+            events = choices[choice].events
+            if kind == "activate":
+                if choice in activation_step:
+                    raise ScenarioError(f"choice {choice} activated twice")
+                activation_step[choice] = step
+                if choice in first_message:
                     raise ScenarioError(
-                        f"oracle {action.oracle} updated twice at step {action.step}"
+                        f"choice {choice} has a message at step {first_message[choice]}, "
+                        f"before its activation at step {step}"
                     )
-                update_seen[action.oracle] = action.step
-                first_update.setdefault(action.oracle, action.step)
-            else:
-                if not _in_range(action.choice, len(self.choices)):
-                    raise ScenarioError(f"unknown choice {action.choice!r}")
-                # one transaction per choice per block keeps tie-breaking
-                # well-defined (the block's preferred event is unambiguous)
-                key = (action.choice, action.step)
-                if key in choice_tx_seen:
-                    raise ScenarioError(
-                        f"choice {action.choice} has two transactions at step {action.step}"
-                    )
-                choice_tx_seen.add(key)
-                events = self.choices[action.choice].events
-                if action.kind == "activate":
-                    if action.choice in activation_step:
-                        raise ScenarioError(f"choice {action.choice} activated twice")
-                    activation_step[action.choice] = action.step
-                    if action.choice in first_message:
-                        raise ScenarioError(
-                            f"choice {action.choice} has a message at step "
-                            f"{first_message[action.choice]}, before its activation "
-                            f"at step {action.step}"
-                        )
-                if action.kind == "message":
-                    if not _in_range(action.event, len(events)):
-                        raise ScenarioError("message action needs a valid event id")
-                    if not isinstance(events[action.event].kind, Message):
-                        raise ScenarioError(
-                            f"event {action.event} is not a message event"
-                        )
-                    first_message.setdefault(action.choice, action.step)
-                if action.preferred is not None and not _in_range(action.preferred, len(events)):
-                    raise ScenarioError(f"unknown preferred event {action.preferred!r}")
+            elif kind == "message":
+                if type(event) is not int or not 0 <= event < len(events):
+                    raise ScenarioError("message action needs a valid event id")
+                if not isinstance(events[event].kind, Message):
+                    raise ScenarioError(f"event {event} is not a message event")
+                first_message.setdefault(choice, step)
+            if preferred is not None and (type(preferred) is not int
+                                          or not 0 <= preferred < len(events)):
+                raise ScenarioError(f"unknown preferred event {preferred!r}")
         # the oracles a choice binds must be updated by its activation
         for index, activation in activation_step.items():
             for oracle in self.choices[index].oracle_for_event.values():
@@ -275,31 +265,31 @@ class Scenario:
                 events = []
                 bindings: dict[int, int] = {}
                 for eid, event_obj in enumerate(_array(choice_obj, "events")):
-                    kind_type = _KIND_TYPES.get(_object(event_obj, f"event {eid}")["kind"])
+                    if not isinstance(event_obj, dict):
+                        _object(event_obj, f"event {eid}")  # raises
+                    kind_type = _KIND_TYPES.get(event_obj["kind"])
                     if kind_type is None:
                         raise ScenarioError(f"unknown event kind {event_obj['kind']!r}")
-                    _check_keys(event_obj, _EVENT_KEYS[kind_type], f"event {eid}")
+                    if not _EVENT_KEYS[kind_type].issuperset(event_obj):
+                        _check_keys(event_obj, _EVENT_KEYS[kind_type], f"event {eid}")  # raises
                     if kind_type is Conditional:
                         kind: Any = Conditional(exprlang.parse(event_obj["expr"]))
                         bindings[eid] = event_obj["oracle"]
                     else:  # a message has no field, a timer its deadline or delta
-                        kind = kind_type(*(event_obj[name] for name in _KIND_FIELDS[kind_type]))
+                        kind = kind_type(*map(event_obj.__getitem__, _KIND_FIELDS[kind_type]))
                     events.append(EventSpec(eid, kind))
                 choices.append(ChoiceDecl(tuple(events), bindings))
-            timeline = []
-            for a in _array(obj, "timeline"):
-                _check_keys(a, _ACTION_KEYS, "action")
-                timeline.append(
-                    Action(
-                        a["step"],
-                        a["action"],
-                        a.get("oracle"),
-                        a.get("value"),
-                        a.get("choice"),
-                        a.get("preferred"),
-                        a.get("event"),
-                    )
-                )
+            actions = _array(obj, "timeline")
+            for a in actions:
+                if not (isinstance(a, dict) and _ACTION_KEYS.issuperset(a)):
+                    _check_keys(a, _ACTION_KEYS, "action")  # raises
+            # the bulk of a scenario file, so each action is built as the
+            # plain tuple it is, without the named tuple's constructor
+            timeline = [
+                tuple.__new__(Action, (a["step"], a["action"], a.get("oracle"), a.get("value"),
+                                       a.get("choice"), a.get("preferred"), a.get("event")))
+                for a in actions
+            ]
             scenario = cls(
                 scenario_id=obj.get("id", "scenario"),
                 variant=variant,
@@ -410,7 +400,7 @@ def ground_truth(scenario: Scenario) -> list[tuple[int | None, int | None]]:
     Gives the result of the continual semantics over the environment the
     timeline induces from the activation to the last step, without building
     that trace: one pass over the timeline collects each variable's value
-    at each step, which an ``oracles.History`` reduces to change points,
+    at each step, which ``History.extend`` reduces to change points at once,
     and each choice's activation, messages and preferences (``prefer``);
     each event's first detection follows in closed form (``timer_fire``
     for a timer). A conditional event is evaluated at activation and then
@@ -422,30 +412,29 @@ def ground_truth(scenario: Scenario) -> list[tuple[int | None, int | None]]:
     further than the furthest any of them needs. Expects a validated
     scenario; an unactivated choice yields ``(None, None)``.
     """
+    oracles, timeline = scenario.oracles, scenario.timeline
     # per variable: its value from each step it is updated at, the last
     # update at a step winning; a variable reads 0 until its first update
-    updates: dict[str, dict[int, int]] = {decl.variable: {0: 0} for decl in scenario.oracles}
+    updates: dict[str, dict[int, int]] = {decl.variable: {0: 0} for decl in oracles}
+    updates_of = [updates[decl.variable] for decl in oracles]
     activations: dict[int, int] = {}
     messages: dict[int, dict[int, int]] = {}  # per choice: each message's first step
     # per choice: the tie-break preference at each timestamp
     preferred_at: dict[int, dict[int, int]] = {}
-    end = 0
-    for action in scenario.timeline:
-        end = max(end, action.step)
-        if action.kind == "update":
-            updates[scenario.oracles[action.oracle].variable][action.step] = action.value
+    for step, kind, oracle, value, choice, preferred, event in timeline:
+        if kind == "update":
+            updates_of[oracle][step] = value
         else:
-            if action.kind == "activate":
-                activations.setdefault(action.choice, action.step)
-            elif action.kind == "message":
-                messages.setdefault(action.choice, {}).setdefault(action.event, action.step)
-            preferred = preferred_at.setdefault(action.choice, {})
-            prefer(preferred, action.step, action.preferred, action.event)
+            if kind == "activate":
+                activations.setdefault(choice, step)
+            elif kind == "message":
+                messages.setdefault(choice, {}).setdefault(event, step)
+            prefer(preferred_at.setdefault(choice, {}), step, preferred, event)
+    end = timeline[-1].step if timeline else 0  # the timeline is in step order
     histories: dict[str, History] = {}
     for name, values in updates.items():
-        history = histories[name] = History(name)
-        for step, value in values.items():
-            history.append(step, value)
+        histories[name] = History(name)
+        histories[name].extend(list(values), list(values.values()))
 
     results: list[tuple[int | None, int | None]] = []
     for index, decl in enumerate(scenario.choices):
@@ -463,7 +452,7 @@ def ground_truth(scenario: Scenario) -> list[tuple[int | None, int | None]]:
                 if fire <= end:
                     detected[event.id] = fire
             elif isinstance(kind, Conditional):
-                history = histories[scenario.oracles[decl.oracle_for_event[event.id]].variable]
+                history = histories[oracles[decl.oracle_for_event[event.id]].variable]
                 scan = history.scan(start, kind.condition)
                 pending.append((start, event.id, scan.start, scan))
         horizon = min(detected.values(), default=end)
@@ -555,35 +544,44 @@ def run(scenario: Scenario, schedule: GasSchedule | None = None) -> ExperimentRe
     if not scenario._validated:
         scenario.validate()
     chain = Chain(schedule or GasSchedule())
-    oracle_contracts = []
-    for decl in scenario.oracles:
-        contract = make_oracle_contract(scenario.variant, decl.variable)
+    oracle_contracts = [
+        make_oracle_contract(scenario.variant, decl.variable) for decl in scenario.oracles
+    ]
+    for contract in oracle_contracts:
         chain.deploy(contract)
-        oracle_contracts.append(contract)
     providers = [OracleProvider(chain, contract) for contract in oracle_contracts]
     # a sync oracle answers within the calling transaction and logs nothing
     # for its provider to react to
     reacting = [provider for provider in providers if not provider.variant.synchronous]
     choice_contracts = []
     for decl in scenario.choices:
-        bindings = {
-            eid: oracle_contracts[index]
-            for eid, index in decl.oracle_for_event.items()
-        }
+        bindings = {eid: oracle_contracts[index] for eid, index in decl.oracle_for_event.items()}
         contract = DeferredChoiceContract(decl.events, scenario.variant, bindings)
         chain.deploy(contract)
         choice_contracts.append(contract)
 
-    by_step: dict[int, list[Action]] = {}
+    # one walk plans the replay: each step with its updates, then its choice
+    # transactions, since within a block data changes precede choice
+    # transactions and the induced ground-truth trace assumes the same order
+    plan: list[tuple[int, list[Action], list[Action]]] = []
+    step = None
+    updates, setup = 0, None  # setup: updates before the step of the first activation
     for action in scenario.timeline:
-        by_step.setdefault(action.step, []).append(action)
-    for actions in by_step.values():
-        # within a block, data changes precede choice transactions; the
-        # induced ground-truth trace assumes the same order
-        actions.sort(key=lambda a: 0 if a.kind == "update" else 1)
-    steps = iter(sorted(by_step))
-    next_step = next(steps, None)
-    end = max(by_step, default=0) + SETTLE_STEPS
+        if action.step != step:
+            step = action.step
+            step_updates, step_calls = [], []
+            plan.append((step, step_updates, step_calls))
+            before = updates
+        if action.kind == "update":
+            step_updates.append(action)
+            updates += 1
+        else:
+            step_calls.append(action)
+            if setup is None and action.kind == "activate":
+                setup = before
+    end = (plan[-1][0] if plan else 0) + SETTLE_STEPS
+    blocks = iter(plan)
+    block = next(blocks, None)
     # (kind, preferred, event) -> a transaction of that call: choices sent the
     # same call share one payload, validated once
     calls: dict[tuple[str, int | None, int | None], Transaction] = {}
@@ -591,57 +589,43 @@ def run(scenario: Scenario, schedule: GasSchedule | None = None) -> ExperimentRe
     while True:
         # a block holding no transaction changes nothing: skip to the block
         # before the next action, or to the end once none is left
-        chain.skip_empty_blocks(end if next_step is None else next_step - 1)
+        chain.skip_empty_blocks(end if block is None else block[0] - 1)
         if chain.height >= end:
             break
         step = chain.height + 1
-        for action in by_step.get(step, ()):
-            if action.kind == "update":
+        if block is not None and block[0] == step:
+            _, step_updates, step_calls = block
+            for action in step_updates:
                 providers[action.oracle].on_external_update(action.value, step)
-            else:
+            for action in step_calls:
                 key = (action.kind, action.preferred, action.event)
                 target = choice_contracts[action.choice].address
                 call = calls.get(key)
                 if call is None:
                     call = calls[key] = Transaction(SIM_ACCOUNT, target, *_call(*key))
                 chain.submit(call.sent_to(target))
-        if step == next_step:
-            next_step = next(steps, None)
+            block = next(blocks, None)
         receipts = chain.step()
         if receipts:
             for provider in reacting:
                 provider.after_block(receipts, chain.height)
 
-    outcomes = []
-    for index, (contract, (truth, truth_ts)) in enumerate(
-        zip(choice_contracts, ground_truth(scenario))
-    ):
-        outcomes.append(
-            ChoiceOutcome(
-                choice=index,
-                winner=contract.winner,
-                truth=truth,
-                truth_ts=truth_ts,
-                activation_ts=contract.activation_ts,
-                observed_ts=contract.observed_ts,
-                winner_detection_ts=contract.winner_detection_ts,
-                finalized_at=contract.finalized_at,
-            )
+    truths = ground_truth(scenario)
+    outcomes = [
+        ChoiceOutcome(
+            choice=index, winner=contract.winner, truth=truth, truth_ts=truth_ts,
+            activation_ts=contract.activation_ts, observed_ts=contract.observed_ts,
+            winner_detection_ts=contract.winner_detection_ts, finalized_at=contract.finalized_at,
         )
-    # updates before any activation initialize variables; they are setup,
-    # not experiment load
-    first_activation = min(
-        (a.step for a in scenario.timeline if a.kind == "activate"), default=0
-    )
+        for index, (contract, (truth, truth_ts)) in enumerate(zip(choice_contracts, truths))
+    ]
     return ExperimentReport(
         scenario_id=scenario.scenario_id,
         variant=scenario.variant,
         consumers=len(scenario.choices),
-        updates=sum(
-            1
-            for a in scenario.timeline
-            if a.kind == "update" and a.step >= first_activation
-        ),
+        # updates before the first activation initialize variables; they are
+        # setup, not experiment load
+        updates=updates - (setup or 0),
         outcomes=outcomes,
         gas_deploy=chain.deploy_gas_total,
         gas_total=chain.deploy_gas_total + sum(map(_gas_used, chain.receipts)),

@@ -77,7 +77,6 @@ class EventSpec:
 
 
 def check_events(events: Sequence[EventSpec]) -> None:
-    """Event ids must be unique and contiguous from zero."""
     if not events:
         raise ContractViolation("a deferred choice needs at least one event")
     ids = [event.id for event in events]

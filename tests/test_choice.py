@@ -4,9 +4,11 @@ cancellation message at 78)."""
 
 import json
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
+from deferred_choice import choice, oracles
 from deferred_choice import wordcodec as wc
 from deferred_choice.choice import (
     DeferredChoiceContract,
@@ -392,6 +394,38 @@ def test_pubsub_unsubscribes_after_winner():
         r for r in report.receipts if r.tx.function == "push" and r.mined_at > final
     ]
     assert late_pushes == []
+
+
+@pytest.mark.parametrize("variant_id", ["pubsub", "pubsub-cond"])
+def test_a_push_is_decoded_once(variant_id):
+    """A contract reads each push it handles, header and change, with one
+    ``leading_words`` call: d_w is 0 when the choice activates at block 1
+    and 2 from block 3, so a regular subscriber takes a catch-up push at
+    block 2 and both take the push of the change at block 3."""
+    variant = OracleVariant.parse(variant_id)
+    chain = Chain()
+    oracle = make_oracle_contract(variant, "d_w")
+    chain.deploy(oracle)
+    provider = OracleProvider(chain, oracle)
+    contract = DeferredChoiceContract(table1_scenario().choices[0].events, variant, {E_W: oracle})
+    chain.deploy(contract)
+    provider.on_external_update(0, 0)
+    chain.submit(Transaction("sim", contract.address, "activate", encode_activate(None)))
+    provider.after_block(chain.step(), chain.height)
+    with (
+        mock.patch.object(choice, "leading_words", wraps=choice.leading_words) as in_choice,
+        mock.patch.object(oracles, "leading_words", wraps=oracles.leading_words) as in_oracles,
+    ):
+        pushes = []
+        for block in (2, 3):
+            if block == 3:
+                provider.on_external_update(2, 3)
+            receipts = chain.step()
+            provider.after_block(receipts, chain.height)
+            pushes += [r for r in receipts if r.tx.function == "push" and r.status == "ok"]
+    assert len(pushes) == (1 if variant.conditional else 2)
+    assert in_choice.call_count + in_oracles.call_count == len(pushes)
+    assert contract.detected == {E_W: 3}
 
 
 # --- entry points per delivery -------------------------------------------------------

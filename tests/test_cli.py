@@ -152,15 +152,65 @@ MALFORMED_FILES = {
 }
 
 
+# the exact message of each malformed case, as the CLI reports it after "error: "
+MALFORMED_MESSAGES = {
+    "value-2**64": "bad value 18446744073709551616: values are 64-bit words",
+    "value-negative": "bad value -1: values are 64-bit words",
+    "value-true": "bad value True: values are 64-bit words",
+    "value-string": "bad value '4': values are 64-bit words",
+    "step-float": "bad step 78.5: steps are integers from 1 to 2**64-2",
+    "deadline-negative": "event 0: bad deadline -1",
+    "preferred-negative": "unknown preferred event -1",
+    "message-event-negative": "message action needs a valid event id",
+    "update-oracle-string": "unknown oracle '0'",
+    "choice-string": "unknown choice '0'",
+    "no-events": "a deferred choice needs at least one event",
+    "unknown-variant": "malformed scenario: unknown oracle variant 'carrier-pigeon'",
+    "variant-number": "malformed scenario: 'int' object has no attribute 'strip'",
+    "pubsub-two-events-one-oracle": (
+        "push delivery allows one subscription per oracle, but the oracle of 'd_w' binds two events"
+    ),
+    "condition-names-another-variable": (
+        "event 1 references ['y'] but the bound oracle provides ['d_w']"
+    ),
+    "oracle-index-out-of-range": "oracle index 5 out of range",
+    "variable-twice": "oracle variables must be distinct names",
+    "variable-list": "bad variable ['d_w']: variables are identifiers",
+    "variable-non-ascii": "bad variable '\u00c0': variables are identifiers",
+    "variable-with-space": "bad variable 'x y': variables are identifiers",
+    "seed-float": "bad seed 1.9: seeds are integers",
+    "seed-true": "bad seed True: seeds are integers",
+    "seed-string": "bad seed '7': seeds are integers",
+    "id-number": "bad id 5: ids are strings",
+    "preferred-misspelt": "action has unknown keys 'prefered'",
+    "deadline-misspelt": "event 0 has unknown keys 'dealine'",
+    "unknown-top-level-key": "scenario has unknown keys 'bogus'",
+    "timeline-object": "timeline is not an array",
+    "timeline-string": "timeline is not an array",
+    "oracles-string": "oracles is not an array",
+    "action-not-object": "action is not an object",
+    "trigger-with-event": "trigger action at step 80 takes no 'event'",
+    "activate-with-event": "activate action at step 73 takes no 'event'",
+    "update-with-choice-and-preferred": "update action at step 73 takes no 'choice'",
+    "message-with-oracle-and-value": "message action at step 78 takes no 'oracle'",
+    "step-never": "bad step 18446744073709551615: steps are integers from 1 to 2**64-2",
+    "condition-nested-5000-deep": "malformed scenario: nested deeper than 100 at position 100",
+    "condition-negated-5000-times": "malformed scenario: nested deeper than 100 at position 100",
+    "condition-chained-5000-terms": "malformed scenario: nested deeper than 100 at position 1209",
+}
+
+
 @pytest.mark.parametrize("case", sorted(MALFORMED))
-def test_malformed_scenario_rejected_and_run_exits_2(tmp_path, case):
+def test_malformed_scenario_rejected_and_run_exits_2(tmp_path, capsys, case):
     obj = json.loads(TABLE1.read_text())
     MALFORMED[case](obj)
-    with pytest.raises(ScenarioError):
+    with pytest.raises(ScenarioError) as raised:
         Scenario.from_obj(obj)
+    assert str(raised.value) == MALFORMED_MESSAGES[case]
     scenario = tmp_path / "bad.json"
     scenario.write_text(json.dumps(obj))
     assert main(["run", str(scenario), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {MALFORMED_MESSAGES[case]}\n"
 
 
 def test_condition_naming_another_variable_is_reported(tmp_path, capsys):

@@ -632,6 +632,49 @@ def test_history_append_records_change_points_only():
     assert history.since(0) == served == encode_pairs([(2, 0), (5, 1)])
 
 
+def _append_each(history, times, values):
+    for at, value in zip(times, values):
+        history.append(at, value)
+
+
+def _error(fill, history, times, values):
+    """The message of the ``OracleError`` that ``fill`` raises, or None."""
+    try:
+        fill(history, times, values)
+    except OracleError as error:
+        return str(error)
+    return None
+
+
+# (time step, value) draws: a step of 0 or -1 repeats or reverses time
+update_draws = st.lists(st.tuples(st.integers(-1, 3), st.integers(0, 3)), max_size=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(update_draws, update_draws)
+@example([], [(2, 0), (1, 0), (1, 1)])  # a repeated value adds no point
+@example([(2, 1)], [(1, 1), (1, 2)])  # a repeat of the value held before the fill
+@example([(2, 1)], [(0, 5)])  # a time equal to the latest update, repeated or not
+@example([(2, 1)], [(3, 0), (-1, 4), (2, 2)])  # a time before the latest update
+def test_history_filled_in_bulk_equals_one_built_by_append(before, filled):
+    """``extend`` leaves the change points, the latest update and the error
+    that ``append`` of each update in turn would, after some appends."""
+    times, at = [], -1
+    for step, _ in before + filled:
+        at += step
+        times.append(at)
+    values = [value for _, value in before + filled]
+    split = len(before)
+    results = []
+    for fill in (_append_each, History.extend):
+        history = History("d_w")
+        error = _error(_append_each, history, times[:split], values[:split]) or _error(
+            fill, history, times[split:], values[split:]
+        )
+        results.append((history.times, history.values, history._updated, error))
+    assert results[1] == results[0]
+
+
 def test_history_served_rejects_truncated_slice():
     payload = encode_pairs([(1, 0), (2, 5)])[: -wc.WORD_SIZE]
     with pytest.raises(wc.CodecError):

@@ -608,6 +608,144 @@ def test_unbound_conditional_event_of_a_built_choice_rejected():
         broken.validate()
 
 
+def _with(index, **fields):
+    """A timeline edit: action ``index`` with ``fields`` replaced."""
+    return lambda timeline: (
+        timeline[:index] + (timeline[index]._replace(**fields),) + timeline[index + 1 :]
+    )
+
+
+def _insert(index, *actions):
+    """A timeline edit: ``actions`` listed from position ``index`` on."""
+    return lambda timeline: timeline[:index] + actions + timeline[index:]
+
+
+def _edits(*edits):
+    def edit(timeline):
+        for one in edits:
+            timeline = one(timeline)
+        return timeline
+
+    return edit
+
+
+# table1's timeline (0@73, activate@73, 1@74, 2@77, message event 2 @78)
+# edited to fail the timeline checks of ``validate``; each case but the
+# pairs fails one check, and each pair fails two, of which the message names
+# the one ``validate`` checks first
+TIMELINE_FAILURES = {
+    "step-zero": (_with(0, step=0), "bad step 0: steps are integers from 1 to 2**64-2"),
+    "step-bool": (_with(0, step=True), "bad step True: steps are integers from 1 to 2**64-2"),
+    "step-never": (
+        _with(4, step=NEVER),
+        "bad step 18446744073709551615: steps are integers from 1 to 2**64-2",
+    ),
+    "step-decreasing": (_with(4, step=76), "timeline steps must be non-decreasing"),
+    "kind-unknown": (_with(4, kind="vote"), "unknown action kind 'vote'"),
+    "kind-unhashable": (_with(4, kind=["message"]), "unknown action kind ['message']"),
+    "update-takes-no-choice": (_with(2, choice=0), "update action at step 74 takes no 'choice'"),
+    "message-takes-no-value": (_with(4, value=1), "message action at step 78 takes no 'value'"),
+    "oracle-unknown": (_with(2, oracle=1), "unknown oracle 1"),
+    "oracle-bool": (_with(2, oracle=False), "unknown oracle False"),
+    "value-too-big": (
+        _with(2, value=2**64), "bad value 18446744073709551616: values are 64-bit words"
+    ),
+    "oracle-updated-twice": (
+        _insert(3, Action(74, "update", oracle=0, value=5)), "oracle 0 updated twice at step 74"
+    ),
+    "choice-unknown": (_with(4, choice=1), "unknown choice 1"),
+    "two-transactions": (
+        _insert(5, Action(78, "trigger", choice=0)), "choice 0 has two transactions at step 78"
+    ),
+    "activated-twice": (
+        _insert(3, Action(74, "activate", choice=0)), "choice 0 activated twice"
+    ),
+    "message-before-activation": (
+        _insert(0, Action(72, "message", choice=0, event=3)),
+        "choice 0 has a message at step 72, before its activation at step 73",
+    ),
+    "message-event-out-of-range": (_with(4, event=4), "message action needs a valid event id"),
+    "message-event-unset": (_with(4, event=None), "message action needs a valid event id"),
+    "message-names-a-timer": (_with(4, event=0), "event 0 is not a message event"),
+    "preferred-unknown": (_with(1, preferred=4), "unknown preferred event 4"),
+    "no-update-by-activation": (
+        lambda timeline: timeline[1:], "oracle 0 has no update at or before activation"
+    ),
+    # pairs: the first check named wins
+    "bad-step-before-order": (_with(4, step=0), "bad step 0: steps are integers from 1 to 2**64-2"),
+    "bad-step-before-kind": (
+        _with(4, step=-1, kind="vote"), "bad step -1: steps are integers from 1 to 2**64-2"
+    ),
+    "order-before-kind": (_with(4, step=76, kind="vote"), "timeline steps must be non-decreasing"),
+    "kind-before-fields": (_with(2, kind="vote", choice=0), "unknown action kind 'vote'"),
+    "fields-in-field-order": (
+        _with(2, event=1, preferred=0), "update action at step 74 takes no 'preferred'"
+    ),
+    "fields-before-oracle": (
+        _with(2, oracle=3, event=1), "update action at step 74 takes no 'event'"
+    ),
+    "oracle-before-value": (_with(2, oracle=3, value=-1), "unknown oracle 3"),
+    "value-before-updated-twice": (
+        _insert(3, Action(74, "update", oracle=0, value=-1)),
+        "bad value -1: values are 64-bit words",
+    ),
+    "fields-before-choice": (
+        _with(4, choice=5, value=3), "message action at step 78 takes no 'value'"
+    ),
+    "choice-before-two-transactions": (
+        _insert(5, Action(78, "trigger", choice=5)), "unknown choice 5"
+    ),
+    "two-transactions-before-preferred": (
+        _insert(5, Action(78, "trigger", choice=0, preferred=9)),
+        "choice 0 has two transactions at step 78",
+    ),
+    "activated-twice-before-message-order": (
+        _insert(5, Action(79, "activate", choice=0)), "choice 0 activated twice"
+    ),
+    "event-range-before-preferred": (
+        _with(4, event=7, preferred=7), "message action needs a valid event id"
+    ),
+    "event-kind-before-preferred": (
+        _with(4, event=0, preferred=9), "event 0 is not a message event"
+    ),
+    "timeline-before-activation-updates": (
+        _edits(lambda timeline: timeline[1:], _with(3, preferred=9)),
+        "unknown preferred event 9",
+    ),
+    "first-failing-action-wins": (
+        _edits(_with(0, value=-1), _with(4, choice=3)), "bad value -1: values are 64-bit words"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TIMELINE_FAILURES))
+def test_built_scenario_fails_its_first_timeline_check(case):
+    edit, message = TIMELINE_FAILURES[case]
+    scenario = table1("onchain-history")
+    broken = replace(scenario, timeline=edit(scenario.timeline))
+    with pytest.raises(ScenarioError) as raised:
+        broken.validate()
+    assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS, ids=lambda v: v.id)
+def test_choice_transaction_listed_before_an_update_of_its_step_replays_the_same(variant):
+    """Within a block updates come first, however the timeline lists them:
+    table1 with its activation listed before the update of step 73, and a
+    message listed before an update of step 78, replays as listed update
+    first, down to the load it reports."""
+    scenario = table1(variant.id)
+    update_first = replace(
+        scenario, timeline=scenario.timeline + (Action(78, "update", oracle=0, value=3),)
+    )
+    update_0, activate, *middle, message, update_3 = update_first.timeline
+    listed_late = replace(
+        update_first, timeline=(activate, update_0, *middle, update_3, message)
+    )
+    assert run(listed_late) == run(update_first)
+    assert run(listed_late).updates == 4
+
+
 def test_run_validates_a_json_scenario_once():
     text = TABLE1.read_text()
     with mock.patch.object(
