@@ -82,6 +82,7 @@ class DeferredChoiceContract(Contract):
         self.events = tuple(events)
         self.variant = variant
         self.kind = f"{variant.id}-choice"
+        self.deploy_gas = variant.architecture.choice_gas[variant.conditional]
         self.oracles = dict(oracles)
         # the architecture's row, resolved once per contract
         self.has_history = not variant.baseline
@@ -109,8 +110,9 @@ class DeferredChoiceContract(Contract):
         # host-side only: the tie-break preference at each waking timestamp
         self._preferred_at: dict[int, int] = {}
         self._cond_clear: dict[int, int] = {}
-        # host-side only: the query parameters of each event
-        self._params_of: dict[int, bytes] = {}
+        # host-side only: the query or subscription parameters of each
+        # condition, built at activation, where every delivery asks them all
+        self._params: dict[int, bytes] = {}
         self._pending: dict[int, int] = {}
         self._corr_seq = 0
 
@@ -135,16 +137,6 @@ class DeferredChoiceContract(Contract):
         if self.delivery is Delivery.PUSH:
             for eid in self.cond_ids:
                 self.oracles[eid].unsubscribe(ctx, self.address)
-
-    def _params(self, eid: int) -> bytes:
-        """Query or subscription parameters of event ``eid``, built once by
-        its oracle contract."""
-        params = self._params_of.get(eid)
-        if params is None:
-            params = self._params_of[eid] = self.oracles[eid].params(
-                self._conditions[eid], self.activation_ts
-            )
-        return params
 
     def _note(self, ctx: ExecutionContext, eid: int, at: int, horizon: int) -> None:
         """Record event ``eid`` as detected at ``at`` if it is not yet, or as
@@ -188,9 +180,10 @@ class DeferredChoiceContract(Contract):
         for eid in self.cond_ids:
             self._cond_clear[eid] = now - 1
             ctx.write(self.storage, f"clear:{eid}", now - 1)
+            self._params[eid] = self.oracles[eid].params(self._conditions[eid], now)
         if self.delivery is Delivery.PUSH:
             for eid in self.cond_ids:
-                self.oracles[eid].subscribe(ctx, self.address, self._params(eid))
+                self.oracles[eid].subscribe(ctx, self.address, self._params[eid])
         self._evaluate(ctx, now)
 
     def _try_trigger(self, ctx: ExecutionContext, payload: bytes) -> None:
@@ -220,7 +213,7 @@ class DeferredChoiceContract(Contract):
         if self.delivery is Delivery.SYNC:
             for eid in self.cond_ids:
                 oracle = self.oracles[eid]
-                answer = oracle.query(ctx, self._params(eid))
+                answer = oracle.query(ctx, self._params[eid])
                 at = oracle.dated(answer, 0, self._conditions[eid], self.activation_ts, now)
                 self._note(ctx, eid, at, now)
         elif self.delivery is Delivery.CALLBACK:
@@ -246,7 +239,7 @@ class DeferredChoiceContract(Contract):
             ctx.write(self.storage, "corr_seq", corr)
             self._pending[corr] = eid
             ctx.write(self.storage, f"pending:{corr}", eid)
-            self.oracles[eid].request(ctx, self.address, corr, self._params(eid))
+            self.oracles[eid].request(ctx, self.address, corr, self._params[eid])
         self._observe(ctx, now)
 
     def _oracle_callback(self, ctx: ExecutionContext, payload: bytes) -> None:

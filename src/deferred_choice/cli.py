@@ -40,20 +40,29 @@ from .scenario import Scenario, ScenarioError, run
 DEFAULT_SEED = 11
 
 
+def _distinct(values: list, text: str) -> None:
+    """Reject a value the comma list ``text`` repeats: it would be counted twice."""
+    for index, value in enumerate(values):
+        if value in values[:index]:
+            raise argparse.ArgumentTypeError(f"{value} is repeated in {text!r}")
+
+
 def _integers(minimum: int, single: bool = False) -> Callable[[str], int | list[int]]:
-    """The argument type of a comma list of integers >= ``minimum``, or one if ``single``."""
+    """The argument type of a comma list of distinct integers >= ``minimum``,
+    or one if ``single``."""
 
     def integers(text: str) -> int | list[int]:
         values = [int(part) for part in ([text] if single else text.split(",")) if part]
         if not values or min(values) < minimum:
             raise argparse.ArgumentTypeError(f"expected integers >= {minimum}, got {text!r}")
+        _distinct(values, text)
         return values[0] if single else values
 
     return integers
 
 
 def _variants(text: str) -> list[OracleVariant]:
-    """The argument type of a non-empty comma list of variants, or 'all'."""
+    """The argument type of a non-empty comma list of distinct variants, or 'all'."""
     if text.strip() == "all":
         return list(ALL_VARIANTS)
     try:
@@ -62,6 +71,7 @@ def _variants(text: str) -> list[OracleVariant]:
         raise argparse.ArgumentTypeError(str(error)) from None
     if not variants:
         raise argparse.ArgumentTypeError(f"expected a comma list of variants, got {text!r}")
+    _distinct([variant.id for variant in variants], text)
     return variants
 
 
@@ -76,7 +86,9 @@ def _load_schedule(path: str | None) -> GasSchedule:
     try:
         with open(path, encoding="utf-8") as handle:
             loaded = schedule.with_overrides(json.load(handle))
-        unknown = sorted(set(loaded.deploy_per_contract) - set(schedule.deploy_per_contract))
+        # every variant deploys an oracle and a choice contract
+        kinds = {f"{v.id}-{half}" for v in ALL_VARIANTS for half in ("oracle", "choice")}
+        unknown = sorted(set(loaded.deploy_per_contract) - kinds)
         if unknown:
             raise LedgerError(f"deploy_per_contract names kinds nothing deploys: {unknown}")
         return loaded

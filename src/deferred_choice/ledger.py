@@ -9,9 +9,11 @@ emission and any execution surcharge a contract adds (synchronous oracle
 reads are metered that way). Base plus calldata gas depends on the payload
 alone, so a chain computes it once per distinct payload under its (frozen)
 schedule; fan-outs and repeated calls share payloads. The other terms are
-metered as the contract runs. There is no virtual machine: contracts are
-Python objects dispatching on a function selector. Transactions, logs and
-receipts are immutable named tuples.
+metered as the contract runs. Deploying a contract charges the gas it
+states (``Contract.deploy_gas``) unless the schedule overrides its kind;
+the ledger itself names no kind of contract. There is no virtual machine:
+contracts are Python objects dispatching on a function selector.
+Transactions, logs and receipts are immutable named tuples.
 """
 
 from __future__ import annotations
@@ -99,41 +101,6 @@ class Receipt(NamedTuple):
     revert_reason: str | None = None
 
 
-def _default_deploy_costs() -> dict[str, int]:
-    # Invented constants; relative magnitudes reflect contract complexity
-    # (history slicing and on-chain condition evaluation cost more code).
-    oracle = {
-        "storage": 280_000,
-        "storage-cond": 410_000,
-        "request-response": 280_000,
-        "request-response-cond": 280_000,
-        "onchain-history": 470_000,
-        "onchain-history-cond": 550_000,
-        "offchain-history": 280_000,
-        "offchain-history-cond": 280_000,
-        "pubsub": 280_000,
-        "pubsub-cond": 280_000,
-    }
-    choice = {
-        "storage": 1_430_000,
-        "storage-cond": 1_410_000,
-        "request-response": 1_500_000,
-        "request-response-cond": 1_480_000,
-        "onchain-history": 1_520_000,
-        "onchain-history-cond": 1_390_000,
-        "offchain-history": 1_590_000,
-        "offchain-history-cond": 1_450_000,
-        "pubsub": 1_580_000,
-        "pubsub-cond": 1_490_000,
-    }
-    costs = {f"{name}-oracle": gas for name, gas in oracle.items()}
-    costs.update({f"{name}-choice": gas for name, gas in choice.items()})
-    return costs
-
-
-_DEFAULT_DEPLOY_COSTS = _default_deploy_costs()  # every default schedule gets a copy
-
-
 @dataclass(frozen=True)
 class GasSchedule:
     """Cost constants; configuration, not contract. Frozen, so a chain may
@@ -146,7 +113,8 @@ class GasSchedule:
     storage_write_update: int = 5_000
     log_base: int = 375
     log_per_byte: int = 8
-    deploy_per_contract: dict[str, int] = field(default_factory=_DEFAULT_DEPLOY_COSTS.copy)
+    # per-kind overrides of the gas a contract states it costs to deploy
+    deploy_per_contract: dict[str, int] = field(default_factory=dict)
 
     def byte_cost(self, data: bytes) -> int:
         zeros = data.count(0)
@@ -154,12 +122,6 @@ class GasSchedule:
 
     def log_cost(self, log: LogEntry) -> int:
         return self.log_base + self.log_per_byte * len(log.payload)
-
-    def deploy_cost(self, kind: str) -> int:
-        try:
-            return self.deploy_per_contract[kind]
-        except KeyError:
-            raise LedgerError(f"no deployment cost configured for kind {kind!r}") from None
 
     def with_overrides(self, overrides: object) -> "GasSchedule":
         """This schedule with the constants a decoded JSON object names
@@ -229,9 +191,11 @@ class ExecutionContext:
 
 
 class Contract:
-    """Base for on-chain objects; the chain assigns the address at deploy."""
+    """Base for on-chain objects; the chain assigns the address at deploy
+    and charges ``deploy_gas``, unless the schedule overrides its kind."""
 
     kind: str = "contract"
+    deploy_gas: int | None = None
 
     def __init__(self) -> None:
         self.address: int = 0
@@ -258,12 +222,16 @@ class Chain:
         self._intrinsic: dict[bytes, int] = {}
 
     def deploy(self, contract: Contract) -> int:
-        """Register a contract and charge its per-kind deployment constant."""
+        """Register a contract and charge its deployment gas: the schedule's
+        constant for its kind, else the contract's own."""
+        gas = self.schedule.deploy_per_contract.get(contract.kind, contract.deploy_gas)
+        if gas is None:
+            raise LedgerError(f"no deployment cost configured for kind {contract.kind!r}")
         address = self._next_address
         self._next_address += 1
         contract.address = address
         self.contracts[address] = contract
-        self.deploy_gas_total += self.schedule.deploy_cost(contract.kind)
+        self.deploy_gas_total += gas
         return address
 
     def submit(self, tx: Transaction) -> None:

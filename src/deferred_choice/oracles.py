@@ -22,8 +22,9 @@ dates a condition at its first satisfying change point and a timer at its
 fire time, a current value both at the wake that sees them. The delivery
 is how the answer reaches the contract: a read within the calling
 transaction, a query event answered by a callback transaction, or a push
-on every change. Every other difference between the architectures is read
-from these two fields.
+on every change. Every other difference in behaviour between the
+architectures is read from these two fields; the row also holds the
+deployment gas of the architecture's contracts.
 
 Each architecture comes in a regular and a conditional variant. Regular
 variants hand values (or value histories) to the consumer, which
@@ -106,24 +107,36 @@ class SemanticsKind(str, Enum):
 
 
 class Architecture(str, Enum):
-    """One row per architecture: its wire name, what it answers and how the
-    answer is delivered."""
+    """One row per architecture: its wire name, what it answers, how the
+    answer is delivered, and the deployment gas of its oracle contract and
+    of its choice contract, each as (regular, conditional). A variant's
+    contracts read everything they differ by from their row, so a new
+    architecture is one more row; a gas schedule may override the gas per
+    contract kind."""
 
     answer: Answer
     delivery: Delivery
+    oracle_gas: tuple[int, int]
+    choice_gas: tuple[int, int]
 
-    def __new__(cls, value: str, answer: Answer, delivery: Delivery) -> "Architecture":
+    def __new__(cls, value: str, *row) -> "Architecture":
         member = str.__new__(cls, value)
         member._value_ = value
-        member.answer = answer
-        member.delivery = delivery
+        member.answer, member.delivery, member.oracle_gas, member.choice_gas = row
         return member
 
-    STORAGE = "storage", Answer.CURRENT, Delivery.SYNC
-    REQUEST_RESPONSE = "request-response", Answer.CURRENT, Delivery.CALLBACK
-    ONCHAIN_HISTORY = "onchain-history", Answer.HISTORY, Delivery.SYNC
-    OFFCHAIN_HISTORY = "offchain-history", Answer.HISTORY, Delivery.CALLBACK
-    PUBSUB = "pubsub", Answer.HISTORY, Delivery.PUSH
+    # Invented gas constants; relative magnitudes reflect contract complexity
+    # (history slicing and on-chain condition evaluation cost more code).
+    STORAGE = ("storage", Answer.CURRENT, Delivery.SYNC,
+               (280_000, 410_000), (1_430_000, 1_410_000))
+    REQUEST_RESPONSE = ("request-response", Answer.CURRENT, Delivery.CALLBACK,
+                        (280_000, 280_000), (1_500_000, 1_480_000))
+    ONCHAIN_HISTORY = ("onchain-history", Answer.HISTORY, Delivery.SYNC,
+                       (470_000, 550_000), (1_520_000, 1_390_000))
+    OFFCHAIN_HISTORY = ("offchain-history", Answer.HISTORY, Delivery.CALLBACK,
+                        (280_000, 280_000), (1_590_000, 1_450_000))
+    PUBSUB = ("pubsub", Answer.HISTORY, Delivery.PUSH,
+              (280_000, 280_000), (1_580_000, 1_490_000))
 
 
 @dataclass(frozen=True)
@@ -345,6 +358,7 @@ class OracleContract(Contract):
         self.variant = variant
         self.variable = variable
         self.kind = f"{variant.id}-oracle"
+        self.deploy_gas = variant.architecture.oracle_gas[variant.conditional]
         # a consumer queries a window of the history; a push carries one change
         arch = variant.architecture
         self._windowed = arch.answer is Answer.HISTORY and arch.delivery is not Delivery.PUSH

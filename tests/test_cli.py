@@ -419,6 +419,28 @@ def test_bad_experiment_argument_exits_2_with_usage(tmp_path, capsys, case):
     assert not out.exists()
 
 
+REPEATED_VALUES = {
+    "k": (["correctness", "--n", "4", "--k", "5,5", "--variants", "storage"], "5 is repeated"),
+    "c": (["cost", "--c", "5,5", "--u", "1", "--variants", "pubsub"], "5 is repeated"),
+    "u": (["cost", "--c", "5", "--u", "1,10,1", "--variants", "pubsub"], "1 is repeated"),
+    "variants": (["cost", "--c", "1", "--u", "1", "--variants", "storage, storage"],
+                 "storage is repeated"),
+}
+
+
+@pytest.mark.parametrize("flag", sorted(REPEATED_VALUES))
+def test_repeated_list_value_exits_2_naming_it(tmp_path, capsys, flag):
+    """A value a list flag repeats would be counted twice: replayed or
+    written twice, or counted as another variant."""
+    command, named = REPEATED_VALUES[flag]
+    out = tmp_path / "out"
+    assert main([*command, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: deferred-choice ")
+    assert f"error: argument --{flag}: {named} in " in err
+    assert not out.exists()
+
+
 MALFORMED_SCHEDULES = {
     "bool-value": '{"tx_base": true}',
     "float-value": '{"tx_base": 1.9}',

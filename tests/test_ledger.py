@@ -17,7 +17,9 @@ from deferred_choice.ledger import (
     UnknownContractError,
     receipt_line,
 )
-from deferred_choice.scenario import Action
+from deferred_choice.experiments import gen_cost
+from deferred_choice.oracles import ALL_VARIANTS, Architecture
+from deferred_choice.scenario import Action, run
 
 
 class Probe(Contract):
@@ -90,7 +92,7 @@ def test_deploy_charges_configured_oracle_constant():
     oracle = make_oracle_contract(OracleVariant.parse("storage"), "x")
     address = chain.deploy(oracle)
     assert address == 1
-    assert chain.deploy_gas_total == chain.schedule.deploy_per_contract["storage-oracle"]
+    assert chain.deploy_gas_total == Architecture.STORAGE.oracle_gas[0] == 280_000
 
 
 def test_deploy_charges_configured_choice_constant():
@@ -110,19 +112,57 @@ def test_deploy_charges_configured_choice_constant():
     )
     oracle_gas = chain.deploy_gas_total
     chain.deploy(contract)
-    assert chain.deploy_gas_total - oracle_gas == chain.schedule.deploy_per_contract[
-        "pubsub-choice"
-    ]
+    assert chain.deploy_gas_total - oracle_gas == Architecture.PUBSUB.choice_gas[0] == 1_580_000
 
 
 def test_deploy_unknown_kind_rejected():
-    chain = Chain()
+    chain = Chain(GasSchedule().with_overrides({"deploy_per_contract": {"probe": 1}}))
 
     class Oddity(Contract):
         kind = "never-configured"
 
-    with pytest.raises(Exception):
+    with pytest.raises(LedgerError, match="'never-configured'"):
         chain.deploy(Oddity())
+    assert chain.contracts == {}
+    assert chain.deploy_gas_total == 0
+
+
+def test_deploy_charges_the_override_else_the_stated_gas():
+    class Stated(Contract):
+        kind = "stated"
+        deploy_gas = 700
+
+    class Overridden(Stated):
+        kind = "overridden"
+
+    chain = Chain(GasSchedule().with_overrides({"deploy_per_contract": {"overridden": 5}}))
+    chain.deploy(Overridden())
+    assert chain.deploy_gas_total == 5
+    chain.deploy(Stated())
+    assert chain.deploy_gas_total == 705
+
+
+@pytest.mark.parametrize("half", ["oracle", "choice"])
+@pytest.mark.parametrize("variant", ALL_VARIANTS, ids=lambda variant: variant.id)
+def test_run_deploy_override_replaces_only_its_kinds_row_constant(variant, half):
+    """An override of one kind of contract replaces that kind's row constant
+    in a replay's deployment gas; the other kind, another variant's kind and
+    every receipt are untouched."""
+    scenario = gen_cost(3, 2, variant)
+    row = variant.architecture
+    oracle_gas = row.oracle_gas[variant.conditional]
+    choice_gas = row.choice_gas[variant.conditional]
+    default = run(scenario)
+    assert default.gas_deploy == oracle_gas + 3 * choice_gas
+    other = next(v for v in ALL_VARIANTS if v != variant)
+    overrides = {f"{variant.id}-{half}": 7, f"{other.id}-oracle": 9, f"{other.id}-choice": 9}
+    overridden = run(scenario, GasSchedule().with_overrides({"deploy_per_contract": overrides}))
+    if half == "oracle":
+        assert overridden.gas_deploy == 7 + 3 * choice_gas
+    else:
+        assert overridden.gas_deploy == oracle_gas + 3 * 7
+    assert overridden.gas_operating == default.gas_operating
+    assert overridden.receipts == default.receipts
 
 
 # --- submit / step --------------------------------------------------------
@@ -228,9 +268,14 @@ def test_fan_out_readdressing_keeps_the_call():
 
 
 def test_default_schedules_share_no_deploy_table():
+    from deferred_choice.oracles import OracleVariant, make_oracle_contract
+
     first = GasSchedule()
     first.deploy_per_contract["storage-oracle"] = 1
-    assert GasSchedule().deploy_per_contract["storage-oracle"] == 280_000
+    assert GasSchedule().deploy_per_contract == {}
+    chain = Chain(GasSchedule())
+    chain.deploy(make_oracle_contract(OracleVariant.parse("storage"), "x"))
+    assert chain.deploy_gas_total == 280_000
     with pytest.raises(AttributeError):
         first.tx_base = 1  # frozen: a chain keeps what it derives from it
 

@@ -4,6 +4,8 @@ The running fixture mirrors the worked example: variable ``d_w`` is 0 at
 step 73, 1 at 74, and 2 at 77.
 """
 
+from pathlib import Path
+from typing import NamedTuple
 from unittest import mock
 
 import pytest
@@ -18,6 +20,8 @@ from deferred_choice.expr import evaluate, parse
 from deferred_choice.ledger import Chain, Contract, GasSchedule, Transaction
 from deferred_choice.oracles import (
     ALL_VARIANTS,
+    Answer,
+    Architecture,
     CallbackOracle,
     Delivery,
     History,
@@ -28,6 +32,7 @@ from deferred_choice.oracles import (
     SyncOracle,
     make_oracle_contract,
 )
+from deferred_choice.scenario import Scenario
 from deferred_choice.scenario import run as replay
 from deferred_choice.semantics import NEVER, Conditional, EventSpec, Message
 from reference import HistoryEntry, decode_bool, decode_pairs, earliest_satisfied, encode_pairs
@@ -790,3 +795,51 @@ def test_dated_gives_the_change_time_the_horizon_or_never(variant):
     )
     never = None if variant.id == "pubsub-cond" else NEVER
     assert dated_answer(variant, "d_w >= 5") == never
+
+
+# --- a new architecture is one row ------------------------------------------
+
+TABLE1 = Path(__file__).resolve().parent.parent / "scenarios" / "table1.json"
+
+
+class StandInRow(NamedTuple):
+    """An architecture row that is not an ``Architecture`` member: the
+    fields a variant's contracts read, and nothing else."""
+
+    value: str
+    answer: Answer
+    delivery: Delivery
+    oracle_gas: tuple[int, int]
+    choice_gas: tuple[int, int]
+
+
+@pytest.mark.parametrize("conditional", [False, True], ids=["regular", "conditional"])
+@pytest.mark.parametrize(
+    "answer, delivery",
+    [(answer, delivery) for answer in Answer for delivery in Delivery],
+    ids=lambda axis: axis.name.lower(),
+)
+def test_a_new_row_replays_with_its_own_deploy_gas(answer, delivery, conditional):
+    """A row for every (answer, delivery) pair, with gas constants no
+    ``Architecture`` has, replays the worked example and a cost cell. Where
+    an ``Architecture`` has the same two axes, the stand-in mines the same
+    receipts and operating gas; its deployment gas is its own constants."""
+    row = StandInRow(f"row-{answer.name}-{delivery.name}".lower(), answer, delivery,
+                     (1_111, 2_222), (33_000, 44_000))
+    variant = OracleVariant(row, conditional)
+    twin = next(
+        (OracleVariant(arch, conditional) for arch in Architecture
+         if (arch.answer, arch.delivery) == (answer, delivery)),
+        None,
+    )
+    for scenario in (Scenario.from_json(TABLE1.read_text()), gen_cost(5, 10, variant)):
+        report = replay(scenario.with_variant(variant))
+        assert report.gas_deploy == (
+            len(scenario.oracles) * row.oracle_gas[conditional]
+            + len(scenario.choices) * row.choice_gas[conditional]
+        )
+        if twin is not None:
+            expected = replay(scenario.with_variant(twin))
+            assert report.receipts == expected.receipts
+            assert report.gas_operating == expected.gas_operating
+            assert report.outcomes == expected.outcomes
