@@ -2,8 +2,10 @@
 
 Block ``n`` is the block of simulation step ``n`` and its timestamp equals
 its height, which realizes the discrete time domain of the semantics layer
-directly on-chain. A block that would hold no transaction changes nothing
-but the height, so the chain can skip it (``Chain.skip_empty_blocks``).
+directly on-chain. The chain keeps one queue of transactions, and a block
+runs what was queued for it in the order it was submitted. A block that
+would hold no transaction changes nothing but the height, so the chain can
+skip it (``Chain.skip_empty_blocks``).
 Gas covers the transaction base cost, calldata bytes, storage writes, log
 emission and any execution surcharge a contract adds (synchronous oracle
 reads are metered that way). Base plus calldata gas depends on the payload
@@ -216,7 +218,6 @@ class Chain:
         self.deploy_gas_total = 0
         self._next_address = 1
         self._pending: list[Transaction] = []
-        self._deferred: list[Transaction] = []
         # payload -> base plus calldata gas under ``schedule``; fan-outs and
         # repeated calls share payloads, so most transactions look it up
         self._intrinsic: dict[bytes, int] = {}
@@ -235,30 +236,27 @@ class Chain:
         return address
 
     def submit(self, tx: Transaction) -> None:
-        """Queue for the next mined block; the target must exist."""
+        """Queue for the next mined block, after every transaction queued
+        before it; the target must exist."""
         if tx.to not in self.contracts:
             raise UnknownContractError(f"no contract at address {tx.to}")
         self._pending.append(tx)
 
-    def submit_deferred(self, tx: Transaction) -> None:
-        """Queue a provider reaction for the next mined block, ahead of fresh
-        submissions. Target validity is only checked at execution, so a
-        callback to a missing consumer yields a reverted receipt instead of
-        an error."""
-        self._deferred.append(tx)
+    @property
+    def idle(self) -> bool:
+        """Whether no transaction is queued for the next block."""
+        return not self._pending
 
     def skip_empty_blocks(self, height: int) -> None:
         """Advance to ``height`` without mining, unless a transaction is
         queued, in which case the next block is not empty."""
-        if not self._pending and not self._deferred and height > self.height:
+        if self.idle and height > self.height:
             self.height = height
 
     def step(self) -> list[Receipt]:
-        """Mine one block: execute deferred reactions, then fresh submissions."""
+        """Mine one block: execute the queue in submission order."""
         self.height += 1
-        batch = self._deferred + self._pending
-        self._deferred = []
-        self._pending = []
+        batch, self._pending = self._pending, []
         mined = [self._execute(tx, self.height) for tx in batch]
         self.receipts += mined
         return mined
@@ -269,12 +267,9 @@ class Chain:
         if intrinsic is None:
             schedule = self.schedule
             intrinsic = self._intrinsic[payload] = schedule.tx_base + schedule.byte_cost(payload)
-        contract = self.contracts.get(tx.to)
-        if contract is None:
-            return _receipt(Receipt, (tx, block_time, intrinsic, (), "reverted", "unknown contract"))
         ctx = ExecutionContext(block_time, self.schedule)
         try:
-            contract.handle(ctx, tx.function, payload)
+            self.contracts[tx.to].handle(ctx, tx.function, payload)
         except Revert as revert:
             return _receipt(Receipt, (tx, block_time, intrinsic, (), "reverted", revert.reason))
         gas = intrinsic + ctx.gas + ctx.surcharge

@@ -35,10 +35,12 @@ timestamp, or a push signal at the first time the condition holds.
 Histories record change points only (``History.append`` decides): an
 update that repeats the current value adds no entry and triggers no push.
 Every provider keeps a ``History``; its last change point is the current
-value. All provider reactions to on-chain events (queries, subscriptions)
-are mined exactly one block later; transactions the provider originates
-itself when the external variable changes (storage/history writes, change
-pushes) are mined in the block of the change timestamp.
+value. A provider reacts to on-chain events (queries, subscriptions)
+right after the block that logged them, so its reactions are queued first
+for the next block and mined exactly one block later; transactions the
+provider originates itself when the external variable changes
+(storage/history writes, change pushes) are mined in the block of the
+change timestamp.
 
 Both history architectures keep their change points in one ``History``:
 each point is held once and encoded at most once, the first time a served
@@ -549,8 +551,9 @@ class OracleProvider:
 
     ``on_external_update`` is driven by the scenario engine when the
     external variable changes; ``after_block`` consumes the freshly mined
-    block's logs (a reverted transaction leaves none) and schedules
-    responses for the next block.
+    block's logs (a reverted transaction leaves none) and queues responses
+    for the next block. It runs right after that block is mined, before
+    anything else is queued, so the responses run first in the next block.
     """
 
     def __init__(self, chain: Chain, oracle: OracleContract):
@@ -599,7 +602,7 @@ class OracleProvider:
 
     # -- log reactions ---------------------------------------------------------
 
-    def after_block(self, receipts, block_ts: int) -> None:
+    def after_block(self, receipts) -> None:
         # nothing here changes what the provider knows, so consumers that
         # ask the same question get one answer (correlation ids count per
         # contract, so consumers that query in step ask alike) and those
@@ -619,18 +622,18 @@ class OracleProvider:
                         callback = callbacks[corr, params] = self.respond(consumer, corr, params)
                     else:
                         callback = callback.sent_to(consumer)
-                    self.chain.submit_deferred(callback)
+                    self.chain.submit(callback)
                 elif log.topic == "subscribe":
                     subscriber = wordcodec.decode_word(log.payload, 0)
                     if self._register_subscription(subscriber, log.payload[wordcodec.WORD_SIZE :]):
                         if catch_up is None:
                             catch_up = Transaction(
                                 self.account, subscriber, "push",
-                                self.oracle.pushed(block_ts, self.history.values[-1]),
+                                self.oracle.pushed(self.chain.height, self.history.values[-1]),
                             )
                         else:
                             catch_up = catch_up.sent_to(subscriber)
-                        self.chain.submit_deferred(catch_up)
+                        self.chain.submit(catch_up)
                 elif log.topic == "unsubscribe":
                     self.subscriptions.pop(wordcodec.decode_word(log.payload, 0), None)
 

@@ -51,7 +51,6 @@ from .semantics import (
 )
 
 SIM_ACCOUNT = "sim"
-SETTLE_STEPS = 2  # blocks after the last action so trailing callbacks get mined
 _KIND_TYPES = {name: kind for kind, name in KIND_NAMES.items()}
 
 
@@ -579,19 +578,19 @@ def run(scenario: Scenario, schedule: GasSchedule | None = None) -> ExperimentRe
             step_calls.append(action)
             if setup is None and action.kind == "activate":
                 setup = before
-    end = (plan[-1][0] if plan else 0) + SETTLE_STEPS
     blocks = iter(plan)
     block = next(blocks, None)
     # (kind, preferred, event) -> a transaction of that call: choices sent the
     # same call share one payload, validated once
     calls: dict[tuple[str, int | None, int | None], Transaction] = {}
 
-    while True:
-        # a block holding no transaction changes nothing: skip to the block
-        # before the next action, or to the end once none is left
-        chain.skip_empty_blocks(end if block is None else block[0] - 1)
-        if chain.height >= end:
-            break
+    # mine while an action is left or a transaction is queued, skipping the
+    # empty blocks before the next action; providers react only to
+    # activations and wakes, never to callbacks and pushes, so the chain is
+    # idle at most one block after the last action
+    while block is not None or not chain.idle:
+        if block is not None:
+            chain.skip_empty_blocks(block[0] - 1)
         step = chain.height + 1
         if block is not None and block[0] == step:
             _, step_updates, step_calls = block
@@ -608,7 +607,7 @@ def run(scenario: Scenario, schedule: GasSchedule | None = None) -> ExperimentRe
         receipts = chain.step()
         if receipts:
             for provider in reacting:
-                provider.after_block(receipts, chain.height)
+                provider.after_block(receipts)
 
     truths = ground_truth(scenario)
     outcomes = [

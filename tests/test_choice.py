@@ -411,7 +411,7 @@ def test_a_push_is_decoded_once(variant_id):
     chain.deploy(contract)
     provider.on_external_update(0, 0)
     chain.submit(Transaction("sim", contract.address, "activate", encode_activate(None)))
-    provider.after_block(chain.step(), chain.height)
+    provider.after_block(chain.step())
     with (
         mock.patch.object(choice, "leading_words", wraps=choice.leading_words) as in_choice,
         mock.patch.object(oracles, "leading_words", wraps=oracles.leading_words) as in_oracles,
@@ -421,7 +421,7 @@ def test_a_push_is_decoded_once(variant_id):
             if block == 3:
                 provider.on_external_update(2, 3)
             receipts = chain.step()
-            provider.after_block(receipts, chain.height)
+            provider.after_block(receipts)
             pushes += [r for r in receipts if r.tx.function == "push" and r.status == "ok"]
     assert len(pushes) == (1 if variant.conditional else 2)
     assert in_choice.call_count + in_oracles.call_count == len(pushes)
@@ -453,7 +453,7 @@ def _replay_with_stray_call(variant, function, payload):
             )
         mined = chain.step()
         if not variant.synchronous:
-            provider.after_block(mined, chain.height)
+            provider.after_block(mined)
         receipts += mined
     return contract, receipts
 

@@ -192,14 +192,6 @@ def test_submit_to_unknown_address_raises():
         chain.submit(tx(99))
 
 
-def test_deferred_to_missing_target_reverts_at_execution():
-    chain = make_chain()
-    chain.submit_deferred(tx(99))
-    receipts = chain.step()
-    assert receipts[0].status == "reverted"
-    assert receipts[0].revert_reason == "unknown contract"
-
-
 def test_empty_step_advances_height():
     chain = make_chain()
     assert chain.step() == []
@@ -219,16 +211,36 @@ def test_block_timestamp_equals_height():
     assert probe.calls == [(76, "noop")]
 
 
-def test_deferred_transactions_execute_next_step():
+def test_transactions_submitted_after_a_step_execute_next_step_in_order():
     chain = make_chain()
     address = chain.deploy(Probe())
-    chain.submit_deferred(tx(address, "noop"))
     chain.submit(tx(address, "log", b"\x00" * 32))
-    first = chain.step()
-    # both were queued before the step, deferred ones first
-    assert [r.tx.function for r in first] == ["noop", "log"]
-    chain.submit_deferred(tx(address, "noop"))
-    assert chain.step()[0].mined_at == 2
+    assert [r.mined_at for r in chain.step()] == [1]
+    # a reaction queued right after block 1 runs first in block 2, ahead of
+    # transactions submitted after it
+    chain.submit(tx(address, "noop"))
+    chain.submit(tx(address, "log", b"\x00" * 32))
+    chain.submit(tx(address, "write_new"))
+    second = chain.step()
+    assert [(r.tx.function, r.mined_at) for r in second] == [
+        ("noop", 2), ("log", 2), ("write_new", 2)
+    ]
+    assert chain.step() == []
+
+
+def test_skip_empty_blocks_waits_for_the_queue():
+    chain = make_chain()
+    address = chain.deploy(Probe())
+    chain.submit(tx(address))
+    assert not chain.idle
+    chain.skip_empty_blocks(10)
+    assert chain.height == 0  # the next block holds a transaction
+    assert [r.mined_at for r in chain.step()] == [1]
+    assert chain.idle
+    chain.skip_empty_blocks(10)
+    assert chain.height == 10
+    chain.skip_empty_blocks(4)
+    assert chain.height == 10  # never backwards
 
 
 def test_revert_records_reason_and_base_gas():
@@ -251,12 +263,11 @@ def test_reverted_receipts_keep_base_plus_calldata_gas():
     ):
         chain = Chain(schedule)
         address = chain.deploy(Probe())
-        chain.submit_deferred(tx(99, "noop", payload))
         chain.submit(tx(address, "fail", payload))
         chain.submit(tx(address, "noop", payload))
         chain.submit(tx(address, "fail", payload))
         assert [(r.status, r.gas_used) for r in chain.step()] == [
-            ("reverted", intrinsic), ("reverted", intrinsic), ("ok", intrinsic), ("reverted", intrinsic)
+            ("reverted", intrinsic), ("ok", intrinsic), ("reverted", intrinsic)
         ]
 
 

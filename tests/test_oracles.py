@@ -64,7 +64,7 @@ def make_rig(variant_id):
 
 def mine(chain, provider):
     receipts = chain.step()
-    provider.after_block(receipts, chain.height)
+    provider.after_block(receipts)
     return receipts
 
 
@@ -158,9 +158,7 @@ def test_pubsub_conditional_signals_only_on_first_transition():
     mine(chain, provider)
     ctx = ctx_for(chain)
     oracle.subscribe(ctx, sink.address, wc.encode_text("d_w >= 2"))
-    provider.after_block(
-        [type("R", (), {"status": "ok", "logs": ctx.logs})()], chain.height
-    )
+    provider.after_block([type("R", (), {"status": "ok", "logs": ctx.logs})()])
     mine(chain, provider)  # immediate push window: condition false, no signal
     before = len(sink.received)
     for at, value in ((75, 1), (76, 1)):
@@ -255,9 +253,7 @@ def test_query_log_round_trip_via_chain():
     feed_table_updates(chain, provider, through=74)
     ctx = ctx_for(chain)
     oracle.request(ctx, sink.address, 3, b"")
-    provider.after_block(
-        [type("R", (), {"status": "ok", "logs": ctx.logs})()], chain.height
-    )
+    provider.after_block([type("R", (), {"status": "ok", "logs": ctx.logs})()])
     receipts = mine(chain, provider)
     assert [r.tx.function for r in receipts] == ["oracle_callback"]
     assert sink.received[0][1] == "oracle_callback"
@@ -271,9 +267,7 @@ def test_subscribe_pushes_current_value_next_step():
     feed_table_updates(chain, provider, through=74)
     ctx = ctx_for(chain)
     oracle.subscribe(ctx, sink.address, b"")
-    provider.after_block(
-        [type("R", (), {"status": "ok", "logs": ctx.logs})()], chain.height
-    )
+    provider.after_block([type("R", (), {"status": "ok", "logs": ctx.logs})()])
     receipts = mine(chain, provider)
     pushes = [r for r in receipts if r.tx.function == "push"]
     assert len(pushes) == 1
@@ -287,9 +281,7 @@ def test_conditional_subscribe_already_satisfied_signals_subscription_step():
     feed_table_updates(chain, provider, through=78)
     ctx = ctx_for(chain)
     oracle.subscribe(ctx, sink.address, wc.encode_text("d_w >= 2"))
-    provider.after_block(
-        [type("R", (), {"status": "ok", "logs": ctx.logs})()], chain.height
-    )
+    provider.after_block([type("R", (), {"status": "ok", "logs": ctx.logs})()])
     receipts = mine(chain, provider)
     pushes = [r for r in receipts if r.tx.function == "push"]
     assert len(pushes) == 1
@@ -410,9 +402,7 @@ def test_pubsub_completeness_one_push_per_change():
     mine(chain, provider)
     ctx = ctx_for(chain)
     oracle.subscribe(ctx, sink.address, b"")
-    provider.after_block(
-        [type("R", (), {"status": "ok", "logs": ctx.logs})()], chain.height
-    )
+    provider.after_block([type("R", (), {"status": "ok", "logs": ctx.logs})()])
     mine(chain, provider)  # catch-up push
     pushes_before = sum(1 for _, fn, _ in sink.received if fn == "push")
     values = [0, 1, 1, 2, 2, 3]
@@ -775,7 +765,7 @@ def dated_answer(variant, text):
     else:
         ctx = ctx_for(chain)
         oracle.subscribe(ctx, sink.address, params)
-        provider.after_block([type("R", (), {"status": "ok", "logs": ctx.logs})()], chain.height)
+        provider.after_block([type("R", (), {"status": "ok", "logs": ctx.logs})()])
         mine(chain, provider)
         if not sink.received:
             return None

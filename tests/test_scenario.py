@@ -17,7 +17,7 @@ from deferred_choice.experiments import (
     write_receipts_log,
 )
 from deferred_choice.ledger import Chain, GasSchedule
-from deferred_choice.oracles import ALL_VARIANTS, OracleProvider, OracleVariant
+from deferred_choice.oracles import ALL_VARIANTS, Delivery, OracleProvider, OracleVariant
 from deferred_choice.scenario import (
     Action,
     ChoiceDecl,
@@ -188,6 +188,47 @@ def test_far_trigger_mines_only_blocks_with_transactions():
             (o.winner, o.truth) for o in near.outcomes
         ], variant.id
         assert far.gas_total == near.gas_total, variant.id
+
+
+def activation_last(variant):
+    """x0 is 7 from step 5 and the choice activates at step 8, its last
+    action, while "x0 >= 1" holds: a callback oracle answers the query of
+    the activation, and a push oracle, conditional or not, sends it a
+    catch-up push, each in block 9."""
+    return race_scenario(
+        ["x0"],
+        [ChoiceDecl((EventSpec(0, Conditional(exprlang.parse("x0 >= 1"))),
+                     EventSpec(1, AbsoluteTimer(20))), {0: 0})],
+        [Action(5, "update", oracle=0, value=7), Action(8, "activate", choice=0)],
+    ).with_variant(variant)
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS, ids=lambda v: v.id)
+def test_replay_ends_at_most_one_block_after_its_last_action(variant):
+    scenarios = [
+        table1(variant.id),
+        gen_cost(5, 10, variant),
+        *gen_correctness(6, 5, variant, 11),
+        activation_last(variant),
+    ]
+    for scenario in scenarios:
+        last = scenario.timeline[-1].step
+        report = run(scenario)
+        assert report.receipts[-1].mined_at in (last, last + 1), scenario.scenario_id
+    # the loop ends with activation_last: the answer to its final
+    # activation is mined, not cut off
+    reaction = {Delivery.CALLBACK: "oracle_callback", Delivery.PUSH: "push"}
+    trailing = [
+        (receipt.mined_at, receipt.tx.function, receipt.status)
+        for receipt in report.receipts
+        if receipt.mined_at > last
+    ]
+    delivery = variant.architecture.delivery
+    if delivery is Delivery.SYNC:
+        assert trailing == []
+    else:
+        assert trailing == [(last + 1, reaction[delivery], "ok")]
+    assert (report.winner, report.truth) == (0, 0)
 
 
 def test_induced_trace_is_piecewise_constant():
