@@ -107,6 +107,7 @@ def gen_correctness(n: int, k: int, variant: OracleVariant, seed: int) -> list[S
 
 @dataclass
 class CorrectnessRecord:
+    """One correctness replay: the contract's winner next to the ground truth's."""
     scenario_id: str
     k: int
     first_event_kind: str
@@ -151,6 +152,7 @@ def run_correctness_experiment(
 
 @dataclass
 class CorrectnessRow:
+    """One row of the correctness table: an architecture's correct replays."""
     semantics: str
     architecture: str
     regular_correct: int
@@ -250,6 +252,7 @@ def run_cost_experiment(
 
 @dataclass
 class HeatmapRow:
+    """One heatmap cell: a variant's normalized per-consumer gas at (c, u)."""
     variant: str
     c: int
     u: int
@@ -280,6 +283,7 @@ def heatmap_rows(reports: Sequence[ExperimentReport]) -> list[HeatmapRow]:
 
 @dataclass
 class ReportRow:
+    """One line of ``report.csv``: a replay's outcome and gas."""
     scenario_id: str
     variant: str
     semantics: str

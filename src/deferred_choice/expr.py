@@ -57,6 +57,7 @@ class ExprEvalError(ExprError):
 
 @dataclass(frozen=True)
 class Comparison:
+    """``var op value``: a variable compared with a constant."""
     var: str
     op: str
     value: int
@@ -70,17 +71,20 @@ class Comparison:
 
 @dataclass(frozen=True)
 class Not:
+    """``!operand``: logical negation."""
     operand: "Expr"
 
 
 @dataclass(frozen=True)
 class And:
+    """``left && right``: logical conjunction."""
     left: "Expr"
     right: "Expr"
 
 
 @dataclass(frozen=True)
 class Or:
+    """``left || right``: logical disjunction."""
     left: "Expr"
     right: "Expr"
 

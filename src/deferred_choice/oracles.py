@@ -143,6 +143,7 @@ class Architecture(str, Enum):
 
 @dataclass(frozen=True)
 class OracleVariant:
+    """An oracle architecture, answering regular or conditional queries."""
     architecture: Architecture
     conditional: bool = False
     # the wire name, derived once per variant: contracts and report rows read it

@@ -65,11 +65,13 @@ def _in_range(value: Any, stop: int) -> bool:
 
 @dataclass(frozen=True)
 class OracleDecl:
+    """An oracle of a scenario, named by the variable it reports."""
     variable: str
 
 
 @dataclass(frozen=True)
 class ChoiceDecl:
+    """A deferred choice: its events and the oracle of each conditional one."""
     events: tuple[EventSpec, ...]
     oracle_for_event: dict[int, int] = field(default_factory=dict)
 
@@ -91,6 +93,7 @@ _UNTAKEN_FIELDS = {"update": (4, 5, 6), "activate": (2, 3, 6), "trigger": (2, 3,
 
 @dataclass(frozen=True)
 class Scenario:
+    """A scenario: variant, semantics, oracles, choices and a timeline of actions."""
     scenario_id: str
     variant: OracleVariant
     semantics: SemanticsKind
@@ -101,6 +104,10 @@ class Scenario:
     # set by a passing ``validate``; not a field, so copies made with
     # ``dataclasses.replace`` start unvalidated
     _validated = False
+    # the scenario a ``with_variant`` copy was made from, and the file text
+    # after the header that ``to_json`` keeps on it; neither is a field
+    _origin = None
+    _body = None
 
     def validate(self) -> None:
         if not isinstance(self.scenario_id, str):
@@ -202,7 +209,12 @@ class Scenario:
         return self.oracles[index]
 
     def with_variant(self, variant: OracleVariant) -> "Scenario":
-        return replace(self, variant=variant, semantics=variant.semantics)
+        """A copy under ``variant`` and its semantics. Copies of one
+        scenario, and copies of those, share the text ``to_json`` writes
+        after the header, since the variant changes only the header."""
+        copy = replace(self, variant=variant, semantics=variant.semantics)
+        object.__setattr__(copy, "_origin", self._origin or self)
+        return copy
 
     # -- serialization -------------------------------------------------------
 
@@ -211,26 +223,32 @@ class Scenario:
         indent=2)`` writes for its JSON object, byte for byte, formatted
         directly from the schema. Keys keep the schema's order and an
         action lists only the fields it sets. ``from_json`` reads the text
-        back to an equal scenario."""
-        oracles = [
-            _block([f'"variable": {_scalar(o.variable)}'], "{}", _ITEM) for o in self.oracles
-        ]
-        choices = []
-        for decl in self.choices:
-            events = _block([_event_json(e, decl) for e in decl.events], "[]", _ITEM_KEY)
-            choices.append(_block([f'"events": {events}'], "{}", _ITEM))
-        return _block(
-            [
-                f'"id": {_scalar(self.scenario_id)}',
-                f'"variant": {_quote(self.variant.id)}',
-                f'"semantics": {_quote(self.semantics.value)}',
-                f'"seed": {_scalar(self.seed)}',
-                f'"oracles": {_block(oracles, "[]", _KEY)}',
-                f'"choices": {_block(choices, "[]", _KEY)}',
-                f'"timeline": {_block([_action_json(a) for a in self.timeline], "[]", _KEY)}',
-            ],
-            "{}",
-            "",
+        back to an equal scenario.
+
+        The body after the header (the oracles, choices and timeline) is
+        formatted once and kept on the scenario ``with_variant`` copies
+        came from, so each further copy formats only its header."""
+        origin = self._origin or self
+        body = origin._body
+        if body is None:
+            oracles = [
+                _block([f'"variable": {_scalar(o.variable)}'], "{}", _ITEM) for o in self.oracles
+            ]
+            choices = []
+            for decl in self.choices:
+                events = _block([_event_json(e, decl) for e in decl.events], "[]", _ITEM_KEY)
+                choices.append(_block([f'"events": {events}'], "{}", _ITEM))
+            timeline = [_action_json(a) for a in self.timeline]
+            body = (
+                f',\n  "oracles": {_block(oracles, "[]", _KEY)},'
+                f'\n  "choices": {_block(choices, "[]", _KEY)},'
+                f'\n  "timeline": {_block(timeline, "[]", _KEY)}\n}}'
+            )
+            object.__setattr__(origin, "_body", body)
+        return (
+            f'{{\n  "id": {_scalar(self.scenario_id)},\n  "variant": {_quote(self.variant.id)},'
+            f'\n  "semantics": {_quote(self.semantics.value)},\n  "seed": {_scalar(self.seed)}'
+            + body
         )
 
     @classmethod
@@ -477,6 +495,7 @@ def ground_truth(scenario: Scenario) -> list[tuple[int | None, int | None]]:
 
 @dataclass
 class ChoiceOutcome:
+    """What a replay decided for one choice, next to the ground truth."""
     choice: int
     winner: int | None
     truth: int | None
@@ -495,6 +514,7 @@ class ChoiceOutcome:
 
 @dataclass
 class ExperimentReport:
+    """The result of replaying one scenario: outcomes, gas and receipts."""
     scenario_id: str
     variant: OracleVariant
     consumers: int

@@ -46,16 +46,19 @@ class Message:
 
 @dataclass(frozen=True)
 class AbsoluteTimer:
+    """Timer event at a fixed timestamp, or at activation if that is later."""
     deadline: int
 
 
 @dataclass(frozen=True)
 class RelativeTimer:
+    """Timer event ``delta`` after the choice's activation."""
     delta: int
 
 
 @dataclass(frozen=True)
 class Conditional:
+    """Event that occurs once a condition on an oracle's variable holds."""
     condition: exprlang.Expr
 
 
@@ -72,6 +75,7 @@ KIND_NAMES: dict[type, str] = {
 
 @dataclass(frozen=True)
 class EventSpec:
+    """An event of a deferred choice: its id and its kind."""
     id: int
     kind: EventKind
 

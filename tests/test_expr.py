@@ -161,6 +161,30 @@ def test_pickled_node_hashes_in_another_process():
     )
 
 
+def test_fresh_imports_leave_nothing_alive():
+    """Importing the package afresh, as each benchmark set-up does, frees
+    the previous copy: nothing outside it, such as the ``typing`` cache of
+    a ``Union`` alias, keeps its classes alive."""
+    script = (
+        "import gc, importlib, sys\n"
+        "counts = []\n"
+        "for _ in range(20):\n"
+        "    for name in [n for n in sys.modules if n.startswith('deferred_choice')]:\n"
+        "        del sys.modules[name]\n"
+        "    importlib.import_module('deferred_choice.experiments')\n"
+        "    gc.collect()\n"
+        "    counts.append(len(gc.get_objects()))\n"
+        "print(counts[4], counts[19])\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, check=True, timeout=60,
+        capture_output=True, text=True,
+    )
+    after_5, after_20 = map(int, done.stdout.split())
+    assert after_20 == after_5
+
+
 @st.composite
 def expr_with_valuation(draw):
     expr = draw(expressions)

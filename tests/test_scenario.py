@@ -1,7 +1,7 @@
 import hashlib
 import json
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 from unittest import mock
 
@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from deferred_choice import expr as exprlang
+from deferred_choice import scenario as scenario_module
 from deferred_choice.choice import SemanticsKind
 from deferred_choice.experiments import (
     gen_correctness,
@@ -925,24 +926,29 @@ def scenario_files(draw):
     return scenario, validated
 
 
-def check_scenario_file(scenario, validated):
-    text = scenario.to_json()
-    assert text == json.dumps(reference_dict(scenario), indent=2)
-    if validated:
+def check_scenario_file(scenario, validated, variant):
+    """The file of ``scenario``, of its copy under ``variant`` and of a
+    copy of that copy, which share the text after the header."""
+    copy = scenario.with_variant(variant)
+    for written in (scenario, copy, copy.with_variant(scenario.variant)):
+        text = written.to_json()
+        assert text == json.dumps(reference_dict(written), indent=2)
+        if not validated:
+            continue
         try:
-            scenario.validate()
+            written.validate()
         except ScenarioError:
             # a name a condition cannot hold is the only thing left to reject
-            assert not all(IDENTIFIER.fullmatch(o.variable) for o in scenario.oracles)
-            return
+            assert not all(IDENTIFIER.fullmatch(o.variable) for o in written.oracles)
+            continue
         # what validate accepts, the file reads back
-        assert Scenario.from_json(text) == scenario
+        assert Scenario.from_json(text) == written
 
 
 @settings(max_examples=300, deadline=None)
-@given(scenario_files())
-def test_to_json_writes_what_json_dumps_writes(case):
-    check_scenario_file(*case)
+@given(scenario_files(), st.sampled_from(ALL_VARIANTS))
+def test_to_json_writes_what_json_dumps_writes(case, variant):
+    check_scenario_file(*case, variant)
 
 
 NO_ORACLES = Scenario(
@@ -962,7 +968,37 @@ NO_ORACLES = Scenario(
     + [pytest.param(gen_cost(5, 10, v), id=f"cost-{v.id}") for v in ALL_VARIANTS],
 )
 def test_to_json_writes_what_json_dumps_writes_on_bundled_scenarios(scenario):
-    check_scenario_file(scenario, True)
+    check_scenario_file(scenario, True, OracleVariant.parse("pubsub-cond"))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: Scenario.from_json(TABLE1.read_text()), lambda: gen_cost(5, 10, ALL_VARIANTS[0])],
+    ids=["table1", "cost"],
+)
+def test_variant_copies_format_the_timeline_once(make):
+    base = make()
+    copies = [base.with_variant(ALL_VARIANTS[0])]
+    for variant in ALL_VARIANTS[1:]:  # each a copy of the one before
+        copies.append(copies[-1].with_variant(variant))
+    with mock.patch.object(
+        scenario_module, "_action_json", wraps=scenario_module._action_json
+    ) as action_json:
+        texts = [copy.to_json() for copy in copies]
+    assert action_json.call_count == len(base.timeline)
+    assert texts == [json.dumps(reference_dict(copy), indent=2) for copy in copies]
+
+
+def test_variant_copies_add_no_fields():
+    base = table1("storage")
+    variant = OracleVariant.parse("pubsub")
+    copy = base.with_variant(variant)
+    copy.to_json()
+    assert [f.name for f in fields(Scenario)] == [
+        "scenario_id", "variant", "semantics", "oracles", "choices", "timeline", "seed",
+    ]
+    assert copy == replace(base, variant=variant, semantics=variant.semantics)
+    assert "_origin" not in repr(copy) and "_body" not in repr(copy)
 
 
 # --- gen_correctness ----------------------------------------------------------------
