@@ -1,7 +1,7 @@
 """Deterministic simulator for the deferred-choice pattern on
 transaction-driven ledgers."""
 
-from .choice import DeferredChoiceContract
+from .choice import DeferredChoiceContract, make_choice_contract
 from .expr import (
     And,
     Comparison,

@@ -17,18 +17,20 @@ rest:
   only the current value (storage, request-response) a ``continual``
   contract is the naive baseline: a condition that holds is dated at the
   answer's horizon, a fired timer at the wake that first sees it;
-* the delivery fixes the transport and the entry points: a sync contract
-  reads its oracles inline; a callback contract issues correlated queries
-  and takes ``oracle_callback``; a push contract takes ``push`` and
-  accumulates pushed change points instead of querying.
+* the delivery fixes the transport and the entry points, and each delivery
+  has its own contract class (``make_choice_contract``): a ``SyncChoice``
+  reads its oracles inline; a ``CallbackChoice`` issues correlated queries
+  and takes ``oracle_callback``; a ``PushChoice`` subscribes at activation,
+  takes ``push`` and accumulates pushed change points instead of querying.
 """
 
 from __future__ import annotations
 
+from abc import ABC, abstractmethod
 from collections.abc import Mapping, Sequence
 
 from . import wordcodec
-from .ledger import Contract, ExecutionContext, Revert
+from .ledger import Contract, ExecutionContext, Revert, require_words
 from .oracles import (  # SemanticsKind is re-exported for bench/fuzzgen.py
     Delivery,
     OracleContract,
@@ -68,8 +70,13 @@ def encode_trigger(preferred: int | None, message_event: int | None) -> bytes:
     )
 
 
-class DeferredChoiceContract(Contract):
-    """On-chain half of one deferred choice instance."""
+class DeferredChoiceContract(Contract, ABC):
+    """On-chain half of one deferred choice instance, as every delivery has
+    it; the class of its delivery adds how a wake evaluates (``_evaluate``)
+    and the entry point that takes answers."""
+
+    stores_answers = True  # whether ``_note`` stores history answers
+    one_per_oracle = False  # the binding rule of ``check_bindings``
 
     def __init__(
         self,
@@ -78,17 +85,14 @@ class DeferredChoiceContract(Contract):
         oracles: Mapping[int, OracleContract],
     ):
         super().__init__()
-        check_bindings(events, oracles, variant.architecture.delivery is Delivery.PUSH)
+        check_bindings(events, oracles, self.one_per_oracle)
         self.events = tuple(events)
-        self.variant = variant
         self.kind = f"{variant.id}-choice"
         self.deploy_gas = variant.architecture.choice_gas[variant.conditional]
         self.oracles = dict(oracles)
         # the architecture's row, resolved once per contract
         self.has_history = not variant.baseline
-        self.delivery = variant.architecture.delivery
-        # history answers that arrive in their own transaction are stored
-        self._stores_answers = self.has_history and self.delivery is not Delivery.SYNC
+        self._stores_answers = self.has_history and self.stores_answers
         # the events by kind, for ``_rank``; timers fire at times fixed at activation
         self._conditions = {
             e.id: e.kind.condition for e in self.events if isinstance(e.kind, Conditional)
@@ -96,7 +100,6 @@ class DeferredChoiceContract(Contract):
         self.cond_ids = tuple(self._conditions)
         self._message_ids = tuple(e.id for e in self.events if isinstance(e.kind, Message))
         self._oracle_event = {self.oracles[eid].address: eid for eid in self.cond_ids}
-        self._entry_points = _ENTRY_POINTS[self.delivery]
         # mutable contract state (writes metered through the context)
         self.activation_ts: int | None = None
         self.observed_ts: int | None = None
@@ -113,7 +116,7 @@ class DeferredChoiceContract(Contract):
         # host-side only: the query or subscription parameters of each
         # condition, built at activation, where every delivery asks them all
         self._params: dict[int, bytes] = {}
-        self._pending: dict[int, int] = {}
+        self._pending: dict[int, int] = {}  # a callback contract's queries in flight
         self._corr_seq = 0
 
     # -- helpers -----------------------------------------------------------
@@ -133,10 +136,17 @@ class DeferredChoiceContract(Contract):
         ctx.write(self.storage, "winner", winner)
         ctx.write(self.storage, "winner_detection_ts", detected_at)
         ctx.log(self.address, "winner", wordcodec.encode_words(winner, detected_at))
-        # a contract finalizes once, never in its activation, so it holds each one
-        if self.delivery is Delivery.PUSH:
-            for eid in self.cond_ids:
-                self.oracles[eid].unsubscribe(ctx, self.address)
+        self._unsubscribe(ctx)
+
+    @abstractmethod
+    def _evaluate(self, ctx: ExecutionContext, now: int) -> None:
+        """Evaluate a wake at ``now``, as the contract's delivery does."""
+
+    def _subscribe(self, ctx: ExecutionContext) -> None:
+        """Take what activation takes of the oracles: nothing but a push."""
+
+    def _unsubscribe(self, ctx: ExecutionContext) -> None:
+        """Release what ``_subscribe`` took, once the contract finalizes."""
 
     def _note(self, ctx: ExecutionContext, eid: int, at: int, horizon: int) -> None:
         """Record event ``eid`` as detected at ``at`` if it is not yet, or as
@@ -159,7 +169,8 @@ class DeferredChoiceContract(Contract):
         entry = self._entry_points.get(function)
         if entry is None:
             raise Revert(f"unknown function {function!r}")
-        entry(self, ctx, payload)
+        require_words(function, payload, entry[1])
+        entry[0](self, ctx, payload)
 
     # -- entry points ----------------------------------------------------------
 
@@ -181,9 +192,7 @@ class DeferredChoiceContract(Contract):
             self._cond_clear[eid] = now - 1
             ctx.write(self.storage, f"clear:{eid}", now - 1)
             self._params[eid] = self.oracles[eid].params(self._conditions[eid], now)
-        if self.delivery is Delivery.PUSH:
-            for eid in self.cond_ids:
-                self.oracles[eid].subscribe(ctx, self.address, self._params[eid])
+        self._subscribe(ctx)
         self._evaluate(ctx, now)
 
     def _try_trigger(self, ctx: ExecutionContext, payload: bytes) -> None:
@@ -208,83 +217,8 @@ class DeferredChoiceContract(Contract):
                 ctx.write(self.storage, f"msgdet:{message_event}", now)
         self._evaluate(ctx, now)
 
-    def _evaluate(self, ctx: ExecutionContext, now: int) -> None:
-        clear_floor = None
-        if self.delivery is Delivery.SYNC:
-            for eid in self.cond_ids:
-                oracle = self.oracles[eid]
-                answer = oracle.query(ctx, self._params[eid])
-                at = oracle.dated(answer, 0, self._conditions[eid], self.activation_ts, now)
-                self._note(ctx, eid, at, now)
-        elif self.delivery is Delivery.CALLBACK:
-            needed = tuple(eid for eid in self.cond_ids if eid not in self.detected)
-            if needed:
-                self._issue_queries(ctx, needed, now)
-                return
-        elif now > self.activation_ts:
-            # push: after the activation block every change up to "now" has
-            # been delivered before this transaction, so silence certifies
-            # "unsatisfied through now". In the activation block itself the
-            # catch-up push is still in flight and certifies nothing.
-            clear_floor = now
-        self._rank(ctx, now, clear_floor)
-
-    # -- asynchronous resolution -------------------------------------------------
-
-    def _issue_queries(self, ctx: ExecutionContext, event_ids: Sequence[int], now: int) -> None:
-        ctx.write(self.storage, "inflight_horizon", now)
-        for eid in event_ids:
-            self._corr_seq += 1
-            corr = self._corr_seq
-            ctx.write(self.storage, "corr_seq", corr)
-            self._pending[corr] = eid
-            ctx.write(self.storage, f"pending:{corr}", eid)
-            self.oracles[eid].request(ctx, self.address, corr, self._params[eid])
-        self._observe(ctx, now)
-
-    def _oracle_callback(self, ctx: ExecutionContext, payload: bytes) -> None:
-        if self.winner is not None:
-            return  # late callbacks are accepted and ignored
-        # the correlation word and the answer's first word, decoded once
-        # for every consumer a fan-out sends this payload
-        corr = leading_words(payload, 2)[0]
-        if corr not in self._pending:
-            raise Revert(f"unknown correlation id {corr}")
-        eid = self._pending.pop(corr)
-        ctx.write(self.storage, f"pending:{corr}", 0)
-        horizon = self.storage["inflight_horizon"]
-        at = self.oracles[eid].dated(
-            payload, 1, self._conditions[eid], self.activation_ts, horizon
-        )
-        self._note(ctx, eid, at, horizon)
-        if self._pending:
-            return
-        ctx.write(self.storage, "inflight_horizon", 0)
-        self._rank(ctx, horizon)
-
-    # -- pub/sub deliveries ----------------------------------------------------------
-
-    def _push(self, ctx: ExecutionContext, payload: bytes) -> None:
-        if self.activation_ts is None:
-            raise Revert("not activated")
-        if self.winner is not None:
-            return  # pushes racing the decision are ignored
-        # decoded once: the (oracle, at) header, then the change its oracle reads
-        words = leading_words(payload, len(payload) // wordcodec.WORD_SIZE)
-        oracle_address, at = words[0], words[1]
-        if oracle_address not in self._oracle_event:
-            raise Revert(f"push from unbound oracle {oracle_address}")
-        eid = self._oracle_event[oracle_address]
-        if eid not in self.detected:
-            found = self.oracles[eid].change_dated(words, 2, self._conditions[eid], at)
-            self._note(ctx, eid, found, at)
-        # other oracles and message transactions may still land in this very
-        # block, so a push only certifies the world through the previous step;
-        # in the block after activation the other catch-up pushes of the
-        # activation step may still land, so it certifies nothing yet
-        previous = ctx.block_time - 1
-        clear_floor = self.activation_ts - 1 if previous == self.activation_ts else previous
-        self._rank(ctx, at, clear_floor, ctx.block_time, settled=previous)
+    # function selector -> (entry point, the fewest words its calldata holds)
+    _entry_points = {"activate": (_activate, 1), "try_trigger": (_try_trigger, 2)}
 
     # -- winner selection ---------------------------------------------------------
 
@@ -329,17 +263,128 @@ class DeferredChoiceContract(Contract):
         self._finalize(ctx, winner, at, horizon)
 
 
-# function selector -> entry point of ``DeferredChoiceContract.handle``, per
-# delivery: only a callback contract takes callbacks, only a push one pushes
-_ENTRY_POINTS = {
-    delivery: {
-        "activate": DeferredChoiceContract._activate,
-        "try_trigger": DeferredChoiceContract._try_trigger,
-        **entries,
+class SyncChoice(DeferredChoiceContract):
+    """Reads its oracles inline at each wake, so it stores no answer."""
+
+    stores_answers = False
+
+    def _evaluate(self, ctx: ExecutionContext, now: int) -> None:
+        for eid in self.cond_ids:
+            oracle = self.oracles[eid]
+            answer = oracle.query(ctx, self._params[eid])
+            at = oracle.dated(answer, 0, self._conditions[eid], self.activation_ts, now)
+            self._note(ctx, eid, at, now)
+        self._rank(ctx, now)
+
+
+class CallbackChoice(DeferredChoiceContract):
+    """Queries at a wake, and ranks once ``oracle_callback`` has every answer."""
+
+    def _evaluate(self, ctx: ExecutionContext, now: int) -> None:
+        needed = tuple(eid for eid in self.cond_ids if eid not in self.detected)
+        if needed:
+            self._issue_queries(ctx, needed, now)
+        else:
+            self._rank(ctx, now)
+
+    def _issue_queries(self, ctx: ExecutionContext, event_ids: Sequence[int], now: int) -> None:
+        ctx.write(self.storage, "inflight_horizon", now)
+        for eid in event_ids:
+            self._corr_seq += 1
+            corr = self._corr_seq
+            ctx.write(self.storage, "corr_seq", corr)
+            self._pending[corr] = eid
+            ctx.write(self.storage, f"pending:{corr}", eid)
+            self.oracles[eid].request(ctx, self.address, corr, self._params[eid])
+        self._observe(ctx, now)
+
+    def _oracle_callback(self, ctx: ExecutionContext, payload: bytes) -> None:
+        if self.winner is not None:
+            return  # late callbacks are accepted and ignored
+        # the correlation word and the answer's first word, decoded once
+        # for every consumer a fan-out sends this payload
+        corr = leading_words(payload, 2)[0]
+        eid = self._pending.get(corr)
+        if eid is None:
+            raise Revert(f"unknown correlation id {corr}")
+        horizon = self.storage["inflight_horizon"]
+        try:  # read before any write, so a truncated answer reverts cleanly
+            at = self.oracles[eid].dated(
+                payload, 1, self._conditions[eid], self.activation_ts, horizon
+            )
+        except wordcodec.CodecError:
+            raise Revert("oracle_callback: truncated answer") from None
+        del self._pending[corr]
+        ctx.write(self.storage, f"pending:{corr}", 0)
+        self._note(ctx, eid, at, horizon)
+        if self._pending:
+            return
+        ctx.write(self.storage, "inflight_horizon", 0)
+        self._rank(ctx, horizon)
+
+    _entry_points = {
+        **DeferredChoiceContract._entry_points, "oracle_callback": (_oracle_callback, 2)
     }
-    for delivery, entries in (
-        (Delivery.SYNC, {}),
-        (Delivery.CALLBACK, {"oracle_callback": DeferredChoiceContract._oracle_callback}),
-        (Delivery.PUSH, {"push": DeferredChoiceContract._push}),
-    )
+
+
+class PushChoice(DeferredChoiceContract):
+    """Subscribes to each condition's own oracle, which pushes it changes."""
+
+    one_per_oracle = True
+
+    def _subscribe(self, ctx: ExecutionContext) -> None:
+        for eid in self.cond_ids:
+            self.oracles[eid].subscribe(ctx, self.address, self._params[eid])
+
+    def _unsubscribe(self, ctx: ExecutionContext) -> None:
+        # a contract finalizes once, never in its activation, so it holds each one
+        for eid in self.cond_ids:
+            self.oracles[eid].unsubscribe(ctx, self.address)
+
+    def _evaluate(self, ctx: ExecutionContext, now: int) -> None:
+        # after the activation block every change up to "now" has been
+        # delivered before this transaction, so silence certifies
+        # "unsatisfied through now". In the activation block itself the
+        # catch-up push is still in flight and certifies nothing.
+        self._rank(ctx, now, now if now > self.activation_ts else None)
+
+    def _push(self, ctx: ExecutionContext, payload: bytes) -> None:
+        if self.activation_ts is None:
+            raise Revert("not activated")
+        if self.winner is not None:
+            return  # pushes racing the decision are ignored
+        # decoded once: the (oracle, at) header, then the change its oracle reads
+        words = leading_words(payload, len(payload) // wordcodec.WORD_SIZE)
+        oracle_address, at = words[0], words[1]
+        if oracle_address not in self._oracle_event:
+            raise Revert(f"push from unbound oracle {oracle_address}")
+        eid = self._oracle_event[oracle_address]
+        require_words("push", payload, self.oracles[eid].push_words)
+        if eid not in self.detected:
+            found = self.oracles[eid].change_dated(words, 2, self._conditions[eid], at)
+            self._note(ctx, eid, found, at)
+        # other oracles and message transactions may still land in this very
+        # block, so a push only certifies the world through the previous step;
+        # in the block after activation the other catch-up pushes of the
+        # activation step may still land, so it certifies nothing yet
+        previous = ctx.block_time - 1
+        clear_floor = self.activation_ts - 1 if previous == self.activation_ts else previous
+        self._rank(ctx, at, clear_floor, ctx.block_time, settled=previous)
+
+    _entry_points = {**DeferredChoiceContract._entry_points, "push": (_push, 2)}
+
+
+# the choice contract class of each delivery
+_CHOICE_CLASS = {
+    Delivery.SYNC: SyncChoice, Delivery.CALLBACK: CallbackChoice, Delivery.PUSH: PushChoice
 }
+
+
+def choice_class(variant: OracleVariant) -> type[DeferredChoiceContract]:
+    return _CHOICE_CLASS[variant.architecture.delivery]
+
+
+def make_choice_contract(
+    events: Sequence[EventSpec], variant: OracleVariant, oracles: Mapping[int, OracleContract]
+) -> DeferredChoiceContract:
+    return choice_class(variant)(events, variant, oracles)

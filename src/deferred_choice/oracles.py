@@ -53,11 +53,13 @@ charges the change points examined.
 
 Each delivery has its own contract class: ``SyncOracle`` (``query``,
 ``set``), ``CallbackOracle`` (``request``) and ``PushOracle``
-(``subscribe``, ``unsubscribe``). Each owns the answer protocol:
+(``subscribe``, ``unsubscribe``), and its ``send_change`` is what a
+provider sends when the variable changes. Each owns the answer protocol:
 ``params`` builds what a consumer asks with, ``answer`` (or a push's
-``pushed``) what the oracle replies, and ``dated`` how a reply dates a
-condition. It reads a regular history slice from the bytes served alone;
-consumers handed one payload share the date for one replay.
+``pushed``) what the oracle replies, and ``dated`` (a push's
+``change_dated``) how a reply dates a condition. It reads a regular
+history slice from the bytes served alone; consumers handed one payload
+share the date for one replay.
 
 A provider's fan-outs share their bytes too. Within one block it answers
 each distinct query once and sends every consumer that asked it a callback
@@ -80,7 +82,7 @@ from operator import lt, ne
 
 from . import expr as exprlang
 from . import wordcodec
-from .ledger import Chain, Contract, ExecutionContext, Revert, Transaction
+from .ledger import Chain, Contract, ExecutionContext, Revert, Transaction, require_words
 from .semantics import NEVER
 
 
@@ -152,10 +154,6 @@ class OracleVariant:
     def __post_init__(self) -> None:
         suffix = "-cond" if self.conditional else ""
         object.__setattr__(self, "id", self.architecture.value + suffix)
-
-    @property
-    def synchronous(self) -> bool:
-        return self.architecture.delivery is Delivery.SYNC
 
     @property
     def baseline(self) -> bool:
@@ -354,7 +352,13 @@ def leading_words(payload: bytes, count: int) -> tuple[int, ...]:
 class OracleContract(Contract):
     """What every on-chain half shares: the variant, the variable, and the
     answer protocol. A consumer asks with ``params`` and reads each reply
-    with ``dated``; it only carries the bytes."""
+    with ``dated``; it only carries the bytes. Its provider sends what
+    ``send_change`` says when the variable changes."""
+
+    # whether it logs requests for its provider to react to (``after_block``)
+    logs_for_provider = True
+    # whether a consumer queries a window of a history; a push carries one change
+    queried = True
 
     def __init__(self, variant: OracleVariant, variable: str):
         super().__init__()
@@ -362,9 +366,7 @@ class OracleContract(Contract):
         self.variable = variable
         self.kind = f"{variant.id}-oracle"
         self.deploy_gas = variant.architecture.oracle_gas[variant.conditional]
-        # a consumer queries a window of the history; a push carries one change
-        arch = variant.architecture
-        self._windowed = arch.answer is Answer.HISTORY and arch.delivery is not Delivery.PUSH
+        self._windowed = variant.architecture.answer is Answer.HISTORY and self.queried
         # host-side only: (payload, index, condition, from_ts) -> date of a served slice
         self._slice_dates: dict[tuple[bytes, int, exprlang.Expr, int], int] = {}
 
@@ -433,6 +435,9 @@ class OracleContract(Contract):
         holds = word if conditional else exprlang.evaluate(condition, {self.variable: word})
         return horizon if holds else NEVER
 
+    def send_change(self, provider: OracleProvider, value: int, at: int) -> None:
+        """Send the variable's change to ``value`` at ``at``: a callback oracle sends nothing."""
+
 
 class SyncOracle(OracleContract):
     """Storage and on-chain-history contracts: data lives on-chain and
@@ -441,6 +446,8 @@ class SyncOracle(OracleContract):
     Query parameters, the returned bytes and the storage entries examined
     are all charged to the calling transaction as an execution surcharge.
     """
+
+    logs_for_provider = False
 
     def __init__(self, variant: OracleVariant, variable: str):
         super().__init__(variant, variable)
@@ -455,7 +462,13 @@ class SyncOracle(OracleContract):
         else:
             raise Revert(f"unknown function {function!r}")
 
+    def send_change(self, provider: OracleProvider, value: int, at: int) -> None:
+        provider.chain.submit(
+            Transaction(provider.account, self.address, "set", wordcodec.encode_word(value))
+        )
+
     def set(self, ctx: ExecutionContext, payload: bytes) -> None:
+        require_words("set", payload, 1)
         self._answers.clear()
         value = wordcodec.decode_word(payload, 0)
         at = ctx.block_time
@@ -497,12 +510,12 @@ class PushOracle(OracleContract):
     Subscriptions are flagged on-chain, so a duplicate subscribe and an
     unmatched unsubscribe revert."""
 
-    def dated(
-        self, payload: bytes, index: int, condition: exprlang.Expr, from_ts: int, horizon: int
-    ) -> int:
-        """``change_dated`` of the push ``payload``, decoded."""
-        words = leading_words(payload, len(payload) // wordcodec.WORD_SIZE)
-        return self.change_dated(words, index, condition, horizon)
+    queried = False
+
+    @property
+    def push_words(self) -> int:
+        """The words of its push: the (oracle, at) header, then a regular push's value."""
+        return 2 if self.variant.conditional else 3
 
     def change_dated(
         self, words: tuple[int, ...], index: int, condition: exprlang.Expr, horizon: int
@@ -519,6 +532,24 @@ class PushOracle(OracleContract):
         if self.variant.conditional:
             return wordcodec.encode_words(self.address, at)
         return wordcodec.encode_words(self.address, at, value)
+
+    def send_change(self, provider: OracleProvider, value: int, at: int) -> None:
+        """Push the change, one payload for all, to each regular subscriber of
+        ``provider`` and each conditional one it satisfies, which then leaves."""
+        push = None
+        signaled = []
+        for subscriber, condition in provider.subscriptions.items():
+            if condition is not None:
+                if not exprlang.evaluate(condition, {self.variable: value}):
+                    continue
+                signaled.append(subscriber)
+            if push is None:
+                push = Transaction(provider.account, subscriber, "push", self.pushed(at, value))
+            else:
+                push = push.sent_to(subscriber)
+            provider.chain.submit(push)
+        for subscriber in signaled:
+            del provider.subscriptions[subscriber]
 
     def subscribe(self, ctx: ExecutionContext, subscriber: int, params: bytes) -> None:
         key = f"sub:{subscriber}"
@@ -560,46 +591,19 @@ class OracleProvider:
     def __init__(self, chain: Chain, oracle: OracleContract):
         self.chain = chain
         self.oracle = oracle
-        self.variant: OracleVariant = oracle.variant
-        self.variable: str = oracle.variable
         self.account = f"provider-{oracle.address}"
-        self.history = History(self.variable)  # its last value is the current one
+        self.history = History(oracle.variable)  # its last value is the current one
         # subscriber -> its condition (None: pushed every change), following the
         # oracle's subscribe and unsubscribe logs; a condition goes once it signals
         self.subscriptions: dict[int, exprlang.Expr | None] = {}
-        self.answers_history = self.variant.architecture.answer is Answer.HISTORY
-        self.delivery = self.variant.architecture.delivery
+        self.answers_history = oracle.variant.architecture.answer is Answer.HISTORY
 
     # -- data updates --------------------------------------------------------
 
     def on_external_update(self, value: int, at: int) -> None:
         if not self.history.append(at, value) and self.answers_history:
             return  # a repeat changes no history, so there is nothing to send
-        if self.delivery is Delivery.SYNC:
-            self._submit_set(value)
-        elif self.delivery is Delivery.PUSH:
-            self._push_change(value, at)
-
-    def _submit_set(self, value: int) -> None:
-        self.chain.submit(
-            Transaction(self.account, self.oracle.address, "set", wordcodec.encode_word(value))
-        )
-
-    def _push_change(self, value: int, at: int) -> None:
-        push = None  # one push for every subscriber sent one
-        signaled = []
-        for subscriber, condition in self.subscriptions.items():
-            if condition is not None:
-                if not exprlang.evaluate(condition, {self.variable: value}):
-                    continue
-                signaled.append(subscriber)
-            if push is None:
-                push = Transaction(self.account, subscriber, "push", self.oracle.pushed(at, value))
-            else:
-                push = push.sent_to(subscriber)
-            self.chain.submit(push)
-        for subscriber in signaled:
-            del self.subscriptions[subscriber]
+        self.oracle.send_change(self, value, at)
 
     # -- log reactions ---------------------------------------------------------
 
@@ -644,13 +648,13 @@ class OracleProvider:
         signals now and is not kept."""
         if not self.history.values:
             raise OracleError(
-                f"subscription before any update of {self.variable!r}"
+                f"subscription before any update of {self.oracle.variable!r}"
             )
-        if not self.variant.conditional:
+        if not self.oracle.variant.conditional:
             self.subscriptions[subscriber] = None
             return True
         condition = exprlang.parse(wordcodec.decode_text(params, 0))
-        if exprlang.evaluate(condition, {self.variable: self.history.values[-1]}):
+        if exprlang.evaluate(condition, {self.oracle.variable: self.history.values[-1]}):
             return True
         self.subscriptions[subscriber] = condition
         return False

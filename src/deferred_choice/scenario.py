@@ -23,10 +23,9 @@ from operator import attrgetter
 from typing import Any, NamedTuple
 
 from . import expr as exprlang
-from .choice import DeferredChoiceContract, encode_activate, encode_trigger
+from .choice import choice_class, encode_activate, encode_trigger, make_choice_contract
 from .ledger import Chain, GasSchedule, Receipt, Transaction
 from .oracles import (
-    Delivery,
     History,
     OracleError,
     OracleProvider,
@@ -125,7 +124,7 @@ class Scenario:
         # the ground truth keys change points by variable name
         if len({decl.variable for decl in self.oracles}) != len(self.oracles):
             raise ScenarioError("oracle variables must be distinct names")
-        one_subscription = self.variant.architecture.delivery is Delivery.PUSH
+        one_subscription = choice_class(self.variant).one_per_oracle
         for decl in self.choices:
             try:
                 check_bindings(decl.events, decl.oracle_for_event, one_subscription, self._oracle)
@@ -571,11 +570,11 @@ def run(scenario: Scenario, schedule: GasSchedule | None = None) -> ExperimentRe
     providers = [OracleProvider(chain, contract) for contract in oracle_contracts]
     # a sync oracle answers within the calling transaction and logs nothing
     # for its provider to react to
-    reacting = [provider for provider in providers if not provider.variant.synchronous]
+    reacting = [provider for provider in providers if provider.oracle.logs_for_provider]
     choice_contracts = []
     for decl in scenario.choices:
         bindings = {eid: oracle_contracts[index] for eid, index in decl.oracle_for_event.items()}
-        contract = DeferredChoiceContract(decl.events, scenario.variant, bindings)
+        contract = make_choice_contract(decl.events, scenario.variant, bindings)
         chain.deploy(contract)
         choice_contracts.append(contract)
 

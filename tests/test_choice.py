@@ -11,10 +11,10 @@ import pytest
 from deferred_choice import choice, oracles
 from deferred_choice import wordcodec as wc
 from deferred_choice.choice import (
-    DeferredChoiceContract,
     SemanticsKind,
     encode_activate,
     encode_trigger,
+    make_choice_contract,
 )
 from deferred_choice.expr import parse
 from deferred_choice.ledger import Chain, Transaction
@@ -60,7 +60,8 @@ def test_architecture_table():
         continual = variant.semantics is SemanticsKind.CONTINUAL
         assert continual == (variant.architecture.answer is Answer.CURRENT)
         assert continual == variant.baseline
-        assert variant.synchronous == (variant.architecture.delivery is Delivery.SYNC)
+        reacts = make_oracle_contract(variant, "d_w").logs_for_provider
+        assert reacts == (variant.architecture.delivery is not Delivery.SYNC)
 
 
 # --- activate ------------------------------------------------------------------
@@ -160,7 +161,7 @@ def test_double_activation_reverts():
     chain = Chain()
     oracle = make_oracle_contract(scenario.variant, "d_w")
     chain.deploy(oracle)
-    contract = DeferredChoiceContract(
+    contract = make_choice_contract(
         scenario.choices[0].events,
         scenario.variant,
         {E_W: oracle},
@@ -214,7 +215,7 @@ def test_trigger_with_non_message_event_reverts():
     oracle = make_oracle_contract(OracleVariant.parse("onchain-history"), "d_w")
     chain.deploy(oracle)
     scenario = table1_scenario()
-    contract = DeferredChoiceContract(
+    contract = make_choice_contract(
         scenario.choices[0].events, scenario.variant, {E_W: oracle}
     )
     chain.deploy(contract)
@@ -294,7 +295,7 @@ def test_unknown_correlation_id_reverts():
     oracle = make_oracle_contract(OracleVariant.parse("offchain-history"), "d_w")
     chain.deploy(oracle)
     scenario = table1_scenario("offchain-history")
-    contract = DeferredChoiceContract(
+    contract = make_choice_contract(
         scenario.choices[0].events, scenario.variant, {E_W: oracle}
     )
     chain.deploy(contract)
@@ -317,7 +318,7 @@ def test_callback_after_winner_is_ignored():
     chain = Chain()
     oracle = make_oracle_contract(scenario.variant, "d_w")
     chain.deploy(oracle)
-    contract = DeferredChoiceContract(
+    contract = make_choice_contract(
         scenario.choices[0].events, scenario.variant, {E_W: oracle}
     )
     chain.deploy(contract)
@@ -407,7 +408,7 @@ def test_a_push_is_decoded_once(variant_id):
     oracle = make_oracle_contract(variant, "d_w")
     chain.deploy(oracle)
     provider = OracleProvider(chain, oracle)
-    contract = DeferredChoiceContract(table1_scenario().choices[0].events, variant, {E_W: oracle})
+    contract = make_choice_contract(table1_scenario().choices[0].events, variant, {E_W: oracle})
     chain.deploy(contract)
     provider.on_external_update(0, 0)
     chain.submit(Transaction("sim", contract.address, "activate", encode_activate(None)))
@@ -439,7 +440,7 @@ def _replay_with_stray_call(variant, function, payload):
     oracle = make_oracle_contract(variant, "d_w")
     chain.deploy(oracle)
     provider = OracleProvider(chain, oracle)
-    contract = DeferredChoiceContract(table1_scenario().choices[0].events, variant, {E_W: oracle})
+    contract = make_choice_contract(table1_scenario().choices[0].events, variant, {E_W: oracle})
     chain.deploy(contract)
     provider.on_external_update(0, 1)
     receipts = []
@@ -452,7 +453,7 @@ def _replay_with_stray_call(variant, function, payload):
                 Transaction("sim", contract.address, "try_trigger", encode_trigger(None, None))
             )
         mined = chain.step()
-        if not variant.synchronous:
+        if variant.architecture.delivery is not Delivery.SYNC:
             provider.after_block(mined)
         receipts += mined
     return contract, receipts
@@ -522,7 +523,7 @@ def test_winner_write_once():
 def test_conditional_event_requires_binding():
     events = (EventSpec(0, Conditional(parse("x >= 1"))),)
     with pytest.raises(ContractViolation):
-        DeferredChoiceContract(
+        make_choice_contract(
             events,
             OracleVariant.parse("onchain-history"),
             {},
@@ -533,7 +534,7 @@ def test_expression_variables_must_match_oracle():
     oracle = make_oracle_contract(OracleVariant.parse("onchain-history"), "y")
     events = (EventSpec(0, Conditional(parse("x >= 1"))),)
     with pytest.raises(ContractViolation):
-        DeferredChoiceContract(
+        make_choice_contract(
             events,
             OracleVariant.parse("onchain-history"),
             {0: oracle},

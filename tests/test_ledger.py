@@ -96,7 +96,7 @@ def test_deploy_charges_configured_oracle_constant():
 
 
 def test_deploy_charges_configured_choice_constant():
-    from deferred_choice.choice import DeferredChoiceContract
+    from deferred_choice.choice import make_choice_contract
     from deferred_choice.expr import parse as parse_expr
     from deferred_choice.oracles import OracleVariant, make_oracle_contract
     from deferred_choice.semantics import Conditional, EventSpec
@@ -105,7 +105,7 @@ def test_deploy_charges_configured_choice_constant():
     variant = OracleVariant.parse("pubsub")
     oracle = make_oracle_contract(variant, "x")
     chain.deploy(oracle)
-    contract = DeferredChoiceContract(
+    contract = make_choice_contract(
         (EventSpec(0, Conditional(parse_expr("x >= 1"))),),
         variant,
         {0: oracle},

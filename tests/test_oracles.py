@@ -14,10 +14,24 @@ from hypothesis import strategies as st
 
 from deferred_choice import expr
 from deferred_choice import wordcodec as wc
-from deferred_choice.choice import DeferredChoiceContract, encode_activate, encode_trigger
+from deferred_choice.choice import (
+    CallbackChoice,
+    PushChoice,
+    SyncChoice,
+    encode_activate,
+    encode_trigger,
+    make_choice_contract,
+)
 from deferred_choice.experiments import gen_cost
 from deferred_choice.expr import evaluate, parse
-from deferred_choice.ledger import Chain, Contract, GasSchedule, Transaction
+from deferred_choice.ledger import (
+    Chain,
+    Contract,
+    ExecutionContext,
+    GasSchedule,
+    Revert,
+    Transaction,
+)
 from deferred_choice.oracles import (
     ALL_VARIANTS,
     Answer,
@@ -201,23 +215,84 @@ def test_storage_conditional_query():
     assert decode_bool(result) is False
 
 
-# each delivery's contract class and the entry points a consumer or provider calls
+# each delivery's oracle contract class and the entry points a consumer or
+# provider calls, then its choice contract class and the functions it takes
 DELIVERY_CONTRACTS = {
-    Delivery.SYNC: (SyncOracle, {"query", "set"}),
-    Delivery.CALLBACK: (CallbackOracle, {"request"}),
-    Delivery.PUSH: (PushOracle, {"subscribe", "unsubscribe"}),
+    Delivery.SYNC: (SyncOracle, {"query", "set"}, SyncChoice, {"activate", "try_trigger"}),
+    Delivery.CALLBACK: (
+        CallbackOracle, {"request"}, CallbackChoice, {"activate", "try_trigger", "oracle_callback"}
+    ),
+    Delivery.PUSH: (
+        PushOracle, {"subscribe", "unsubscribe"}, PushChoice, {"activate", "try_trigger", "push"}
+    ),
 }
 
 
 @pytest.mark.parametrize("variant", ALL_VARIANTS, ids=lambda variant: variant.id)
 def test_oracle_contract_exposes_exactly_its_delivery_entry_points(variant):
     """A call another delivery takes finds no method: a sync query on a
-    callback oracle, a request to a push one, a subscription to a sync one."""
+    callback oracle, a request to a push one, a subscription to a sync one.
+    A choice contract takes exactly its delivery's functions: an empty call
+    to one of them reverts on its calldata, to any other as unknown."""
     oracle = make_oracle_contract(variant, "d_w")
-    cls, entry_points = DELIVERY_CONTRACTS[variant.architecture.delivery]
+    cls, entry_points, choice_cls, functions = DELIVERY_CONTRACTS[variant.architecture.delivery]
     assert type(oracle) is cls
-    every = set().union(*(names for _, names in DELIVERY_CONTRACTS.values()))
+    every = set().union(*(names for _, names, _, _ in DELIVERY_CONTRACTS.values()))
     assert {name for name in every if callable(getattr(oracle, name, None))} == entry_points
+    consumer = make_choice_contract(
+        (EventSpec(0, Conditional(parse("d_w >= 1"))),), variant, {0: oracle}
+    )
+    assert type(consumer) is choice_cls
+    taken = set()
+    for function in set().union(*(names for *_, names in DELIVERY_CONTRACTS.values())):
+        with pytest.raises(Revert) as revert:
+            consumer.handle(ExecutionContext(1, GasSchedule()), function, b"")
+        if revert.value.reason != f"unknown function {function!r}":
+            taken.add(function)
+    assert taken == functions
+
+
+# calldata too short for its entry point: (variant, target, function, payload
+# for the bound oracle, whether the choice is activated first)
+SHORT_CALLS = {
+    "push-one-word": ("pubsub", "choice", "push", lambda o: wc.encode_word(o.address), True),
+    "push-no-value": ("pubsub", "choice", "push", lambda o: wc.encode_words(o.address, 3), True),
+    "callback-empty": ("offchain-history", "choice", "oracle_callback", lambda o: b"", True),
+    "callback-truncated-slice": (
+        "offchain-history", "choice", "oracle_callback", lambda o: wc.encode_words(1, 5), True
+    ),
+    "trigger-one-word": ("storage", "choice", "try_trigger", lambda o: wc.encode_word(0), True),
+    "activate-empty": ("storage", "choice", "activate", lambda o: b"", False),
+    "set-empty": ("storage", "oracle", "set", lambda o: b"", False),
+}
+
+
+@pytest.mark.parametrize("case", SHORT_CALLS.values(), ids=SHORT_CALLS)
+def test_short_calldata_reverts_and_its_block_mines_on(case):
+    """A call whose calldata is too short for its entry point's layout
+    reverts, naming the function, before it changes any state; the next
+    transaction of the same block still mines. The choice waits on
+    ``d_w >= 5`` and is activated at block 2, its query left unanswered."""
+    variant_id, target, function, payload, activated = case
+    chain, oracle, provider, sink = make_rig(variant_id)
+    events = (EventSpec(0, Conditional(parse("d_w >= 5"))), EventSpec(1, Message()))
+    consumer = make_choice_contract(events, oracle.variant, {0: oracle})
+    chain.deploy(consumer)
+    provider.on_external_update(0, 1)
+    mine(chain, provider)
+    if activated:
+        chain.submit(Transaction("sim", consumer.address, "activate", encode_activate(None)))
+        chain.step()
+    contract = consumer if target == "choice" else oracle
+    storage, pending = dict(contract.storage), dict(consumer._pending)
+    chain.submit(Transaction("sim", contract.address, function, payload(oracle)))
+    chain.submit(Transaction("sim", sink.address, "ping", b""))
+    receipts = chain.step()
+    assert [(r.tx.function, r.status) for r in receipts] == [
+        (function, "reverted"), ("ping", "ok")
+    ]
+    assert receipts[0].revert_reason.startswith(f"{function}: ")
+    assert (contract.storage, consumer._pending) == (storage, pending)
 
 
 # --- async_query / provider_respond ------------------------------------------------
@@ -305,7 +380,7 @@ def test_provider_drops_a_finalized_consumer_and_pushes_it_nothing(variant_id):
     # unsubscribe log takes it out of the provider's subscription set
     chain, oracle, provider, _ = make_rig(variant_id)
     events = (EventSpec(0, Conditional(parse("d_w >= 5"))), EventSpec(1, Message()))
-    consumer = DeferredChoiceContract(events, oracle.variant, {0: oracle})
+    consumer = make_choice_contract(events, oracle.variant, {0: oracle})
     chain.deploy(consumer)
     advance_to(chain, provider, 1)
     provider.on_external_update(0, 2)
@@ -769,8 +844,9 @@ def dated_answer(variant, text):
         mine(chain, provider)
         if not sink.received:
             return None
-        payload, index = sink.received[-1][2], 2
-        horizon = wc.decode_word(payload, 1)
+        payload = sink.received[-1][2]
+        words = wc.decode_words(payload, len(payload) // wc.WORD_SIZE)
+        return oracle.change_dated(words, 2, condition, words[1])
     return oracle.dated(payload, index, condition, 73, horizon)
 
 

@@ -165,7 +165,8 @@ def test_sync_providers_get_no_after_block():
         ) as after_block:
             report = run(table1(variant.id))
         assert report.correct or variant.baseline, variant.id
-        assert (after_block.call_count == 0) == variant.synchronous, variant.id
+        sync = variant.architecture.delivery is Delivery.SYNC
+        assert (after_block.call_count == 0) == sync, variant.id
 
 
 def test_far_trigger_mines_only_blocks_with_transactions():
