@@ -30,7 +30,7 @@ from abc import ABC, abstractmethod
 from collections.abc import Mapping, Sequence
 
 from . import wordcodec
-from .ledger import Contract, ExecutionContext, Revert, require_words
+from .ledger import Contract, ExecutionContext, Revert
 from .oracles import (  # SemanticsKind is re-exported for bench/fuzzgen.py
     Delivery,
     OracleContract,
@@ -50,6 +50,7 @@ from .semantics import (
     prefer,
     timer_fire,
 )
+from .wordcodec import WORD_SIZE
 
 
 NIL = NEVER  # wire encoding of "no event" in activate/trigger payloads
@@ -169,7 +170,8 @@ class DeferredChoiceContract(Contract, ABC):
         entry = self._entry_points.get(function)
         if entry is None:
             raise Revert(f"unknown function {function!r}")
-        require_words(function, payload, entry[1])
+        if len(payload) < entry[1]:
+            raise Revert(f"{function}: calldata shorter than {entry[1] // WORD_SIZE} words")
         entry[0](self, ctx, payload)
 
     # -- entry points ----------------------------------------------------------
@@ -217,8 +219,10 @@ class DeferredChoiceContract(Contract, ABC):
                 ctx.write(self.storage, f"msgdet:{message_event}", now)
         self._evaluate(ctx, now)
 
-    # function selector -> (entry point, the fewest words its calldata holds)
-    _entry_points = {"activate": (_activate, 1), "try_trigger": (_try_trigger, 2)}
+    # function selector -> (entry point, the fewest bytes its calldata holds)
+    _entry_points = {
+        "activate": (_activate, WORD_SIZE), "try_trigger": (_try_trigger, 2 * WORD_SIZE)
+    }
 
     # -- winner selection ---------------------------------------------------------
 
@@ -323,7 +327,8 @@ class CallbackChoice(DeferredChoiceContract):
         self._rank(ctx, horizon)
 
     _entry_points = {
-        **DeferredChoiceContract._entry_points, "oracle_callback": (_oracle_callback, 2)
+        **DeferredChoiceContract._entry_points,
+        "oracle_callback": (_oracle_callback, 2 * WORD_SIZE),
     }
 
 
@@ -354,12 +359,14 @@ class PushChoice(DeferredChoiceContract):
         if self.winner is not None:
             return  # pushes racing the decision are ignored
         # decoded once: the (oracle, at) header, then the change its oracle reads
-        words = leading_words(payload, len(payload) // wordcodec.WORD_SIZE)
+        words = leading_words(payload, len(payload) // WORD_SIZE)
         oracle_address, at = words[0], words[1]
         if oracle_address not in self._oracle_event:
             raise Revert(f"push from unbound oracle {oracle_address}")
         eid = self._oracle_event[oracle_address]
-        require_words("push", payload, self.oracles[eid].push_words)
+        size = self.oracles[eid].push_bytes
+        if len(payload) < size:
+            raise Revert(f"push: calldata shorter than {size // WORD_SIZE} words")
         if eid not in self.detected:
             found = self.oracles[eid].change_dated(words, 2, self._conditions[eid], at)
             self._note(ctx, eid, found, at)
@@ -371,7 +378,7 @@ class PushChoice(DeferredChoiceContract):
         clear_floor = self.activation_ts - 1 if previous == self.activation_ts else previous
         self._rank(ctx, at, clear_floor, ctx.block_time, settled=previous)
 
-    _entry_points = {**DeferredChoiceContract._entry_points, "push": (_push, 2)}
+    _entry_points = {**DeferredChoiceContract._entry_points, "push": (_push, 2 * WORD_SIZE)}
 
 
 # the choice contract class of each delivery

@@ -44,13 +44,6 @@ class Revert(Exception):
         self.reason = reason
 
 
-def require_words(function: str, payload: bytes, count: int) -> None:
-    """Revert a call to ``function`` whose calldata ``payload`` is shorter
-    than ``count`` words; an entry point checks before it changes state."""
-    if len(payload) < count * wordcodec.WORD_SIZE:
-        raise Revert(f"{function}: calldata shorter than {count} words")
-
-
 class _TransactionFields(NamedTuple):
     sender: str
     to: int

@@ -34,13 +34,16 @@ timestamp, or a push signal at the first time the condition holds.
 
 Histories record change points only (``History.append`` decides): an
 update that repeats the current value adds no entry and triggers no push.
-Every provider keeps a ``History``; its last change point is the current
-value. A provider reacts to on-chain events (queries, subscriptions)
-right after the block that logged them, so its reactions are queued first
-for the next block and mined exactly one block later; transactions the
-provider originates itself when the external variable changes
-(storage/history writes, change pushes) are mined in the block of the
-change timestamp.
+Every holder of a variable, each provider and each sync oracle contract,
+keeps one ``History`` and answers from it; its last change point is the
+current value (0 before the first). A provider reacts to on-chain events
+(queries, subscriptions) right after the block that logged them, so its
+reactions are queued first for the next block and mined exactly one block
+later; transactions the provider originates itself when the external
+variable changes (storage/history writes, change pushes) are mined in the
+block of the change timestamp. A new subscriber's catch-up is a change
+push too: the change point in force, dated at the block that logged the
+subscription.
 
 Both history architectures keep their change points in one ``History``:
 each point is held once and encoded at most once, the first time a served
@@ -63,8 +66,8 @@ share the date for one replay.
 
 A provider's fan-outs share their bytes too. Within one block it answers
 each distinct query once and sends every consumer that asked it a callback
-carrying that one answer, and a change, or a block's catch-up pushes, goes
-out as one payload to every subscriber it is pushed to. A sync oracle
+carrying that one answer, and a push, of a change or of a block's catch-up,
+goes out as one payload to every subscriber it is pushed to. A sync oracle
 answers each distinct question once between two ``set``s: a later caller
 gets the same bytes and is charged the surcharge the first answer metered.
 Transactions and their gas stay per consumer. A sync oracle logs nothing
@@ -82,7 +85,7 @@ from operator import lt, ne
 
 from . import expr as exprlang
 from . import wordcodec
-from .ledger import Chain, Contract, ExecutionContext, Revert, Transaction, require_words
+from .ledger import Chain, Contract, ExecutionContext, Revert, Transaction
 from .semantics import NEVER
 
 
@@ -380,33 +383,35 @@ class OracleContract(Contract):
         return params
 
     def answer(
-        self, known: int | History, params: bytes, ctx: ExecutionContext | None = None
+        self, history: History, params: bytes, ctx: ExecutionContext | None = None
     ) -> bytes:
-        """Answer ``params`` on the current value ``known`` or on a history:
-        a regular query with the value or the window's slice, a conditional
-        one with a boolean on the current value and the earliest satisfying
-        timestamp (or NEVER) on a history. An on-chain read passes its
-        ``ctx``, charged for the parameters, the bytes scanned to produce the
-        answer and the result; an off-chain answer passes none, and the
-        scanned bytes are not built."""
+        """Answer ``params`` from ``history``: a current value is its last
+        change point (0 before the first), answered to a regular query as is
+        and to a conditional one with a boolean; a history answers a regular
+        query with the window's slice and a conditional one with the earliest
+        satisfying timestamp (or NEVER). An on-chain read passes its ``ctx``,
+        charged for the parameters, the bytes scanned to produce the answer
+        and the result; an off-chain answer passes none, and the scanned
+        bytes are not built."""
         conditional, scan = self.variant.conditional, b""
-        if isinstance(known, History):
+        value = history.values[-1] if history.values else 0  # the current value
+        if self._windowed:
             from_ts = wordcodec.decode_word(params, 0)
             if conditional:
                 condition = exprlang.parse(wordcodec.decode_text(params, 1))
-                found, visited = known.earliest(from_ts, condition)
+                found, visited = history.earliest(from_ts, condition)
                 result = wordcodec.encode_word(found)
                 if ctx is not None:
-                    scan = known.since(from_ts, visited)
+                    scan = history.since(from_ts, visited)
             else:
-                result = scan = known.since(from_ts)
+                result = scan = history.since(from_ts)
         elif conditional:
             condition = exprlang.parse(wordcodec.decode_text(params, 0))
-            result = wordcodec.encode_bool(exprlang.evaluate(condition, {self.variable: known}))
+            result = wordcodec.encode_bool(exprlang.evaluate(condition, {self.variable: value}))
             if ctx is not None:
-                scan = wordcodec.encode_word(known)
+                scan = wordcodec.encode_word(value)
         else:
-            result = scan = wordcodec.encode_word(known)
+            result = scan = wordcodec.encode_word(value)
         if ctx is not None:
             ctx.charge_bytes(params)
             ctx.charge_bytes(scan)
@@ -451,8 +456,7 @@ class SyncOracle(OracleContract):
 
     def __init__(self, variant: OracleVariant, variable: str):
         super().__init__(variant, variable)
-        # a storage oracle keeps only the current value
-        self.history = History(variable) if variant.architecture.answer is Answer.HISTORY else None
+        self.history = History(variable)
         # params -> (result, surcharge) of each question asked since the last set
         self._answers: dict[bytes, tuple[bytes, int]] = {}
 
@@ -468,14 +472,21 @@ class SyncOracle(OracleContract):
         )
 
     def set(self, ctx: ExecutionContext, payload: bytes) -> None:
-        require_words("set", payload, 1)
-        self._answers.clear()
+        """Record the value in ``payload`` at this block; a second set in one
+        block reverts. A storage oracle writes every set, a history each change."""
+        if len(payload) < wordcodec.WORD_SIZE:
+            raise Revert("set: calldata shorter than 1 words")
         value = wordcodec.decode_word(payload, 0)
         at = ctx.block_time
         history = self.history
-        if history is None:
+        try:
+            changed = history.append(at, value)
+        except OracleError as error:
+            raise Revert(f"set: {error}") from None
+        self._answers.clear()
+        if not self._windowed:
             ctx.write(self.storage, "value", value)
-        elif history.append(at, value):
+        elif changed:
             index = len(history.times) - 1
             ctx.write(self.storage, f"at:{index}", at)
             ctx.write(self.storage, f"value:{index}", value)
@@ -487,8 +498,7 @@ class SyncOracle(OracleContract):
         answer = self._answers.get(params)
         if answer is None:
             charged = ctx.surcharge
-            known = self.storage.get("value", 0) if self.history is None else self.history
-            result = self.answer(known, params, ctx)
+            result = self.answer(self.history, params, ctx)
             answer = self._answers[params] = (result, ctx.surcharge - charged)
         else:
             ctx.surcharge += answer[1]
@@ -512,10 +522,10 @@ class PushOracle(OracleContract):
 
     queried = False
 
-    @property
-    def push_words(self) -> int:
-        """The words of its push: the (oracle, at) header, then a regular push's value."""
-        return 2 if self.variant.conditional else 3
+    def __init__(self, variant: OracleVariant, variable: str):
+        super().__init__(variant, variable)
+        # the bytes of its push: the (oracle, at) header, then a regular push's value
+        self.push_bytes = (2 if variant.conditional else 3) * wordcodec.WORD_SIZE
 
     def change_dated(
         self, words: tuple[int, ...], index: int, condition: exprlang.Expr, horizon: int
@@ -534,11 +544,15 @@ class PushOracle(OracleContract):
         return wordcodec.encode_words(self.address, at, value)
 
     def send_change(self, provider: OracleProvider, value: int, at: int) -> None:
-        """Push the change, one payload for all, to each regular subscriber of
-        ``provider`` and each conditional one it satisfies, which then leaves."""
+        self.push(provider, provider.subscriptions.items(), value, at)
+
+    def push(self, provider: OracleProvider, subscriptions, value: int, at: int) -> None:
+        """Push ``value`` dated ``at``, one payload for all, to each regular
+        subscriber of the (subscriber, condition) pairs ``subscriptions`` and
+        each conditional one it satisfies, which then leaves ``provider``'s."""
         push = None
         signaled = []
-        for subscriber, condition in provider.subscriptions.items():
+        for subscriber, condition in subscriptions:
             if condition is not None:
                 if not exprlang.evaluate(condition, {self.variable: value}):
                     continue
@@ -549,7 +563,7 @@ class PushOracle(OracleContract):
                 push = push.sent_to(subscriber)
             provider.chain.submit(push)
         for subscriber in signaled:
-            del provider.subscriptions[subscriber]
+            provider.subscriptions.pop(subscriber, None)
 
     def subscribe(self, ctx: ExecutionContext, subscriber: int, params: bytes) -> None:
         key = f"sub:{subscriber}"
@@ -611,9 +625,10 @@ class OracleProvider:
         # nothing here changes what the provider knows, so consumers that
         # ask the same question get one answer (correlation ids count per
         # contract, so consumers that query in step ask alike) and those
-        # that subscribe get one catch-up push
+        # that subscribe get one catch-up push: the change point in force,
+        # pushed by the change-push rule to the block's new subscriptions
         callbacks: dict[tuple[int, bytes], Transaction] = {}
-        catch_up = None
+        subscribed: list[tuple[int, exprlang.Expr | None]] = []
         address = self.oracle.address
         for receipt in receipts:
             for log in receipt.logs:
@@ -629,46 +644,27 @@ class OracleProvider:
                         callback = callback.sent_to(consumer)
                     self.chain.submit(callback)
                 elif log.topic == "subscribe":
+                    if not self.history.values:
+                        raise OracleError(
+                            f"subscription before any update of {self.oracle.variable!r}"
+                        )
                     subscriber = wordcodec.decode_word(log.payload, 0)
-                    if self._register_subscription(subscriber, log.payload[wordcodec.WORD_SIZE :]):
-                        if catch_up is None:
-                            catch_up = Transaction(
-                                self.account, subscriber, "push",
-                                self.oracle.pushed(self.chain.height, self.history.values[-1]),
-                            )
-                        else:
-                            catch_up = catch_up.sent_to(subscriber)
-                        self.chain.submit(catch_up)
+                    condition = None
+                    if self.oracle.variant.conditional:
+                        condition = exprlang.parse(wordcodec.decode_text(log.payload, 1))
+                    self.subscriptions[subscriber] = condition
+                    subscribed.append((subscriber, condition))
                 elif log.topic == "unsubscribe":
                     self.subscriptions.pop(wordcodec.decode_word(log.payload, 0), None)
-
-    def _register_subscription(self, subscriber: int, params: bytes) -> bool:
-        """Register a subscription; whether to push the current knowledge
-        now, so the subscriber has no gap. A condition that holds already
-        signals now and is not kept."""
-        if not self.history.values:
-            raise OracleError(
-                f"subscription before any update of {self.oracle.variable!r}"
-            )
-        if not self.oracle.variant.conditional:
-            self.subscriptions[subscriber] = None
-            return True
-        condition = exprlang.parse(wordcodec.decode_text(params, 0))
-        if exprlang.evaluate(condition, {self.oracle.variable: self.history.values[-1]}):
-            return True
-        self.subscriptions[subscriber] = condition
-        return False
+        if subscribed:
+            self.oracle.push(self, subscribed, self.history.values[-1], self.chain.height)
 
     # -- query answers -----------------------------------------------------------
 
     def respond(self, consumer: int, corr: int, params: bytes) -> Transaction:
         """Build the callback transaction answering query ``corr`` of
         ``consumer`` with parameters ``params``."""
-        if self.answers_history:
-            known = self.history
-        else:
-            known = self.history.values[-1] if self.history.values else 0
-        result = self.oracle.answer(known, params)
+        result = self.oracle.answer(self.history, params)
         return Transaction(
             self.account, consumer, "oracle_callback", wordcodec.encode_word(corr) + result
         )

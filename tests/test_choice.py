@@ -309,6 +309,40 @@ def test_unknown_correlation_id_reverts():
     assert "unknown correlation id" in receipt.revert_reason
 
 
+@pytest.mark.parametrize("variant_id", ["request-response", "offchain-history"])
+def test_trigger_while_a_query_is_in_flight_reverts(variant_id):
+    """A trigger in the block that sent a query reverts before it changes
+    any state, so its message is not recorded; the next block's callback
+    still ranks. The choice waits on ``d_w >= 1``, which holds from step 1."""
+    events = (EventSpec(0, Conditional(parse("d_w >= 1"))), EventSpec(1, Message()))
+    rigs = []
+    for _ in range(2):
+        chain = Chain()
+        oracle = make_oracle_contract(OracleVariant.parse(variant_id), "d_w")
+        chain.deploy(oracle)
+        provider = OracleProvider(chain, oracle)
+        contract = make_choice_contract(events, oracle.variant, {0: oracle})
+        chain.deploy(contract)
+        provider.on_external_update(1, 1)
+        chain.submit(Transaction("sim", contract.address, "activate", encode_activate(None)))
+        rigs.append((chain, provider, contract))
+    (chain, provider, contract), (alone, _, activated) = rigs
+    chain.submit(Transaction("sim", contract.address, "try_trigger", encode_trigger(None, 1)))
+    receipts = chain.step()
+    alone.step()
+    assert [(r.tx.function, r.status, r.revert_reason) for r in receipts] == [
+        ("activate", "ok", None), ("try_trigger", "reverted", "evaluation in progress")
+    ]
+    assert (contract.storage, contract._pending) == (activated.storage, activated._pending)
+    provider.after_block(receipts)
+    callbacks = chain.step()
+    assert [(r.tx.function, r.status, r.mined_at) for r in callbacks] == [
+        ("oracle_callback", "ok", 2)
+    ]
+    assert (contract.winner, contract.winner_detection_ts, contract.finalized_at) == (0, 1, 2)
+    assert 1 not in contract.detected
+
+
 def test_callback_after_winner_is_ignored():
     scenario = table1_scenario("offchain-history")
     # trigger at 78 resolves via callback at 79; a second trigger at 80

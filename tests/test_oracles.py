@@ -133,6 +133,22 @@ def test_storage_repeats_still_sent():
     assert [r.tx.function for r in receipts] == ["set"]
 
 
+@pytest.mark.parametrize("variant_id", ["storage", "storage-cond"])
+def test_storage_repeat_set_pays_its_write(variant_id):
+    """A storage oracle writes every set, a repeated value too, so a repeat
+    costs what a change does once the slot exists."""
+    chain, oracle, provider, _ = make_rig(variant_id)
+    gas = []
+    for at, value in ((1, 4), (2, 5), (3, 5)):
+        provider.on_external_update(value, at)
+        gas.append(mine(chain, provider)[0].gas_used)
+    schedule = chain.schedule
+    write = [schedule.storage_write_new] + 2 * [schedule.storage_write_update]
+    intrinsic = [schedule.tx_base + schedule.byte_cost(wc.encode_word(v)) for v in (4, 5, 5)]
+    assert gas == list(map(sum, zip(intrinsic, write)))
+    assert oracle.storage == {"value": 5}
+
+
 def test_onchain_history_skips_unchanged_values():
     chain, oracle, provider, _ = make_rig("onchain-history")
     advance_to(chain, provider, 1)
@@ -295,6 +311,44 @@ def test_short_calldata_reverts_and_its_block_mines_on(case):
     assert (contract.storage, consumer._pending) == (storage, pending)
 
 
+SYNC_VARIANT_IDS = ["storage", "storage-cond", "onchain-history", "onchain-history-cond"]
+
+
+@pytest.mark.parametrize("variant_id", SYNC_VARIANT_IDS)
+def test_a_second_set_in_one_block_reverts_and_the_block_mines_on(variant_id):
+    """A sync oracle takes one set per block: a second reverts, naming
+    ``set``, and leaves the storage and the answers of the first; the next
+    transaction of the block still mines."""
+    rigs = [make_rig(variant_id) for _ in range(2)]
+    for chain, _, provider, _ in rigs:
+        provider.on_external_update(0, 1)
+        mine(chain, provider)
+    (chain, oracle, _, sink), (once_chain, once, _, _) = rigs
+    for value in (1, 2):
+        chain.submit(Transaction("sim", oracle.address, "set", wc.encode_word(value)))
+    chain.submit(Transaction("sim", sink.address, "ping", b""))
+    once_chain.submit(Transaction("sim", once.address, "set", wc.encode_word(1)))
+    receipts = chain.step()
+    once_chain.step()
+    assert [(r.tx.function, r.status) for r in receipts] == [
+        ("set", "ok"), ("set", "reverted"), ("ping", "ok")
+    ]
+    assert receipts[1].revert_reason.startswith("set: ")
+    assert oracle.storage == once.storage
+    params = dict(SYNC_QUESTIONS)[variant_id]
+    assert oracle.query(ctx_for(chain), params) == once.query(ctx_for(once_chain), params)
+
+
+@pytest.mark.parametrize("variant_id", ["storage", "storage-cond"])
+def test_a_current_value_reads_zero_before_any_update(variant_id):
+    chain, oracle, provider, sink = make_rig(variant_id)
+    params = dict(SYNC_QUESTIONS)[variant_id]  # d_w >= 2 does not hold for 0
+    assert wc.decode_word(oracle.query(ctx_for(chain), params)) == 0
+    rr_id = variant_id.replace("storage", "request-response")
+    _, _, rr_provider, _ = make_rig(rr_id)
+    assert wc.decode_word(rr_provider.respond(sink.address, 1, params).payload, 1) == 0
+
+
 # --- async_query / provider_respond ------------------------------------------------
 
 
@@ -395,6 +449,53 @@ def test_provider_drops_a_finalized_consumer_and_pushes_it_nothing(variant_id):
     assert consumer.address not in provider.subscriptions
     provider.on_external_update(7, chain.height + 1)  # would signal d_w >= 5
     assert [r for r in mine(chain, provider) if r.tx.function == "push"] == []
+
+
+# one block's subscription logs, in order: (function, subscriber, condition
+# text); the subscribers pushed the catch-up, and the subscriptions kept
+CATCH_UP_BLOCKS = {
+    "pubsub": (
+        [("subscribe", 0, ""), ("subscribe", 1, ""),
+         ("subscribe", 2, ""), ("unsubscribe", 2, None)],
+        [0, 1, 2],
+        {0: None, 1: None},
+    ),
+    "pubsub-cond": (
+        [("subscribe", 0, "d_w >= 1"), ("subscribe", 1, "d_w >= 2"),
+         ("subscribe", 2, "d_w >= 1"), ("unsubscribe", 2, None),
+         ("subscribe", 3, "d_w >= 2"), ("unsubscribe", 3, None)],
+        [0, 2],
+        {1: parse("d_w >= 2")},
+    ),
+}
+
+
+@pytest.mark.parametrize("variant_id", CATCH_UP_BLOCKS)
+def test_catch_up_pushes_a_block_of_subscriptions_once(variant_id):
+    """A block's new subscriptions get one catch-up payload, the change
+    point in force dated at that block: every regular subscriber and every
+    conditional one that holds, which is then dropped. A subscriber that
+    unsubscribes in the block it subscribed still gets the catch-up and is
+    not kept, and dropping it once it signals does not raise."""
+    chain, oracle, provider, _ = make_rig(variant_id)
+    sinks = [Sink() for _ in range(4)]
+    for sink in sinks:
+        chain.deploy(sink)
+    feed_table_updates(chain, provider, through=74)  # d_w is 1 from 74 on
+    logs, pushed, kept = CATCH_UP_BLOCKS[variant_id]
+    ctx = ctx_for(chain)
+    for function, index, text in logs:
+        if function == "subscribe":
+            oracle.subscribe(ctx, sinks[index].address, wc.encode_text(text) if text else b"")
+        else:
+            oracle.unsubscribe(ctx, sinks[index].address)
+    provider.after_block([type("R", (), {"status": "ok", "logs": ctx.logs})()])
+    receipts = mine(chain, provider)
+    assert [r.tx.to for r in receipts] == [sinks[index].address for index in pushed]
+    assert {(r.tx.function, r.tx.payload, r.mined_at) for r in receipts} == {
+        ("push", oracle.pushed(74, 1), 75)
+    }
+    assert provider.subscriptions == {sinks[index].address: c for index, c in kept.items()}
 
 
 # --- cross-architecture properties ---------------------------------------------------
