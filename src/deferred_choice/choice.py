@@ -22,6 +22,11 @@ rest:
   reads its oracles inline; a ``CallbackChoice`` issues correlated queries
   and takes ``oracle_callback``; a ``PushChoice`` subscribes at activation,
   takes ``push`` and accumulates pushed change points instead of querying.
+
+A contract keeps each fact it stores in its storage only, and reads it
+back from there; ``scenario.run`` reads a report row from that storage and
+the block of the ``winner`` log. On the host live only ``detected``, the
+tie-break preferences and indexes derived from storage and the events.
 """
 
 from __future__ import annotations
@@ -101,38 +106,26 @@ class DeferredChoiceContract(Contract, ABC):
         self.cond_ids = tuple(self._conditions)
         self._message_ids = tuple(e.id for e in self.events if isinstance(e.kind, Message))
         self._oracle_event = {self.oracles[eid].address: eid for eid in self.cond_ids}
-        # mutable contract state (writes metered through the context)
-        self.activation_ts: int | None = None
-        self.observed_ts: int | None = None
-        self.winner: int | None = None
-        self.winner_detection_ts: int | None = None
-        self.finalized_at: int | None = None
         # what the contract has detected, each event dated once when it first
         # learns it; timers wait as (fire time, event id) in fire order
         self.detected: dict[int, int] = {}
         self._timers: list[tuple[int, int]] = []
         # host-side only: the tie-break preference at each waking timestamp
         self._preferred_at: dict[int, int] = {}
-        self._cond_clear: dict[int, int] = {}
         # host-side only: the query or subscription parameters of each
         # condition, built at activation, where every delivery asks them all
         self._params: dict[int, bytes] = {}
         self._pending: dict[int, int] = {}  # a callback contract's queries in flight
-        self._corr_seq = 0
 
     # -- helpers -----------------------------------------------------------
 
     def _observe(self, ctx: ExecutionContext, horizon: int) -> None:
-        if self.observed_ts is None or horizon > self.observed_ts:
-            self.observed_ts = horizon
-        ctx.write(self.storage, "observed_ts", self.observed_ts)
+        observed = self.storage["observed_ts"]  # written at activation
+        ctx.write(self.storage, "observed_ts", horizon if horizon > observed else observed)
 
     def _finalize(
         self, ctx: ExecutionContext, winner: int, detected_at: int, horizon: int
     ) -> None:
-        self.winner = winner
-        self.winner_detection_ts = detected_at
-        self.finalized_at = ctx.block_time
         self._observe(ctx, horizon)
         ctx.write(self.storage, "winner", winner)
         ctx.write(self.storage, "winner_detection_ts", detected_at)
@@ -153,12 +146,13 @@ class DeferredChoiceContract(Contract, ABC):
         """Record event ``eid`` as detected at ``at`` if it is not yet, or as
         not detected through ``horizon`` if ``at`` is NEVER. With a history,
         answers that arrive in their own transaction (callbacks, pushes) are
-        kept in contract storage; other answers are used within the
-        evaluation that made them."""
+        kept in contract storage, a clear horizon in ``clear:<eid>``; other
+        answers are used within the evaluation that made them, which ranks
+        with its horizon as the clear floor."""
         if at == NEVER:
-            self._cond_clear[eid] = max(self._cond_clear.get(eid, 0), horizon)
             if self._stores_answers:
-                ctx.write(self.storage, f"clear:{eid}", self._cond_clear[eid])
+                key = f"clear:{eid}"
+                ctx.write(self.storage, key, max(self.storage[key], horizon))
         elif eid not in self.detected:
             self.detected[eid] = at
             if self._stores_answers:
@@ -177,11 +171,10 @@ class DeferredChoiceContract(Contract, ABC):
     # -- entry points ----------------------------------------------------------
 
     def _activate(self, ctx: ExecutionContext, payload: bytes) -> None:
-        if self.activation_ts is not None:
+        if "activated" in self.storage:
             raise Revert("already activated")
         now = ctx.block_time
         prefer(self._preferred_at, now, _optional(leading_words(payload, 1)[0]))
-        self.activation_ts = now
         self._timers = sorted(
             (timer_fire(e.kind, now), e.id)
             for e in self.events
@@ -189,26 +182,22 @@ class DeferredChoiceContract(Contract, ABC):
         )
         ctx.write(self.storage, "activated", 1)
         ctx.write(self.storage, "activation_ts", now)
-        self._observe(ctx, now)
+        ctx.write(self.storage, "observed_ts", now)
         for eid in self.cond_ids:
-            self._cond_clear[eid] = now - 1
             ctx.write(self.storage, f"clear:{eid}", now - 1)
             self._params[eid] = self.oracles[eid].params(self._conditions[eid], now)
         self._subscribe(ctx)
         self._evaluate(ctx, now)
 
     def _try_trigger(self, ctx: ExecutionContext, payload: bytes) -> None:
-        if self.activation_ts is None:
+        if "activated" not in self.storage:
             raise Revert("not activated")
-        if self.winner is not None:
+        if "winner" in self.storage:
             ctx.log(self.address, "already_decided")
             return
         preferred, message_event = map(_optional, leading_words(payload, 2))
-        if message_event is not None:
-            if message_event >= len(self.events) or not isinstance(
-                self.events[message_event].kind, Message
-            ):
-                raise Revert(f"event {message_event} is not a message event")
+        if message_event is not None and message_event not in self._message_ids:
+            raise Revert(f"event {message_event} is not a message event")
         if self._pending:
             raise Revert("evaluation in progress")
         now = ctx.block_time
@@ -230,15 +219,16 @@ class DeferredChoiceContract(Contract, ABC):
         self,
         ctx: ExecutionContext,
         horizon: int,
-        clear_floor: int | None = None,
+        clear_floor: int,
         timer_now: int | None = None,
         settled: int | None = None,
     ) -> None:
         """Finalize on ``decide`` over what is detected at ``horizon`` unless
-        a condition not yet detected, clear only through its last answer or
-        ``clear_floor``, or a transaction after ``settled`` could still
-        precede or tie the earliest. A timer fired by ``timer_now`` is
-        detected at its fire time with a history, else at ``timer_now``."""
+        a condition not yet detected, clear only through ``clear_floor`` or
+        its stored ``clear:`` horizon, or a transaction after ``settled``
+        could still precede or tie the earliest. A timer fired by
+        ``timer_now`` is detected at its fire time with a history, else at
+        ``timer_now``."""
         if timer_now is None:
             timer_now = horizon
         detected = self.detected
@@ -251,11 +241,8 @@ class DeferredChoiceContract(Contract, ABC):
         winner, at, tied = decide(detected, self._preferred_at)
         blocker = NEVER
         for eid in self.cond_ids:
-            if eid not in detected:
-                known_clear = self._cond_clear[eid]  # set for each at activation
-                if clear_floor is not None:
-                    known_clear = max(known_clear, clear_floor)
-                blocker = min(blocker, known_clear)
+            if eid not in detected:  # its ``clear:`` slot is written at activation
+                blocker = min(blocker, max(clear_floor, self.storage[f"clear:{eid}"]))
         if settled is not None and (tied or any(e not in detected for e in self._message_ids)):
             # a transaction later in this block could still deliver a message
             # that ties, or name the event that breaks a tie; wait for a wake
@@ -273,12 +260,13 @@ class SyncChoice(DeferredChoiceContract):
     stores_answers = False
 
     def _evaluate(self, ctx: ExecutionContext, now: int) -> None:
+        activation = self.storage["activation_ts"]
         for eid in self.cond_ids:
             oracle = self.oracles[eid]
             answer = oracle.query(ctx, self._params[eid])
-            at = oracle.dated(answer, 0, self._conditions[eid], self.activation_ts, now)
+            at = oracle.dated(answer, 0, self._conditions[eid], activation, now)
             self._note(ctx, eid, at, now)
-        self._rank(ctx, now)
+        self._rank(ctx, now, now)
 
 
 class CallbackChoice(DeferredChoiceContract):
@@ -289,21 +277,22 @@ class CallbackChoice(DeferredChoiceContract):
         if needed:
             self._issue_queries(ctx, needed, now)
         else:
-            self._rank(ctx, now)
+            self._rank(ctx, now, now)
 
     def _issue_queries(self, ctx: ExecutionContext, event_ids: Sequence[int], now: int) -> None:
         ctx.write(self.storage, "inflight_horizon", now)
         for eid in event_ids:
-            self._corr_seq += 1
-            corr = self._corr_seq
+            corr = self.storage.get("corr_seq", 0) + 1
             ctx.write(self.storage, "corr_seq", corr)
             self._pending[corr] = eid
-            ctx.write(self.storage, f"pending:{corr}", eid)
+            # the event id + 1 while in flight and 0 once answered, so a
+            # query for event 0 in flight reads apart from an answered one
+            ctx.write(self.storage, f"pending:{corr}", eid + 1)
             self.oracles[eid].request(ctx, self.address, corr, self._params[eid])
         self._observe(ctx, now)
 
     def _oracle_callback(self, ctx: ExecutionContext, payload: bytes) -> None:
-        if self.winner is not None:
+        if "winner" in self.storage:
             return  # late callbacks are accepted and ignored
         # the correlation word and the answer's first word, decoded once
         # for every consumer a fan-out sends this payload
@@ -314,7 +303,7 @@ class CallbackChoice(DeferredChoiceContract):
         horizon = self.storage["inflight_horizon"]
         try:  # read before any write, so a truncated answer reverts cleanly
             at = self.oracles[eid].dated(
-                payload, 1, self._conditions[eid], self.activation_ts, horizon
+                payload, 1, self._conditions[eid], self.storage["activation_ts"], horizon
             )
         except wordcodec.CodecError:
             raise Revert("oracle_callback: truncated answer") from None
@@ -324,7 +313,8 @@ class CallbackChoice(DeferredChoiceContract):
         if self._pending:
             return
         ctx.write(self.storage, "inflight_horizon", 0)
-        self._rank(ctx, horizon)
+        # every condition still undetected was answered through ``horizon``
+        self._rank(ctx, horizon, horizon)
 
     _entry_points = {
         **DeferredChoiceContract._entry_points,
@@ -351,12 +341,12 @@ class PushChoice(DeferredChoiceContract):
         # delivered before this transaction, so silence certifies
         # "unsatisfied through now". In the activation block itself the
         # catch-up push is still in flight and certifies nothing.
-        self._rank(ctx, now, now if now > self.activation_ts else None)
+        self._rank(ctx, now, now if now > self.storage["activation_ts"] else now - 1)
 
     def _push(self, ctx: ExecutionContext, payload: bytes) -> None:
-        if self.activation_ts is None:
+        if "activated" not in self.storage:
             raise Revert("not activated")
-        if self.winner is not None:
+        if "winner" in self.storage:
             return  # pushes racing the decision are ignored
         # decoded once: the (oracle, at) header, then the change its oracle reads
         words = leading_words(payload, len(payload) // WORD_SIZE)
@@ -375,7 +365,8 @@ class PushChoice(DeferredChoiceContract):
         # in the block after activation the other catch-up pushes of the
         # activation step may still land, so it certifies nothing yet
         previous = ctx.block_time - 1
-        clear_floor = self.activation_ts - 1 if previous == self.activation_ts else previous
+        activation = self.storage["activation_ts"]
+        clear_floor = activation - 1 if previous == activation else previous
         self._rank(ctx, at, clear_floor, ctx.block_time, settled=previous)
 
     _entry_points = {**DeferredChoiceContract._entry_points, "push": (_push, 2 * WORD_SIZE)}

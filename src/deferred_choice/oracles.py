@@ -81,7 +81,6 @@ import itertools
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
-from operator import lt, ne
 
 from . import expr as exprlang
 from . import wordcodec
@@ -244,11 +243,11 @@ class History:
     time order, each held once.
 
     The one owner of the variable's representation: ``append`` decides what
-    is a change point (``extend`` for many updates at once), ``since``
-    writes a served slice and ``served`` reads one. Pairs are encoded into
-    one growing buffer the first time a served slice needs them. A condition
-    has one ``Scan`` per window start, so asking again, from any time in that
-    window, examines only the change points appended since.
+    is a change point, ``since`` writes a served slice and ``served`` reads
+    one. Pairs are encoded into one growing buffer the first time a served
+    slice needs them. A condition has one ``Scan`` per window start, so
+    asking again, from any time in that window, examines only the change
+    points appended since.
     """
 
     def __init__(self, variable: str):
@@ -273,19 +272,6 @@ class History:
         self.times.append(at)
         self.values.append(value)
         return True
-
-    def extend(self, times: list[int], values: list[int]) -> None:
-        """``append`` each update ``(times[i], values[i])`` in turn, in one pass
-        when the times are in order: the same change points and errors."""
-        if not times or not all(map(lt, [self._updated, *times], times)):
-            for at, value in zip(times, values):
-                self.append(at, value)
-            return
-        # an update is a change point if its value differs from the one before
-        changed = list(map(ne, values, [self.values[-1] if self.values else None, *values]))
-        self.times += itertools.compress(times, changed)
-        self.values += itertools.compress(values, changed)
-        self._updated = times[-1]
 
     @classmethod
     def served(cls, variable: str, payload: bytes, index: int) -> History:

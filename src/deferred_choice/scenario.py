@@ -5,11 +5,11 @@ choices with their event sets and oracle bindings, and a timeline of
 actions: external-variable updates, activations, triggers, and messages.
 Replaying a scenario drives a fresh chain plus providers step by step,
 mining only the blocks that hold a transaction, and then reports, per
-choice, the on-chain winner next to the ground-truth winner of the
-continual semantics over the environment induced from the timeline
-(timestamps from step indices, valuations piecewise-constant between
-updates). Each replay computes the ground truth afresh (``ground_truth``)
-in one walk of the timeline, each variable's updates filled in bulk into an
+choice, the winner on record (the contract's storage and ``winner`` log)
+next to the ground-truth winner of the continual semantics over the
+environment induced from the timeline (timestamps from step indices,
+valuations piecewise-constant between updates). Each replay computes the ground truth afresh (``ground_truth``)
+in one walk of the timeline, each variable's updates appended to an
 ``oracles.History`` of change points; the tests check it against a dense
 continual executor run state by state over the whole induced environment.
 """
@@ -416,7 +416,7 @@ def ground_truth(scenario: Scenario) -> list[tuple[int | None, int | None]]:
     Gives the result of the continual semantics over the environment the
     timeline induces from the activation to the last step, without building
     that trace: one pass over the timeline collects each variable's value
-    at each step, which ``History.extend`` reduces to change points at once,
+    at each step, which ``History.append`` reduces to change points,
     and each choice's activation, messages and preferences (``prefer``);
     each event's first detection follows in closed form (``timer_fire``
     for a timer). A conditional event is evaluated at activation and then
@@ -449,8 +449,9 @@ def ground_truth(scenario: Scenario) -> list[tuple[int | None, int | None]]:
     end = timeline[-1].step if timeline else 0  # the timeline is in step order
     histories: dict[str, History] = {}
     for name, values in updates.items():
-        histories[name] = History(name)
-        histories[name].extend(list(values), list(values.values()))
+        history = histories[name] = History(name)
+        for at, value in values.items():
+            history.append(at, value)
 
     results: list[tuple[int | None, int | None]] = []
     for index, decl in enumerate(scenario.choices):
@@ -628,12 +629,19 @@ def run(scenario: Scenario, schedule: GasSchedule | None = None) -> ExperimentRe
             for provider in reacting:
                 provider.after_block(receipts)
 
+    # a row is read from the record: storage, and the ``winner`` log's block
+    finalized_at = {
+        log.source: receipt.mined_at
+        for receipt in chain.receipts for log in receipt.logs if log.topic == "winner"
+    }
     truths = ground_truth(scenario)
     outcomes = [
         ChoiceOutcome(
-            choice=index, winner=contract.winner, truth=truth, truth_ts=truth_ts,
-            activation_ts=contract.activation_ts, observed_ts=contract.observed_ts,
-            winner_detection_ts=contract.winner_detection_ts, finalized_at=contract.finalized_at,
+            choice=index, winner=contract.storage.get("winner"), truth=truth, truth_ts=truth_ts,
+            activation_ts=contract.storage.get("activation_ts"),
+            observed_ts=contract.storage.get("observed_ts"),
+            winner_detection_ts=contract.storage.get("winner_detection_ts"),
+            finalized_at=finalized_at.get(contract.address),
         )
         for index, (contract, (truth, truth_ts)) in enumerate(zip(choice_contracts, truths))
     ]
@@ -647,5 +655,5 @@ def run(scenario: Scenario, schedule: GasSchedule | None = None) -> ExperimentRe
         outcomes=outcomes,
         gas_deploy=chain.deploy_gas_total,
         gas_total=chain.deploy_gas_total + sum(map(_gas_used, chain.receipts)),
-        receipts=list(chain.receipts),
+        receipts=chain.receipts,
     )

@@ -76,6 +76,26 @@ MUTANTS = {
         "        if not self._windowed and changed:\n",
         "a storage oracle would not pay for a set that repeats its value",
     ),
+    "sync-wake-clears-one-block-short": Mutant(
+        "deferred_choice/choice.py",
+        "            self._note(ctx, eid, at, now)\n        self._rank(ctx, now, now)\n",
+        "            self._note(ctx, eid, at, now)\n        self._rank(ctx, now, now - 1)\n",
+        "a sync wake would not count its own reads as clearing a condition through now,"
+        " and would finalize a wake late",
+    ),
+    "callback-round-clears-one-block-short": Mutant(
+        "deferred_choice/choice.py",
+        "self._rank(ctx, horizon, horizon)",
+        "self._rank(ctx, horizon, horizon - 1)",
+        "a callback round would not count its answers as clearing a condition through"
+        " its horizon, and would finalize late or never",
+    ),
+    "pending-slot-holds-the-bare-event-id": Mutant(
+        "deferred_choice/choice.py",
+        'ctx.write(self.storage, f"pending:{corr}", eid + 1)',
+        'ctx.write(self.storage, f"pending:{corr}", eid)',
+        "a query for event 0 in flight would read in storage as an answered one",
+    ),
 }
 
 

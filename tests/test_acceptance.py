@@ -4,8 +4,10 @@ Run with ``pytest tests/test_acceptance.py -v -s``.
 """
 
 import importlib.util
+import json
 import random
 import time
+from bisect import bisect_right
 from pathlib import Path
 
 import pytest
@@ -24,13 +26,22 @@ from deferred_choice.expr import (
     render,
 )
 from deferred_choice.experiments import (
+    gen_correctness,
+    gen_cost,
     heatmap_rows,
     run_correctness_experiment,
     run_cost_experiment,
 )
-from deferred_choice.oracles import ALL_VARIANTS, History, OracleVariant
+from deferred_choice.ledger import receipt_line
+from deferred_choice.oracles import ALL_VARIANTS, Delivery, History, OracleVariant
 from deferred_choice.scenario import Scenario, ground_truth, run
-from deferred_choice.semantics import NEVER, AbsoluteTimer, RelativeTimer, timer_fire
+from deferred_choice.semantics import (
+    NEVER,
+    AbsoluteTimer,
+    Conditional,
+    RelativeTimer,
+    timer_fire,
+)
 from reference import negate_comparison
 
 TRANSACTION_DRIVEN_VARIANTS = tuple(v for v in ALL_VARIANTS if not v.baseline)
@@ -245,11 +256,169 @@ def test_criterion_3_detections_recorded_once(monkeypatch):
             contracts.clear()
             run(scenario.with_variant(variant))
             for contract in contracts.values():
-                if contract.winner is not None:
+                if "winner" in contract.storage:
                     decided += 1
-                    assert contract.winner_detection_ts == contract.detected[contract.winner]
+                    winner = contract.storage["winner"]
+                    assert contract.storage["winner_detection_ts"] == contract.detected[winner]
     assert changed == []
     assert decided > 5000
+
+
+def correctness_scenarios():
+    """The correctness experiment's scenarios at the default seed, k=5 and
+    k=10, as ``run_correctness_experiment`` draws them."""
+    variant = ALL_VARIANTS[0]
+    return [
+        scenario for k in (5, 10)
+        for scenario in gen_correctness(30, k, variant, DEFAULT_SEED * 1000 + k)
+    ]
+
+
+CALLBACK_VARIANTS = tuple(v for v in ALL_VARIANTS if v.architecture.delivery is Delivery.CALLBACK)
+
+
+def test_criterion_3_pending_queries_are_their_storage(monkeypatch):
+    """After every transaction of a callback contract, its queries in flight
+    are the ``pending:<corr>`` slots that hold an event id plus 1; an
+    answered query's slot holds 0, so a query for event 0 shows too."""
+    handle = DeferredChoiceContract.handle
+    checked = []
+
+    def checking(contract, ctx, function, payload):
+        try:
+            handle(contract, ctx, function, payload)
+        finally:
+            stored = {
+                int(key[len("pending:"):]): value - 1
+                for key, value in contract.storage.items()
+                if key.startswith("pending:") and value
+            }
+            checked.append((contract._pending == stored, contract.kind, function))
+
+    monkeypatch.setattr(DeferredChoiceContract, "handle", checking)
+    scenarios = correctness_scenarios() + EQUIVALENCE_INPUTS["fuzz-2104"]()
+    for scenario in scenarios:
+        for variant in CALLBACK_VARIANTS:
+            run(scenario.with_variant(variant))
+    assert [entry for entry in checked if not entry[0]] == []
+    assert sum(function == "oracle_callback" for _, _, function in checked) > 4000
+
+
+def _wakes(scenario):
+    """Per choice: the steps of its activation and later choice transactions."""
+    wakes = {}
+    for action in scenario.timeline:
+        if action.kind == "activate" or (action.kind != "update" and action.choice in wakes):
+            wakes.setdefault(action.choice, []).append(action.step)
+    return wakes
+
+
+def _updates(scenario):
+    """Per oracle: the steps of its updates and the values they set."""
+    updates = {}
+    for action in scenario.timeline:
+        if action.kind == "update":
+            steps, values = updates.setdefault(action.oracle, ([], []))
+            steps.append(action.step)
+            values.append(action.value)
+    return updates
+
+
+def _baseline_detects(scenario, updates, choice, activation, wake):
+    """Whether a contract that reads only current values detects any event
+    of ``choice`` at ``wake``: a message delivered by then, a timer fired by
+    then, or a condition true on its variable's value at that step."""
+    if any(
+        action.kind == "message" and action.choice == choice and action.step <= wake
+        for action in scenario.timeline
+    ):
+        return True
+    decl = scenario.choices[choice]
+    for event in decl.events:
+        kind = event.kind
+        if isinstance(kind, (AbsoluteTimer, RelativeTimer)) and timer_fire(kind, activation) <= wake:
+            return True
+        if isinstance(kind, Conditional):
+            oracle = decl.oracle_for_event[event.id]
+            steps, values = updates[oracle]
+            index = bisect_right(steps, wake) - 1
+            value = values[index] if index >= 0 else 0
+            if evaluate(kind.condition, {scenario.oracles[oracle].variable: value}):
+                return True
+    return False
+
+
+PROMPT_VARIANTS = tuple(v for v in ALL_VARIANTS if v.architecture.delivery is not Delivery.PUSH)
+
+
+@pytest.mark.parametrize("variant", PROMPT_VARIANTS, ids=lambda variant: variant.id)
+def test_criterion_3_sync_and_callback_contracts_decide_at_the_first_wake_that_can(variant):
+    """A ranking contract finalizes at the first wake (its activation, a
+    trigger or a message) at or after the truth's detection, a baseline at
+    the first wake at which it detects any event; under callback delivery
+    at that wake or in the block after it, when the callbacks land. With no
+    such wake the choice stays undecided. Push delivery waits a block for a
+    same-block tie, and is not held to this."""
+    callback = variant.architecture.delivery is Delivery.CALLBACK
+    scenarios = (
+        correctness_scenarios()
+        + EQUIVALENCE_INPUTS["fuzz-2104"]()
+        + EQUIVALENCE_INPUTS["fuzz-90517"]()
+    )
+    late, checked = [], 0
+    for scenario in scenarios:
+        wakes, updates = _wakes(scenario), _updates(scenario)
+        for outcome in run(scenario.with_variant(variant)).outcomes:
+            steps = wakes.get(outcome.choice, [])
+            if variant.baseline:
+                first = next(
+                    (
+                        w for w in steps
+                        if _baseline_detects(scenario, updates, outcome.choice, steps[0], w)
+                    ),
+                    None,
+                )
+            else:
+                first = next((w for w in steps if w >= outcome.truth_ts), None)
+                if outcome.truth is None:
+                    first = None
+            allowed = {None} if first is None else {first, first + 1} if callback else {first}
+            if outcome.finalized_at not in allowed:
+                late.append((scenario.scenario_id, outcome.choice, first, outcome.finalized_at))
+            checked += 1
+    assert late == []
+    assert checked > 1500
+
+
+def _outcomes_from_receipts_log(scenario, report):
+    """(winner, winner detection time, finalization block) of each choice,
+    read from the report's receipts log text alone: the choices are deployed
+    right after the oracles, and each decided one logs ``winner`` once."""
+    first_choice = len(scenario.oracles) + 1
+    outcomes = [(None, None, None)] * len(scenario.choices)
+    for line in map(receipt_line, report.receipts):
+        record = json.loads(line)
+        for log in record["logs"]:
+            if log["topic"] == "winner":
+                index = log["source"] - first_choice
+                assert outcomes[index] == (None, None, None)
+                winner, detected = wc.decode_words(bytes.fromhex(log["payload"]), 2)
+                outcomes[index] = (winner, detected, record["step"])
+    return outcomes
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS, ids=lambda variant: variant.id)
+def test_criterion_4_outcomes_follow_from_the_receipts_log(variant):
+    scenarios = [table1(variant.id), gen_cost(5, 10, variant)] + [
+        scenario.with_variant(variant) for scenario in EQUIVALENCE_INPUTS["fuzz-2104"]()
+    ]
+    decided = 0
+    for scenario in scenarios:
+        report = run(scenario)
+        expected = [(o.winner, o.winner_detection_ts, o.finalized_at) for o in report.outcomes]
+        assert _outcomes_from_receipts_log(scenario, report) == expected, scenario.scenario_id
+        decided += sum(o.winner is not None for o in report.outcomes)
+    assert decided > 500
 
 
 def test_criterion_4_earliest_detection_against_brute_force():

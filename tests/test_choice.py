@@ -339,7 +339,8 @@ def test_trigger_while_a_query_is_in_flight_reverts(variant_id):
     assert [(r.tx.function, r.status, r.mined_at) for r in callbacks] == [
         ("oracle_callback", "ok", 2)
     ]
-    assert (contract.winner, contract.winner_detection_ts, contract.finalized_at) == (0, 1, 2)
+    assert (contract.storage["winner"], contract.storage["winner_detection_ts"]) == (0, 1)
+    assert [log.topic for log in callbacks[0].logs] == ["winner"]  # finalized at block 2
     assert 1 not in contract.detected
 
 
@@ -356,7 +357,7 @@ def test_callback_after_winner_is_ignored():
         scenario.choices[0].events, scenario.variant, {E_W: oracle}
     )
     chain.deploy(contract)
-    contract.winner = E_D
+    contract.storage["winner"] = E_D
     chain.submit(
         Transaction("sim", contract.address, "oracle_callback", wc.encode_words(42, 0))
     )
@@ -506,7 +507,7 @@ def test_push_exists_only_for_push_delivery(variant):
     )
     pushes = [(r.status, r.revert_reason) for r in receipts if r.tx.function == "push"]
     assert pushes == [("reverted", "unknown function 'push'")]
-    assert contract.winner is None
+    assert "winner" not in contract.storage
     assert all(r.status == "ok" for r in receipts if r.tx.function != "push")
 
 
@@ -523,7 +524,7 @@ def test_oracle_callback_exists_only_for_callback_delivery(variant):
         (r.status, r.revert_reason) for r in receipts if r.tx.function == "oracle_callback"
     ]
     assert callbacks == [("reverted", "unknown function 'oracle_callback'")]
-    assert contract.winner is None
+    assert "winner" not in contract.storage
 
 
 # --- construction guards ------------------------------------------------------------
