@@ -18,10 +18,12 @@ rest:
   contract is the naive baseline: a condition that holds is dated at the
   answer's horizon, a fired timer at the wake that first sees it;
 * the delivery fixes the transport and the entry points, and each delivery
-  has its own contract class (``make_choice_contract``): a ``SyncChoice``
-  reads its oracles inline; a ``CallbackChoice`` issues correlated queries
-  and takes ``oracle_callback``; a ``PushChoice`` subscribes at activation,
-  takes ``push`` and accumulates pushed change points instead of querying.
+  has its own contract class: a ``SyncChoice`` reads its oracles inline; a
+  ``CallbackChoice`` issues correlated queries and takes ``oracle_callback``;
+  a ``PushChoice`` subscribes at activation, takes ``push`` and accumulates
+  pushed change points instead of querying. A class takes its bindings as
+  checked: ``make_choice_contract`` checks them (``check_bindings``), and
+  ``scenario.run`` builds from the bindings ``Scenario.validate`` checked.
 
 A contract keeps each fact it stores in its storage only, and reads it
 back from there; ``scenario.run`` reads a report row from that storage and
@@ -91,7 +93,6 @@ class DeferredChoiceContract(Contract, ABC):
         oracles: Mapping[int, OracleContract],
     ):
         super().__init__()
-        check_bindings(events, oracles, self.one_per_oracle)
         self.events = tuple(events)
         self.kind = f"{variant.id}-choice"
         self.deploy_gas = variant.architecture.choice_gas[variant.conditional]
@@ -103,9 +104,8 @@ class DeferredChoiceContract(Contract, ABC):
         self._conditions = {
             e.id: e.kind.condition for e in self.events if isinstance(e.kind, Conditional)
         }
-        self.cond_ids = tuple(self._conditions)
         self._message_ids = tuple(e.id for e in self.events if isinstance(e.kind, Message))
-        self._oracle_event = {self.oracles[eid].address: eid for eid in self.cond_ids}
+        self._oracle_event = {self.oracles[eid].address: eid for eid in self._conditions}
         # what the contract has detected, each event dated once when it first
         # learns it; timers wait as (fire time, event id) in fire order
         self.detected: dict[int, int] = {}
@@ -148,11 +148,11 @@ class DeferredChoiceContract(Contract, ABC):
         answers that arrive in their own transaction (callbacks, pushes) are
         kept in contract storage, a clear horizon in ``clear:<eid>``; other
         answers are used within the evaluation that made them, which ranks
-        with its horizon as the clear floor."""
+        with its horizon as the clear floor. A callback round or a push
+        answers past the horizon stored before it, so the slot only rises."""
         if at == NEVER:
             if self._stores_answers:
-                key = f"clear:{eid}"
-                ctx.write(self.storage, key, max(self.storage[key], horizon))
+                ctx.write(self.storage, f"clear:{eid}", horizon)
         elif eid not in self.detected:
             self.detected[eid] = at
             if self._stores_answers:
@@ -183,9 +183,9 @@ class DeferredChoiceContract(Contract, ABC):
         ctx.write(self.storage, "activated", 1)
         ctx.write(self.storage, "activation_ts", now)
         ctx.write(self.storage, "observed_ts", now)
-        for eid in self.cond_ids:
+        for eid, condition in self._conditions.items():
             ctx.write(self.storage, f"clear:{eid}", now - 1)
-            self._params[eid] = self.oracles[eid].params(self._conditions[eid], now)
+            self._params[eid] = self.oracles[eid].params(condition, now)
         self._subscribe(ctx)
         self._evaluate(ctx, now)
 
@@ -240,7 +240,7 @@ class DeferredChoiceContract(Contract, ABC):
             return
         winner, at, tied = decide(detected, self._preferred_at)
         blocker = NEVER
-        for eid in self.cond_ids:
+        for eid in self._conditions:
             if eid not in detected:  # its ``clear:`` slot is written at activation
                 blocker = min(blocker, max(clear_floor, self.storage[f"clear:{eid}"]))
         if settled is not None and (tied or any(e not in detected for e in self._message_ids)):
@@ -261,10 +261,10 @@ class SyncChoice(DeferredChoiceContract):
 
     def _evaluate(self, ctx: ExecutionContext, now: int) -> None:
         activation = self.storage["activation_ts"]
-        for eid in self.cond_ids:
+        for eid, condition in self._conditions.items():
             oracle = self.oracles[eid]
             answer = oracle.query(ctx, self._params[eid])
-            at = oracle.dated(answer, 0, self._conditions[eid], activation, now)
+            at = oracle.dated(answer, 0, condition, activation, now)
             self._note(ctx, eid, at, now)
         self._rank(ctx, now, now)
 
@@ -273,15 +273,12 @@ class CallbackChoice(DeferredChoiceContract):
     """Queries at a wake, and ranks once ``oracle_callback`` has every answer."""
 
     def _evaluate(self, ctx: ExecutionContext, now: int) -> None:
-        needed = tuple(eid for eid in self.cond_ids if eid not in self.detected)
-        if needed:
-            self._issue_queries(ctx, needed, now)
-        else:
+        needed = [eid for eid in self._conditions if eid not in self.detected]
+        if not needed:
             self._rank(ctx, now, now)
-
-    def _issue_queries(self, ctx: ExecutionContext, event_ids: Sequence[int], now: int) -> None:
+            return
         ctx.write(self.storage, "inflight_horizon", now)
-        for eid in event_ids:
+        for eid in needed:
             corr = self.storage.get("corr_seq", 0) + 1
             ctx.write(self.storage, "corr_seq", corr)
             self._pending[corr] = eid
@@ -328,12 +325,12 @@ class PushChoice(DeferredChoiceContract):
     one_per_oracle = True
 
     def _subscribe(self, ctx: ExecutionContext) -> None:
-        for eid in self.cond_ids:
+        for eid in self._conditions:
             self.oracles[eid].subscribe(ctx, self.address, self._params[eid])
 
     def _unsubscribe(self, ctx: ExecutionContext) -> None:
         # a contract finalizes once, never in its activation, so it holds each one
-        for eid in self.cond_ids:
+        for eid in self._conditions:
             self.oracles[eid].unsubscribe(ctx, self.address)
 
     def _evaluate(self, ctx: ExecutionContext, now: int) -> None:
@@ -385,4 +382,8 @@ def choice_class(variant: OracleVariant) -> type[DeferredChoiceContract]:
 def make_choice_contract(
     events: Sequence[EventSpec], variant: OracleVariant, oracles: Mapping[int, OracleContract]
 ) -> DeferredChoiceContract:
-    return choice_class(variant)(events, variant, oracles)
+    """The choice contract of ``variant`` over ``events`` and the oracles
+    bound to them, once ``check_bindings`` passes; it raises otherwise."""
+    cls = choice_class(variant)
+    check_bindings(events, oracles, cls.one_per_oracle)
+    return cls(events, variant, oracles)

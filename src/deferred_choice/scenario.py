@@ -3,15 +3,15 @@
 A scenario fixes the oracle variant, the execution semantics, the deferred
 choices with their event sets and oracle bindings, and a timeline of
 actions: external-variable updates, activations, triggers, and messages.
-Replaying a scenario drives a fresh chain plus providers step by step,
+A replay walks the timeline's steps on a fresh chain plus providers,
 mining only the blocks that hold a transaction, and then reports, per
 choice, the winner on record (the contract's storage and ``winner`` log)
 next to the ground-truth winner of the continual semantics over the
 environment induced from the timeline (timestamps from step indices,
-valuations piecewise-constant between updates). Each replay computes the ground truth afresh (``ground_truth``)
-in one walk of the timeline, each variable's updates appended to an
-``oracles.History`` of change points; the tests check it against a dense
-continual executor run state by state over the whole induced environment.
+valuations piecewise-constant between updates), computed afresh in one
+walk of the timeline (``ground_truth``), each variable's updates appended
+to an ``oracles.History`` of change points; the tests check it against a
+dense continual executor run state by state over the induced environment.
 """
 
 from __future__ import annotations
@@ -19,11 +19,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, fields, replace
 from heapq import heapify, heappop, heappush
+from itertools import groupby
 from operator import attrgetter
 from typing import Any, NamedTuple
 
 from . import expr as exprlang
-from .choice import choice_class, encode_activate, encode_trigger, make_choice_contract
+from .choice import choice_class, encode_activate, encode_trigger
 from .ledger import Chain, GasSchedule, Receipt, Transaction
 from .oracles import (
     History,
@@ -556,6 +557,7 @@ def _call(kind: str, preferred: int | None, event: int | None) -> tuple[str, byt
 
 
 _gas_used = attrgetter("gas_used")
+_step = attrgetter("step")
 
 
 def run(scenario: Scenario, schedule: GasSchedule | None = None) -> ExperimentReport:
@@ -574,60 +576,50 @@ def run(scenario: Scenario, schedule: GasSchedule | None = None) -> ExperimentRe
     reacting = [provider for provider in providers if provider.oracle.logs_for_provider]
     choice_contracts = []
     for decl in scenario.choices:
+        # built from the bindings ``validate`` checked
         bindings = {eid: oracle_contracts[index] for eid, index in decl.oracle_for_event.items()}
-        contract = make_choice_contract(decl.events, scenario.variant, bindings)
+        contract = choice_class(scenario.variant)(decl.events, scenario.variant, bindings)
         chain.deploy(contract)
         choice_contracts.append(contract)
 
-    # one walk plans the replay: each step with its updates, then its choice
-    # transactions, since within a block data changes precede choice
-    # transactions and the induced ground-truth trace assumes the same order
-    plan: list[tuple[int, list[Action], list[Action]]] = []
-    step = None
-    updates, setup = 0, None  # setup: updates before the step of the first activation
-    for action in scenario.timeline:
-        if action.step != step:
-            step = action.step
-            step_updates, step_calls = [], []
-            plan.append((step, step_updates, step_calls))
-            before = updates
-        if action.kind == "update":
-            step_updates.append(action)
-            updates += 1
-        else:
-            step_calls.append(action)
-            if setup is None and action.kind == "activate":
-                setup = before
-    blocks = iter(plan)
-    block = next(blocks, None)
-    # (kind, preferred, event) -> a transaction of that call: choices sent the
-    # same call share one payload, validated once
-    calls: dict[tuple[str, int | None, int | None], Transaction] = {}
-
-    # mine while an action is left or a transaction is queued, skipping the
-    # empty blocks before the next action; providers react only to
-    # activations and wakes, never to callbacks and pushes, so the chain is
-    # idle at most one block after the last action
-    while block is not None or not chain.idle:
-        if block is not None:
-            chain.skip_empty_blocks(block[0] - 1)
-        step = chain.height + 1
-        if block is not None and block[0] == step:
-            _, step_updates, step_calls = block
-            for action in step_updates:
-                providers[action.oracle].on_external_update(action.value, step)
-            for action in step_calls:
-                key = (action.kind, action.preferred, action.event)
-                target = choice_contracts[action.choice].address
-                call = calls.get(key)
-                if call is None:
-                    call = calls[key] = Transaction(SIM_ACCOUNT, target, *_call(*key))
-                chain.submit(call.sent_to(target))
-            block = next(blocks, None)
+    def mine() -> None:
         receipts = chain.step()
         if receipts:
             for provider in reacting:
                 provider.after_block(receipts)
+
+    # (kind, preferred, event) -> a transaction of that call: choices sent the
+    # same call share one payload, validated once
+    calls: dict[tuple[str, int | None, int | None], Transaction] = {}
+    updates, setup = 0, None  # setup: updates before the step of the first activation
+    for step, actions in groupby(scenario.timeline, _step):
+        # mine what providers queued before the step, then skip the empty blocks
+        while not chain.idle and chain.height < step - 1:
+            mine()
+        chain.skip_empty_blocks(step - 1)
+        # within a block data changes precede choice transactions, and the
+        # induced ground-truth trace assumes the same order
+        before, step_calls = updates, []
+        for action in actions:
+            if action.kind == "update":
+                providers[action.oracle].on_external_update(action.value, step)
+                updates += 1
+            else:
+                step_calls.append(action)
+                if setup is None and action.kind == "activate":
+                    setup = before
+        for action in step_calls:
+            key = (action.kind, action.preferred, action.event)
+            target = choice_contracts[action.choice].address
+            call = calls.get(key)
+            if call is None:
+                call = calls[key] = Transaction(SIM_ACCOUNT, target, *_call(*key))
+            chain.submit(call.sent_to(target))
+        mine()
+    # providers react only to activations and wakes, never to callbacks and
+    # pushes, so the chain is idle at most one block after the last step
+    while not chain.idle:
+        mine()
 
     # a row is read from the record: storage, and the ``winner`` log's block
     finalized_at = {

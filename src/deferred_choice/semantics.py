@@ -4,8 +4,8 @@ A deferred choice races a set of external events: messages (explicit,
 delivered by transactions), absolute / relative timers, and conditional
 events over the valuation of external variables. An event is detected from
 the activation of its choice on. This module holds the event kinds, the
-binding rule (``check_bindings``) that scenarios and contracts apply, and
-the rules the contracts and the ground truth call, which differ only in
+binding rule (``check_bindings``) that scenarios and the contract factory apply,
+and the rules the contracts and the ground truth call, which differ only in
 how they date what they detect: ``prefer``, ``timer_fire`` and the one
 decision rule ``decide``. The continual and transaction-driven executors
 over dense traces, against which the ground truth is tested, live with

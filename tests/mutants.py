@@ -96,6 +96,21 @@ MUTANTS = {
         'ctx.write(self.storage, f"pending:{corr}", eid)',
         "a query for event 0 in flight would read in storage as an answered one",
     ),
+    "bindings-unchecked-in-validate": Mutant(
+        "deferred_choice/scenario.py",
+        "                check_bindings(decl.events, decl.oracle_for_event, one_subscription, self._oracle)",
+        "                pass",
+        "a scenario with a bad oracle binding would replay, since a contract is built from"
+        " the bindings validate checked",
+    ),
+    "variant-copy-keeps-validation": Mutant(
+        "deferred_choice/scenario.py",
+        '        object.__setattr__(copy, "_origin", self._origin or self)\n',
+        '        object.__setattr__(copy, "_origin", self._origin or self)\n'
+        '        object.__setattr__(copy, "_validated", self._validated)\n',
+        "a variant copy would replay unchecked under a delivery whose binding rule the"
+        " original never met",
+    ),
 }
 
 

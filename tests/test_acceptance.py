@@ -8,13 +8,16 @@ import json
 import random
 import time
 from bisect import bisect_right
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import deferred_choice
 from deferred_choice import wordcodec as wc
-from deferred_choice.choice import DeferredChoiceContract
+from deferred_choice import choice as choice_module
+from deferred_choice import scenario as scenario_module
+from deferred_choice.choice import DeferredChoiceContract, choice_class
 from deferred_choice.cli import DEFAULT_SEED, main
 from deferred_choice.expr import (
     And,
@@ -40,6 +43,7 @@ from deferred_choice.semantics import (
     AbsoluteTimer,
     Conditional,
     RelativeTimer,
+    check_bindings,
     timer_fire,
 )
 from reference import negate_comparison
@@ -264,13 +268,13 @@ def test_criterion_3_detections_recorded_once(monkeypatch):
     assert decided > 5000
 
 
-def correctness_scenarios():
-    """The correctness experiment's scenarios at the default seed, k=5 and
-    k=10, as ``run_correctness_experiment`` draws them."""
+def correctness_scenarios(seed=DEFAULT_SEED):
+    """The correctness experiment's scenarios at ``seed``, k=5 and k=10, as
+    ``run_correctness_experiment`` draws them."""
     variant = ALL_VARIANTS[0]
     return [
         scenario for k in (5, 10)
-        for scenario in gen_correctness(30, k, variant, DEFAULT_SEED * 1000 + k)
+        for scenario in gen_correctness(30, k, variant, seed * 1000 + k)
     ]
 
 
@@ -302,6 +306,72 @@ def test_criterion_3_pending_queries_are_their_storage(monkeypatch):
             run(scenario.with_variant(variant))
     assert [entry for entry in checked if not entry[0]] == []
     assert sum(function == "oracle_callback" for _, _, function in checked) > 4000
+
+
+STORING_VARIANTS = tuple(
+    v for v in ALL_VARIANTS if not v.baseline and choice_class(v).stores_answers
+)
+COST_GRID = [(c, u) for c in (5, 10, 20) for u in (1, 10, 20, 30)] + [(100, 100)]
+
+
+def test_criterion_3_a_stored_clear_horizon_only_rises(monkeypatch):
+    """Over the correctness inputs at seeds 11 and 90517, the cost grid with
+    its c=100, u=100 cell and the fuzz inputs at seeds 2104 and 90517, every
+    clear horizon a callback or push contract stores lies strictly above the
+    one its ``clear:<eid>`` slot holds, so ``_note`` writes it as it is."""
+    note = DeferredChoiceContract._note
+    notes = []
+
+    def checking(contract, ctx, eid, at, horizon):
+        if at == NEVER and contract._stores_answers:
+            notes.append((type(contract).__name__, horizon > contract.storage[f"clear:{eid}"]))
+        note(contract, ctx, eid, at, horizon)
+
+    monkeypatch.setattr(DeferredChoiceContract, "_note", checking)
+    scenarios = (
+        correctness_scenarios(11) + correctness_scenarios(90517)
+        + [gen_cost(c, u, ALL_VARIANTS[0]) for c, u in COST_GRID]
+        + EQUIVALENCE_INPUTS["fuzz-2104"]() + EQUIVALENCE_INPUTS["fuzz-90517"]()
+    )
+    for scenario in scenarios:
+        for variant in STORING_VARIANTS:
+            run(scenario.with_variant(variant))
+    assert [entry for entry in notes if not entry[1]] == []
+    assert Counter(name for name, _ in notes) == {"CallbackChoice": 7266, "PushChoice": 13569}
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS, ids=lambda variant: variant.id)
+def test_criterion_3_a_replay_checks_each_choice_s_bindings_once(variant, monkeypatch):
+    """``Scenario.validate`` checks a choice's oracle bindings, and the
+    replay builds its contract from them without checking them again: one
+    ``check_bindings`` call per choice, whether the scenario is a variant
+    copy, a generated one or a scenario file's text replayed as the fuzz
+    workload replays it."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return check_bindings(*args)
+
+    monkeypatch.setattr(scenario_module, "check_bindings", counting)
+    monkeypatch.setattr(choice_module, "check_bindings", counting)
+    from_file = Scenario.from_json(TABLE1.read_text()).with_variant(variant)
+    generated = gen_correctness(4, 5, variant, 11005)[0]
+    cost = gen_cost(5, 10, variant)
+    # a scenario of three choices
+    fuzz_text = fuzz_scenarios(3, 2104)[-1].with_variant(variant).to_json()
+    replays = {
+        "table1": lambda: run(from_file),
+        "correctness": lambda: run(generated),
+        "cost": lambda: run(cost),
+        "fuzz": lambda: run(Scenario.from_json(fuzz_text)),
+    }
+    counted = {}
+    for name, replay in replays.items():
+        calls.clear()
+        choices = len(replay().outcomes)
+        counted[name] = (len(calls), choices)
+    assert all(made == choices for made, choices in counted.values()), counted
 
 
 def _wakes(scenario):

@@ -798,6 +798,19 @@ def test_run_validates_a_json_scenario_once():
     assert validate.call_count == 1
 
 
+@pytest.mark.parametrize("variant_id", ["pubsub", "pubsub-cond"])
+def test_run_validates_a_variant_copy_under_its_own_variant(variant_id):
+    """table1 with a second event bound to ``d_w`` is valid under on-chain
+    history, which may read one oracle for two events; its push copies are
+    not, and ``run`` rejects them before it builds a contract."""
+    obj = json.loads(TABLE1.read_text())
+    obj["choices"][0]["events"].append({"kind": "conditional", "expr": "d_w >= 1", "oracle": 0})
+    scenario = Scenario.from_obj(obj)
+    copy = scenario.with_variant(OracleVariant.parse(variant_id))
+    with pytest.raises(ScenarioError, match="allows one subscription per oracle"):
+        run(copy)
+
+
 def test_json_round_trip():
     scenario = table1("pubsub-cond")
     again = Scenario.from_json(scenario.to_json())
